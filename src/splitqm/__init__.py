@@ -51,6 +51,7 @@ from .quasimorphisms import (
     gromov_norm,
     homogenize_eval,
     is_trivial,
+    junction_pairs,
     maximize_doubling_witness,
     rademacher,
     sampled_defect,

@@ -5,7 +5,8 @@ One JSON config carries the splitting, named factor maps, module actions,
 metric targets, and sampler parameters; all randomness flows from a single
 seed, with each subcommand deriving a child seed by hashing, so output is
 byte-identical for identical config + seed.  Exit codes: 0 success,
-1 identity violation, 2 usage or parse error.
+1 identity violation, 2 usage or parse error, 141 when the reader closes
+standard output early (as for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -38,6 +40,7 @@ from .quasimorphisms import (
     eval_split,
     gromov_norm,
     homogenize_eval,
+    junction_pairs,
     rademacher,
     sampled_defect,
     split_defect,
@@ -82,6 +85,7 @@ from .selftest import CRITERIA, CriterionResult, DEFAULT_SEED, format_result
 __all__ = ["main", "load_config", "Config", "ConfigError"]
 
 SCHEMA_VERSION = 1
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the shell's status for `cmd | head`
 
 
 class ConfigError(ValueError):
@@ -385,7 +389,7 @@ def cmd_defect(args) -> int:
         f.splitting, rng, config.sampler.length_bound, config.sampler.exponent_bound
     )
     exact = split_defect(f)
-    sampled = sampled_defect(f, sampler, count)
+    sampled = sampled_defect(f, sampler, count, extra_pairs=junction_pairs(f))
     report = gromov_norm(f)
     rows = [
         ("factor defect A", str(f.fA.defect())),
@@ -678,7 +682,9 @@ def cmd_selftest(args) -> int:
                 f.splitting, rng, config.sampler.length_bound, config.sampler.exponent_bound
             )
             exact = split_defect(f)
-            sampled = sampled_defect(f, sampler, min(config.sampler.samples, 2000))
+            sampled = sampled_defect(
+                f, sampler, min(config.sampler.samples, 2000), extra_pairs=junction_pairs(f)
+            )
             ok = sampled == exact
             status = "PASS" if ok else "FAIL"
             print(f"[cfg] {status} map '{name}': sampled defect {sampled}, split defect {exact}")
@@ -736,6 +742,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        status = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``splitqm selftest | head -1``).  Point
+        # stdout at devnull so the flush at interpreter exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return status
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config_required", False) and not args.config:

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .groups import CyclicGroup, FactorGroup, IntegerGroup
-from .words import A, B, IDENTITY, Splitting, Word
+from .quasimorphisms import junction_pairs
+from .words import A, B, IDENTITY, Splitting, Word, multiply
 
 try:
     import numpy as np
@@ -408,18 +409,9 @@ def qrep_defect(mu: SplitQRep) -> Union[Fraction, float]:
 def qrep_sampled_defect(mu: SplitQRep, sampler, count: int) -> Union[Fraction, float]:
     """Max coboundary distance over sampled word pairs plus the junction
     pairs embedding each factor's worst pair; never exceeds qrep_defect."""
-    from .words import multiply
-
     worst = Fraction(0)
-    pairs = []
-    for _ in range(count):
-        pairs.append((sampler(), sampler()))
-    for side, mu_f in ((A, mu.muA), (B, mu.muB)):
-        _, x, y = mu_f.defect_witness()
-        group = mu_f.group
-        if not group.is_identity(x) and not group.is_identity(y):
-            pairs.append((Word(((side, x),)), Word(((side, y),))))
-    for g, h in pairs:
+    pairs = [(sampler(), sampler()) for _ in range(count)]
+    for g, h in pairs + junction_pairs(mu):
         gh = multiply(mu.splitting, g, h)
         value = mu.target.dist(eval_qrep(mu, gh), mu.target.mul(eval_qrep(mu, g), eval_qrep(mu, h)))
         if value > worst:

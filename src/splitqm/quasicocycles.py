@@ -162,7 +162,7 @@ class FiniteDimRep(ModuleAction):
                     raise ValueError(
                         f"matrix for a cyclic factor of order {factor.n} must satisfy m^n = 1"
                     )
-        self._inv = {side: mat_inv(self.mat[side]) for side in (A, B)}
+        self._letter_matrices: dict[tuple[str, int], Matrix] = {}
 
     def zero(self) -> DenseVector:
         return tuple(Fraction(0) for _ in range(self.dim))
@@ -181,7 +181,12 @@ class FiniteDimRep(ModuleAction):
         return tuple(c * a for a in v)
 
     def letter_matrix(self, side: str, k: int) -> Matrix:
-        return mat_pow(self.mat[side], k)
+        """The matrix of the letter (side, k), memoized per letter."""
+        key = (side, k)
+        m = self._letter_matrices.get(key)
+        if m is None:
+            m = self._letter_matrices[key] = mat_pow(self.mat[side], k)
+        return m
 
     def word_matrix(self, g: Word) -> Matrix:
         acc = identity_matrix(self.dim)
@@ -323,7 +328,8 @@ class FactorCocycleMap:
 
     def coboundary(self, x: int, y: int) -> Vector:
         m = self.action
-        translated = m.act(_one_letter(self.side, x), self(y))
+        fy = self(y)
+        translated = fy if m.is_zero(fy) else m.act(_one_letter(self.side, x), fy)
         return m.sub(m.add(self(x), translated), self(self.group.mul(x, y)))
 
 

@@ -8,9 +8,13 @@ enumeration, and homogenization goes through cyclic reduction.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .groups import CyclicGroup, FactorGroup, IntegerGroup
@@ -38,6 +42,7 @@ __all__ = [
     "default_sampler",
     "cached_evaluator",
     "sampled_defect",
+    "junction_pairs",
     "homogenize_eval",
     "doubling_witness",
     "maximize_doubling_witness",
@@ -150,6 +155,33 @@ class FactorQM:
         value += self.sign_coeff * _sgn(x)
         return value
 
+    # -- integer view ----------------------------------------------------
+
+    @cached_property
+    def denominator(self) -> int:
+        """The common denominator L: L*q(x) is an int for every x."""
+        values = (self.slope, self.sign_coeff, *self.finite_part.values(), *self.residues)
+        return math.lcm(*(v.denominator for v in values))
+
+    @cached_property
+    def _scaled_terms(self) -> tuple[int, dict[int, int], tuple[int, ...], int]:
+        L = self.denominator
+        return (
+            int(self.slope * L),
+            {x: int(v * L) for x, v in self.finite_part.items()},
+            tuple(int(v * L) for v in self.residues),
+            int(self.sign_coeff * L),
+        )
+
+    def numerator(self, x: int) -> int:
+        """L*q(x) as an int, with L the common ``denominator``."""
+        self.group.check(x)
+        slope, finite, residues, sign = self._scaled_terms
+        value = slope * x + finite.get(x, 0) + sign * _sgn(x)
+        if residues:
+            value += residues[x % len(residues)]
+        return value
+
     # -- defect ----------------------------------------------------------
 
     def defect_window(self, scale: int = 1) -> int:
@@ -178,13 +210,27 @@ class FactorQM:
         return self(x) + self(y) - self(self.group.mul(x, y))
 
     def defect_witness(self, scale: int = 1) -> tuple[Fraction, int, int]:
-        """(exact defect, maximizing pair)."""
-        best = (Fraction(0), self.group.identity, self.group.identity)
+        """(exact defect, first pair attaining it in ``_pairs`` order).
+
+        The scan runs on the numerators L*q(x), tabulated once: on every
+        element of a finite factor, on [-2W, 2W] (which holds x + y) for the
+        integers with W the defect window.
+        """
+        group = self.group
+        if group.is_finite:
+            domain, mul = group.elements(), group.mul
+        else:
+            reach = 2 * self.defect_window(scale)
+            domain, mul = range(-reach, reach + 1), operator.add
+        num = {x: self.numerator(x) for x in domain}
+        best, best_x, best_y = 0, group.identity, group.identity
         for x, y in self._pairs(scale):
-            value = abs(self.coboundary(x, y))
-            if value > best[0]:
-                best = (value, x, y)
-        return best
+            value = num[x] + num[y] - num[mul(x, y)]
+            if value < 0:
+                value = -value
+            if value > best:
+                best, best_x, best_y = value, x, y
+        return Fraction(best, self.denominator), best_x, best_y
 
     def defect(self, scale: int = 1) -> Fraction:
         return self.defect_witness(scale)[0]
@@ -256,24 +302,49 @@ def default_sampler(
     return sample
 
 
-def cached_evaluator(f: SplitQM) -> Callable[[Word], Fraction]:
-    """A split evaluator memoizing letter values; sampled words draw letters
-    from a small pool, so this keeps large sampling runs fast."""
-    cache: dict[tuple[str, int], Fraction] = {}
+def _letter_numerators(f: SplitQM) -> tuple[int, Callable[[Word], int]]:
+    """(L, numerator): L is the common denominator of both factor maps and
+    numerator(g) = L*f(g) as an int, summed over memoized letter values."""
     fA, fB = f.fA, f.fB
+    L = math.lcm(fA.denominator, fB.denominator)
+    cache: dict[tuple[str, int], int] = {}
 
-    def evaluate(g: Word) -> Fraction:
-        total = Fraction(0)
+    def numerator(g: Word) -> int:
+        total = 0
         for letter in g.letters:
             value = cache.get(letter)
             if value is None:
                 side, x = letter
-                value = (fA if side == A else fB)(x)
-                cache[letter] = value
+                q = fA if side == A else fB
+                value = cache[letter] = q.numerator(x) * (L // q.denominator)
             total += value
         return total
 
+    return L, numerator
+
+
+def cached_evaluator(f: SplitQM) -> Callable[[Word], Fraction]:
+    """A split evaluator memoizing letter values; sampled words draw letters
+    from a small pool, so this keeps large sampling runs fast."""
+    L, numerator = _letter_numerators(f)
+
+    def evaluate(g: Word) -> Fraction:
+        return Fraction(numerator(g), L)
+
     return evaluate
+
+
+def junction_pairs(f) -> list[tuple[Word, Word]]:
+    """Each factor's maximizing pair as two one-letter words, skipping pairs
+    with an identity letter.  Works for any split map whose factor maps have
+    ``defect_witness()``."""
+    pairs = []
+    for side in (A, B):
+        q = f.factor_map(side)
+        _, x, y = q.defect_witness()
+        if not q.group.is_identity(x) and not q.group.is_identity(y):
+            pairs.append((Word(((side, x),)), Word(((side, y),))))
+    return pairs
 
 
 def sampled_defect(
@@ -285,21 +356,18 @@ def sampled_defect(
     """Max |coboundary| over sampled pairs (never exceeds the exact defect).
 
     ``extra_pairs`` lets callers embed known maximizing factor pairs as
-    one-letter words, which makes the sampled value attain the supremum.
+    one-letter words (see ``junction_pairs``), which makes the sampled value
+    attain the supremum.
     """
     s = f.splitting
-    evaluate = cached_evaluator(f)
-    best = Fraction(0)
-    for _ in range(count):
-        g, h = sampler(), sampler()
-        value = abs(evaluate(g) + evaluate(h) - evaluate(multiply(s, g, h)))
+    L, numerator = _letter_numerators(f)
+    sampled = ((sampler(), sampler()) for _ in range(count))
+    best = 0
+    for g, h in itertools.chain(sampled, extra_pairs):
+        value = abs(numerator(g) + numerator(h) - numerator(multiply(s, g, h)))
         if value > best:
             best = value
-    for g, h in extra_pairs:
-        value = abs(evaluate(g) + evaluate(h) - evaluate(multiply(s, g, h)))
-        if value > best:
-            best = value
-    return best
+    return Fraction(best, L)
 
 
 def homogenize_eval(f: SplitQM, g: Word) -> Fraction:
@@ -400,38 +468,32 @@ def _aux_other_side(factor: FactorGroup) -> int:
     return next(x for x in factor.elements() if not factor.is_identity(x))
 
 
-def _junction_pairs(q: FactorQM) -> Iterator[tuple[int, int]]:
-    group = q.group
-    for x, y in q._pairs():
-        if group.is_identity(x) or group.is_identity(y):
-            continue
-        if group.is_identity(group.mul(x, y)):
-            continue
-        yield x, y
-
-
-def maximize_doubling_witness(f: SplitQM, side: str) -> Optional[DoublingWitness]:
-    """The doubling witness over the junction pair maximizing the factor
-    coboundary on the enumeration window; None when no gap is positive."""
+def _witness_on_pair(f: SplitQM, side: str, x1: int, x2: int) -> DoublingWitness:
+    """The doubling witness over a junction pair with non-zero coboundary."""
     q = f.factor_map(side)
-    best_pair, best_value = None, Fraction(0)
-    for x, y in _junction_pairs(q):
-        value = abs(q.coboundary(x, y))
-        if value > best_value:
-            best_pair, best_value = (x, y), value
-    if best_pair is None:
-        return None
     aux_same = _aux_same_side(q.group)
     if aux_same is None:
         # Every element squares to the identity, which forces an alternating
         # map to vanish; a positive gap is impossible here.
         raise RuntimeError("positive factor defect on a factor of exponent two")
     aux_other = _aux_other_side(f.splitting.factor(other_side(side)))
-    x1, x2 = best_pair
     if q.coboundary(x1, x2) < 0:
         # Flip to the inverse pair so the reported gap is positive.
         x1, x2 = q.group.inv(x2), q.group.inv(x1)
     return doubling_witness(f, x1, x2, aux_same, aux_other, side)
+
+
+def maximize_doubling_witness(f: SplitQM, side: str) -> Optional[DoublingWitness]:
+    """The doubling witness over the junction pair maximizing the factor
+    coboundary on the enumeration window; None when no gap is positive.
+
+    The defect witness is that pair: pairs with an identity letter or with
+    product the identity have coboundary 0 by alternation, so they never
+    win the strict maximum."""
+    value, x, y = f.factor_map(side).defect_witness()
+    if not value:
+        return None
+    return _witness_on_pair(f, side, x, y)
 
 
 @dataclass(frozen=True)
@@ -447,13 +509,12 @@ class GromovNormReport:
 def gromov_norm(f: SplitQM) -> GromovNormReport:
     """Norm of the class of the split map: equal to the split defect, with a
     doubling witness attaining homogenized gap 2*value when positive."""
-    dA, dB = f.fA.defect(), f.fB.defect()
-    value = max(dA, dB)
+    witnesses = {A: f.fA.defect_witness(), B: f.fB.defect_witness()}
+    side = A if witnesses[A][0] >= witnesses[B][0] else B
+    value, x, y = witnesses[side]
     if value == 0:
         return GromovNormReport(value=value, witness=None)
-    side = A if dA >= dB else B
-    witness = maximize_doubling_witness(f, side)
-    return GromovNormReport(value=value, witness=witness)
+    return GromovNormReport(value=value, witness=_witness_on_pair(f, side, x, y))
 
 
 def is_trivial(f: SplitQM) -> bool:

@@ -36,10 +36,10 @@ from .quasimorphisms import (
     default_sampler,
     doubling_witness,
     eval_split,
-    factor_defect_witness,
     gromov_norm,
     homogenize_eval,
     is_trivial,
+    junction_pairs,
     rademacher,
     sampled_defect,
     split_defect,
@@ -151,16 +151,6 @@ def _random_finite_qm(group: CyclicGroup, rng: random.Random) -> FactorQM:
     return FactorQM(group, finite_part=values)
 
 
-def _junction_extra_pairs(f: SplitQM) -> list[tuple[Word, Word]]:
-    pairs = []
-    for side in (A, B):
-        q = f.factor_map(side)
-        _, x, y = factor_defect_witness(q.group, q)
-        if not q.group.is_identity(x) and not q.group.is_identity(y):
-            pairs.append((Word(((side, x),)), Word(((side, y),))))
-    return pairs
-
-
 # -- criterion 1: split defect equals sampled defect ----------------------
 
 
@@ -182,7 +172,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     for f in configs:
         exact = split_defect(f)
         sampler = default_sampler(f.splitting, rng, length_bound=4, exponent_bound=4)
-        sampled = sampled_defect(f, sampler, 10_000, extra_pairs=_junction_extra_pairs(f))
+        sampled = sampled_defect(f, sampler, 10_000, extra_pairs=junction_pairs(f))
         if sampled != exact:
             return CriterionResult(
                 1, "defect-equality", False, f"sampled {sampled} != exact {exact}"

@@ -1,6 +1,10 @@
 """End-to-end coverage of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,37 @@ def test_selftest_runs_config_map_checks(config_path, capsys):
     assert "[13] PASS" in out
     assert "[cfg] PASS map 'sign'" in out
     assert "[cfg] PASS map 'weights'" in out
+
+
+def test_maximising_pair_beyond_the_sampler_is_not_a_violation(tmp_path, capsys):
+    # The defect 2 is attained only at pairs involving a^6, which the sampler
+    # (exponent_bound 4) never draws; the junction pairs supply it.
+    payload = dict(BASE_CONFIG, maps={"far": {"A": {"support": [[6, "1"]]}, "B": {}}})
+    path = _write(tmp_path, payload)
+    assert cli.main(["defect", "--config", path, "far"]) == 0
+    out = capsys.readouterr().out
+    assert "split defect: 2" in out
+    assert "sampled defect (300 pairs): 2" in out
+    assert cli.main(["selftest", "--only", "13", "--config", path]) == 0
+    assert "[cfg] PASS map 'far': sampled defect 2, split defect 2" in capsys.readouterr().out
+
+
+def test_closed_stdout_exits_quietly():
+    # The read end is closed before the command starts, so its first write
+    # fails with EPIPE, as under `splitqm selftest | head -1`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitqm.cli", "selftest", "--only", "2,13"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
 
 
 def test_table_factor_config(tmp_path, capsys):

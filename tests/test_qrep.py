@@ -152,6 +152,32 @@ def test_eval_qrep_is_the_ordered_letter_product():
 
 
 @settings(deadline=None, max_examples=20)
+@given(st.dictionaries(st.integers(1, 4), st.integers(0, 5), min_size=1, max_size=3), st.integers(1, 5))
+def test_integer_factor_window_is_stable_under_widening(values, b_image):
+    # The certified window 2(M + 2) on the integer factor against a scan of
+    # twice that width; the finite factor is scanned in full either way.
+    target = _hex_metric()
+    splitting = Splitting(IntegerGroup(), C6)
+    mu = SplitQRep(
+        splitting, target, FactorQRMap(A, target, splitting.A, values),
+        FactorQRMap(B, target, C6, {1: b_image}),
+    )
+    reach = 2 * 2 * (mu.muA.support_radius + 2)
+    wide = max(
+        target.dist(mu.muA(x + y), target.mul(mu.muA(x), mu.muA(y)))
+        for x in range(-reach, reach + 1)
+        for y in range(-reach, reach + 1)
+    )
+    finite = max(
+        target.dist(mu.muB(C6.mul(x, y)), target.mul(mu.muB(x), mu.muB(y)))
+        for x in C6.elements()
+        for y in C6.elements()
+    )
+    assert mu.muA.defect() == wide
+    assert qrep_defect(mu) == max(wide, finite)
+
+
+@settings(deadline=None, max_examples=20)
 @given(st.integers(0, 2**32 - 1))
 def test_sampled_defect_matches_the_exact_defect(seed):
     mu, _ = _qrep_fixture()

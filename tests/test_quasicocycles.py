@@ -21,6 +21,7 @@ from splitqm.quasicocycles import (
     mat_inv,
     mat_mul,
     mat_pow,
+    mat_vec,
     power_ladder_cocycle,
     qc_coboundary,
     split_qc_defect,
@@ -37,6 +38,27 @@ FLIP = ((0, 1), (1, 0))
 
 def _matrix_rep():
     return FiniteDimRep(ZXZ, SHEAR, FLIP)
+
+
+def _permutation_rep():
+    # Permutation matrices act by sup-norm isometries, so the certified
+    # window applies (the shear above is not an isometry).
+    return FiniteDimRep(ZXZ, ((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+
+
+def _qc_window(q):
+    return 2 * (q.support_radius + 3)
+
+
+def _scan_qc_defect(f, reach):
+    """Max coboundary norm over |x|, |y| <= reach(q) on each factor."""
+    worst = Fraction(0)
+    for q in (f.fA, f.fB):
+        r = reach(q)
+        for x in range(-r, r + 1):
+            for y in range(-r, r + 1):
+                worst = max(worst, f.action.norm(q.coboundary(x, y)))
+    return worst
 
 
 def test_matrix_helpers():
@@ -228,3 +250,49 @@ def test_staircase_on_a_matrix_action():
     _, f = staircase_cocycle(rep, xi, 4)
     for n in range(5):
         assert eval_split_qc(f, staircase_word(ZXZ, n)) == rep.scale(Fraction(n), xi)
+
+
+def test_letter_matrices_are_memoized_matrix_powers():
+    rep = _permutation_rep()
+    for side in (A, B):
+        for k in range(-7, 8):
+            first = rep.letter_matrix(side, k)
+            assert first == mat_pow(rep.mat[side], k)
+            assert rep.letter_matrix(side, k) is first
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_dense_qc_defect_matches_uncached_brute_force(depth):
+    rep = _permutation_rep()
+    _, f = staircase_cocycle(rep, rep.vector([1, -2, 0]), depth)
+    zero = rep.zero()
+    worst = Fraction(0)
+    for side, q in ((A, f.fA), (B, f.fB)):
+        window = _qc_window(q)
+        for x in range(-window, window + 1):
+            for y in range(-window, window + 1):
+                translated = mat_vec(mat_pow(rep.mat[side], x), q.table.get(y, zero))
+                value = rep.sub(rep.add(q.table.get(x, zero), translated), q.table.get(x + y, zero))
+                worst = max(worst, rep.norm(value))
+    assert split_qc_defect(f) == worst > 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rep: staircase_cocycle(rep, rep.indicator(parse_word(ZXZ, "b")), 3)[1],
+        lambda rep: power_ladder_cocycle(rep, 2, rep.indicator(IDENTITY), 2)[1],
+    ],
+)
+def test_regular_qc_window_is_stable_under_widening(make):
+    f = make(RegularRep(ZXZ, 1))
+    defect = split_qc_defect(f)
+    assert defect == _scan_qc_defect(f, lambda q: 2 * _qc_window(q)) > 0
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_dense_qc_window_is_stable_under_widening(depth):
+    rep = _permutation_rep()
+    _, f = staircase_cocycle(rep, rep.vector([1, 0, Fraction(-1, 2)]), depth)
+    defect = split_qc_defect(f)
+    assert defect == _scan_qc_defect(f, lambda q: 2 * _qc_window(q)) > 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitqm.groups import CyclicGroup, IntegerGroup
+from splitqm.groups import CyclicGroup, FiniteTableGroup, IntegerGroup
 from splitqm.quasimorphisms import (
     DoublingWitness,
     FactorQM,
@@ -18,16 +18,29 @@ from splitqm.quasimorphisms import (
     gromov_norm,
     homogenize_eval,
     is_trivial,
+    junction_pairs,
     maximize_doubling_witness,
     rademacher,
     sampled_defect,
     split_defect,
     weight_qm,
 )
-from splitqm.words import A, B, Splitting, Word, conjugate, parse_word, power, random_word
+from splitqm.words import A, B, Splitting, Word, conjugate, multiply, parse_word, power, random_word
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
 C5XC6 = Splitting(CyclicGroup(5), CyclicGroup(6))
+# Z/3 (as a table) * S3, so both factors go through FiniteTableGroup.
+S3 = FiniteTableGroup.from_mul(
+    6, lambda x, y: [
+        [0, 1, 2, 3, 4, 5],
+        [1, 2, 0, 4, 5, 3],
+        [2, 0, 1, 5, 3, 4],
+        [3, 5, 4, 0, 2, 1],
+        [4, 3, 5, 1, 0, 2],
+        [5, 4, 3, 2, 1, 0],
+    ][x][y]
+)
+TABLES = Splitting(FiniteTableGroup.from_mul(3, lambda x, y: (x + y) % 3), S3)
 
 _VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -80,6 +93,52 @@ def split_qms(draw):
     return SplitQM(C5XC6, draw(finite_qms(C5XC6.A)), draw(finite_qms(C5XC6.B)))
 
 
+@st.composite
+def all_split_qms(draw):
+    s = draw(st.sampled_from([ZXZ, C5XC6, TABLES]))
+    if s is ZXZ:
+        return SplitQM(s, draw(integer_qms(s.A)), draw(integer_qms(s.B)))
+    return SplitQM(s, draw(finite_qms(s.A)), draw(finite_qms(s.B)))
+
+
+# -- Fraction-valued reference scans, the oracles for the integer kernel ----
+
+
+def fraction_pairs(q, scale=1):
+    if q.group.is_finite:
+        return [(x, y) for x in q.group.elements() for y in q.group.elements()]
+    window = q.defect_window(scale)
+    return [(x, y) for x in range(-window, window + 1) for y in range(-window, window + 1)]
+
+
+def fraction_defect_witness(q, scale=1):
+    best = (Fraction(0), q.group.identity, q.group.identity)
+    for x, y in fraction_pairs(q, scale):
+        value = abs(q(x) + q(y) - q(q.group.mul(x, y)))
+        if value > best[0]:
+            best = (value, x, y)
+    return best
+
+
+def fraction_junction_maximum(q):
+    """The first strict maximum of |coboundary| over junction pairs (letters
+    and product not the identity), flipped to a positive coboundary."""
+    group = q.group
+    best_pair, best_value = None, Fraction(0)
+    for x, y in fraction_pairs(q):
+        if group.is_identity(x) or group.is_identity(y) or group.is_identity(group.mul(x, y)):
+            continue
+        value = abs(q.coboundary(x, y))
+        if value > best_value:
+            best_pair, best_value = (x, y), value
+    if best_pair is None:
+        return None
+    x1, x2 = best_pair
+    if q.coboundary(x1, x2) < 0:
+        x1, x2 = group.inv(x2), group.inv(x1)
+    return x1, x2
+
+
 def test_alternation_is_validated():
     with pytest.raises(ValueError):
         FactorQM(ZXZ.A, finite_part={1: Fraction(1)})
@@ -128,6 +187,60 @@ def test_defect_witness_attains_the_defect(q):
     defect, x, y = q.defect_witness()
     assert abs(q.coboundary(x, y)) == defect
     assert factor_defect_witness(q.group, q) == (defect, x, y)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.one_of(
+        st.tuples(integer_qms(), st.sampled_from([1, 2])),
+        st.tuples(
+            st.one_of(
+                finite_qms(C5XC6.A), finite_qms(C5XC6.B), finite_qms(TABLES.A), finite_qms(TABLES.B)
+            ),
+            st.just(1),
+        ),
+    )
+)
+def test_defect_witness_matches_the_fraction_scan(case):
+    q, scale = case
+    assert q.defect_witness(scale) == fraction_defect_witness(q, scale)
+
+
+@given(st.one_of(integer_qms(), finite_qms(C5XC6.B), finite_qms(TABLES.B)))
+def test_numerators_are_the_values_over_the_common_denominator(q):
+    L = q.denominator
+    values = (q.slope, q.sign_coeff, *q.residues, *q.finite_part.values())
+    assert all((v * L).denominator == 1 for v in values)
+    domain = q.group.elements() if q.group.is_finite else range(-30, 31)
+    for x in domain:
+        assert Fraction(q.numerator(x), L) == q(x)
+        assert isinstance(q.numerator(x), int)
+
+
+@settings(deadline=None, max_examples=40)
+@given(all_split_qms())
+def test_gromov_norm_witness_pair_matches_the_junction_scan(f):
+    report = gromov_norm(f)
+    if report.witness is None:
+        assert report.value == 0
+        return
+    side = report.witness.side
+    assert report.witness.pair == fraction_junction_maximum(f.factor_map(side))
+    assert maximize_doubling_witness(f, side) == report.witness
+    assert report.witness_attains
+
+
+@settings(deadline=None, max_examples=30)
+@given(all_split_qms(), st.integers(0, 2**32 - 1))
+def test_sampled_defect_matches_fraction_evaluation(f, seed):
+    s = f.splitting
+    words = [random_word(s, 4, 4, seed + k) for k in range(60)]
+    extras = junction_pairs(f)
+    expected = Fraction(0)
+    for g, h in list(zip(words[::2], words[1::2])) + extras:
+        expected = max(expected, abs(eval_split(f, g) + eval_split(f, h) - eval_split(f, multiply(s, g, h))))
+    assert sampled_defect(f, iter(words).__next__, 30, extra_pairs=extras) == expected
+    assert expected == split_defect(f)
 
 
 @settings(deadline=None, max_examples=30)
@@ -241,7 +354,7 @@ def test_weight_tables_fill_in_alternation_and_reject_conflicts():
 
 
 @settings(deadline=None, max_examples=25)
-@given(split_qms(), st.integers(0, 2**32 - 1))
+@given(all_split_qms(), st.integers(0, 2**32 - 1))
 def test_cached_evaluator_matches_plain_evaluation(f, seed):
     evaluate = cached_evaluator(f)
     for offset in range(30):
