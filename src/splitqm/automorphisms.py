@@ -46,11 +46,6 @@ __all__ = [
 ]
 
 
-def _require_zxz(s: Splitting) -> None:
-    if not (isinstance(s.A, IntegerGroup) and isinstance(s.B, IntegerGroup)):
-        raise ValueError("endomorphisms are implemented for the Z * Z splitting")
-
-
 @dataclass(frozen=True)
 class Endo:
     """An endomorphism of Z * Z given by the images of the two generators."""
@@ -60,7 +55,7 @@ class Endo:
     image_b: Word
 
     def __post_init__(self) -> None:
-        _require_zxz(self.splitting)
+        self.splitting.require_zxz("an endomorphism")
         validate_word(self.splitting, self.image_a)
         validate_word(self.splitting, self.image_b)
 
@@ -84,7 +79,7 @@ def identity_endo(s: Splitting) -> Endo:
 
 def twist(s: Splitting, n: int) -> Endo:
     """a maps to a, b maps to a^n b."""
-    _require_zxz(s)
+    s.require_zxz("the twist family")
     image_b = Word(((A, n), (B, 1))) if n else Word(((B, 1),))
     return Endo(s, Word(((A, 1),)), image_b)
 
@@ -184,7 +179,7 @@ def violation_witness(
     if n == 0:
         raise ValueError("twist exponent must be non-zero")
     s = f.splitting
-    _require_zxz(s)
+    s.require_zxz("twist analysis")
     for q in (f.fA, f.fB):
         if not q.is_bounded:
             raise ValueError("twist analysis needs bounded factor maps")
@@ -215,7 +210,7 @@ def check_fixed_point(f: SplitQM, n: int, samples: Iterable[Word]) -> FixedPoint
     if n == 0:
         raise ValueError("twist exponent must be non-zero")
     s = f.splitting
-    _require_zxz(s)
+    s.require_zxz("twist analysis")
     periodic = is_periodic(f.fA, abs(n))
     second_zero = f.fB.is_zero
     e = twist(s, n)

@@ -35,6 +35,7 @@ from .words import (
 )
 from .quasimorphisms import (
     FactorQM,
+    GromovNormReport,
     SplitQM,
     default_sampler,
     eval_split,
@@ -80,7 +81,7 @@ from .qrep import (
     qrep_delta,
     qrep_sampled_defect,
 )
-from .selftest import CRITERIA, CriterionResult, DEFAULT_SEED, format_result
+from .selftest import DEFAULT_SEED, format_result, run_all
 
 __all__ = ["main", "load_config", "Config", "ConfigError"]
 
@@ -157,12 +158,15 @@ def _factor_qm(obj, group: FactorGroup, path: str) -> FactorQM:
     residues = tuple(
         _rational(r, f"{path}.residues[{index}]") for index, r in enumerate(obj.get("residues", []))
     )
+    period = obj.get("period")
+    if period is not None:
+        _expect(period, int, f"{path}.period", "an integer")
     try:
         return FactorQM(
             group,
             slope=_rational(obj.get("slope", 0), f"{path}.slope"),
             finite_part=support,
-            period=obj.get("period"),
+            period=period,
             residues=residues,
             sign_coeff=_rational(obj.get("sign", 0), f"{path}.sign"),
         )
@@ -293,10 +297,12 @@ def _build_qrep(config: Config) -> QRepSetup:
     splitting = config.splitting
     if splitting is None:
         raise ConfigError("qrep", "the qrep section needs a splitting")
+    mu_obj = _expect(obj.get("mu", {}), dict, "qrep.mu", "an object with sides A and B")
     values = {}
     for side in (A, B):
         side_values = {}
-        for index, pair in enumerate(obj.get("mu", {}).get(side, [])):
+        pairs = _expect(mu_obj.get(side, []), list, f"qrep.mu.{side}", "a list of [element, value] pairs")
+        for index, pair in enumerate(pairs):
             pair = _expect(pair, list, f"qrep.mu.{side}[{index}]", "an [element, value] pair")
             if len(pair) != 2:
                 raise ConfigError(f"qrep.mu.{side}[{index}]", "expected an [element, value] pair")
@@ -334,10 +340,10 @@ def _build_defect_space(config: Config) -> DefectSpaceSetup:
     carrier = _factor_group(obj.get("carrier", {"type": "cyclic", "n": 6}), "defect_space.carrier")
     if not carrier.is_finite:
         raise ConfigError("defect_space.carrier", "vector enumeration needs a finite carrier")
-    choices = tuple(
-        _rational(c, f"defect_space.choices[{i}]")
-        for i, c in enumerate(obj.get("choices", ["-1", "-1/2", "1/2", "1"]))
+    raw_choices = _expect(
+        obj.get("choices", ["-1", "-1/2", "1/2", "1"]), list, "defect_space.choices", "a list of rationals"
     )
+    choices = tuple(_rational(c, f"defect_space.choices[{i}]") for i, c in enumerate(raw_choices))
     return DefectSpaceSetup(carrier, choices)
 
 
@@ -380,6 +386,22 @@ def cmd_homogenize(args) -> int:
     return 0
 
 
+def _doubling_witness_row(report: GromovNormReport) -> tuple[str, str]:
+    if report.witness is None:
+        return ("doubling witness", "none")
+    attained = "attained" if report.witness_attains else "not attained"
+    return ("doubling witness", f"gap {report.witness.gap} ({attained})")
+
+
+def _doubling_witness_status(report: GromovNormReport) -> int:
+    """Exit status 1, reported on stderr, when the witness of a positive
+    norm misses twice the norm."""
+    if report.value and not report.witness_attains:
+        print("identity violation: doubling witness misses twice the norm", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_defect(args) -> int:
     config = load_config(args.config)
     f = _named_map(config, args.map)
@@ -397,21 +419,13 @@ def cmd_defect(args) -> int:
         ("split defect", str(exact)),
         (f"sampled defect ({count} pairs)", str(sampled)),
         ("gromov norm", str(report.value)),
-        (
-            "doubling witness",
-            "none"
-            if report.witness is None
-            else f"gap {report.witness.gap} ({'attained' if report.witness_attains else 'not attained'})",
-        ),
+        _doubling_witness_row(report),
     ]
     _emit(args, rows)
     if sampled != exact:
         print(f"identity violation: sampled defect {sampled} != split defect {exact}", file=sys.stderr)
         return 1
-    if report.value and not report.witness_attains:
-        print("identity violation: doubling witness misses twice the norm", file=sys.stderr)
-        return 1
-    return 0
+    return _doubling_witness_status(report)
 
 
 def cmd_decompose(args) -> int:
@@ -501,10 +515,7 @@ def _default_zxz() -> Splitting:
 
 def cmd_defect_space(args) -> int:
     config = load_config(args.config) if args.config else Config()
-    if "defect_space" in config.raw:
-        setup = _build_defect_space(config)
-    else:
-        setup = DefectSpaceSetup(CyclicGroup(6), tuple(Fraction(k, 2) for k in (-2, -1, 1, 2)))
+    setup = _build_defect_space(config)
     checked = 0
     max_defect = Fraction(0)
     worst_slack: Optional[Fraction] = None
@@ -626,31 +637,11 @@ def cmd_rademacher(args) -> int:
         ("factor values B", "1 -> 1, 2 -> -1"),
         ("split defect", str(split_defect(f))),
         ("gromov norm", str(report.value)),
-        (
-            "doubling witness",
-            "none"
-            if report.witness is None
-            else f"gap {report.witness.gap} ({'attained' if report.witness_attains else 'not attained'})",
-        ),
+        _doubling_witness_row(report),
         ("order bound slack on Z/3", str(bound_report.worst_slack)),
     ]
     _emit(args, rows)
-    if report.value and not report.witness_attains:
-        print("identity violation: doubling witness misses twice the norm", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _corrupted_criterion_9(seed: int) -> CriterionResult:
-    """Criterion 9 with the translation convention deliberately broken."""
-    del seed
-    s = _default_zxz()
-    m = RegularRep(s, 1)
-    try:
-        power_ladder_cocycle(m, 2, m.indicator(IDENTITY), depth=4, convention="literal")
-    except GrowthCheckError as exc:
-        return CriterionResult(9, "cocycle-witnesses", False, f"growth check: {exc}")
-    return CriterionResult(9, "cocycle-witnesses", True, "growth check passed")
+    return _doubling_witness_status(report)
 
 
 def cmd_selftest(args) -> int:
@@ -662,16 +653,9 @@ def cmd_selftest(args) -> int:
             only = {int(part) for part in args.only.split(",")}
         except ValueError:
             raise ConfigError("--only", "expected a comma-separated list of criterion numbers") from None
+    convention = "literal" if args.debug_literal_convention else "prefix"
     failures = 0
-    for number, name, func in CRITERIA:
-        if only is not None and number not in only:
-            continue
-        if number == 9 and args.debug_literal_convention:
-            func = _corrupted_criterion_9
-        try:
-            result = func(seed)
-        except Exception as exc:
-            result = CriterionResult(number, name, False, f"raised {exc!r}")
+    for result in run_all(seed, only, convention):
         print(format_result(result))
         if not result.passed:
             failures += 1

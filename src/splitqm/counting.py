@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groups import IntegerGroup
 from .quasimorphisms import SplitQM, eval_split
 from .words import A, B, Splitting, Word
 
@@ -28,11 +27,6 @@ _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 _SIDE = {"a": A, "A": A, "b": B, "B": B}
 
 
-def _require_zxz(s: Splitting) -> None:
-    if not (isinstance(s.A, IntegerGroup) and isinstance(s.B, IntegerGroup)):
-        raise ValueError("letter counting needs the Z * Z splitting")
-
-
 def letters_from_word(g: Word) -> str:
     """Expand normal-form syllables into single-generator letters."""
     chunks = []
@@ -43,7 +37,7 @@ def letters_from_word(g: Word) -> str:
 
 
 def word_from_letters(s: Splitting, text: str) -> Word:
-    _require_zxz(s)
+    s.require_zxz("letter counting")
     letters = []
     for ch in text:
         if ch not in _SIDE:
@@ -122,7 +116,7 @@ def decomposition_residual(f: SplitQM, g: Word) -> Fraction:
     single syllable, nothing when g is the identity).  A non-zero residual
     is an implementation bug and is raised rather than returned.
     """
-    _require_zxz(f.splitting)
+    f.splitting.require_zxz("letter counting")
     for q in (f.fA, f.fB):
         if q.slope or q.sign_coeff or q.period is not None:
             raise ValueError("decomposition needs finite-support factor maps")

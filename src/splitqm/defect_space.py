@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .groups import INFINITE, FactorGroup, IntegerGroup
+from .groups import INFINITE, FactorGroup, _fr
 from .quasimorphisms import FactorQM
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
     "ses_embed",
     "alternating_vectors",
 ]
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -71,11 +67,7 @@ class DefectVector:
 
     def domain_elements(self) -> Iterator[int]:
         """Carrier elements (finite) or the certified support window."""
-        if self.carrier.is_finite:
-            yield from self.carrier.elements()
-        else:
-            window = self.qm.defect_window()
-            yield from range(-window, window + 1)
+        yield from self.carrier.window(self.qm.defect_window())
 
     def __add__(self, other: "DefectVector") -> "DefectVector":
         if self.carrier != other.carrier:

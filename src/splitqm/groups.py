@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Union
+from fractions import Fraction
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "INFINITE",
+    "certified_window",
     "FactorGroup",
     "IntegerGroup",
     "CyclicGroup",
@@ -26,6 +28,20 @@ __all__ = [
 INFINITE = math.inf
 
 Order = Union[int, float]
+
+
+def _fr(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def certified_window(support_radius: int, period: int = 1) -> int:
+    """Radius W certifying the exact defect of a factor map on the integers.
+
+    Past the support radius M the map is periodic (period n) plus slope and
+    sign terms, so its coboundary takes finitely many values, all realized
+    for |k|, |l| <= W = 2*(M + n + 2).  A finite table is period 1.
+    """
+    return 2 * (support_radius + period + 2)
 
 
 class FactorGroup(ABC):
@@ -75,6 +91,13 @@ class FactorGroup(ABC):
         if not self.is_finite:
             raise ValueError(f"cannot enumerate the elements of {self}")
         return iter(range(int(self.size)))
+
+    def window(self, radius: int) -> Iterable[int]:
+        """The elements a defect scan visits, in scan order: every element of
+        a finite group, or [-radius, radius] on the integers."""
+        if self.is_finite:
+            return tuple(self.elements())
+        return range(-radius, radius + 1)
 
     def power(self, x: int, n: int) -> int:
         """x^n for any integer n, by repeated squaring."""

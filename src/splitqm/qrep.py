@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .groups import CyclicGroup, FactorGroup, IntegerGroup
+from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr
+from .quasicocycles import FactorTableMap
 from .quasimorphisms import junction_pairs
 from .words import A, B, IDENTITY, Splitting, Word, multiply
 
@@ -53,10 +54,6 @@ __all__ = [
 
 FLOAT_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class MetricGroup(ABC):
@@ -292,77 +289,35 @@ class Unitary(MetricGroup):
         return self.project(raw)
 
 
-class FactorQRMap:
+class FactorQRMap(FactorTableMap):
     """An alternating map from one factor into the target group.
 
     Missing elements map to the target identity, so integer-factor maps are
-    the identity off their finite support.  Inverse values are forced by
-    alternation when absent and checked for consistency when explicit.
+    the identity off their finite support; alternation forces
+    mu(x^-1) = mu(x)^-1.
     """
 
     def __init__(self, side: str, target: MetricGroup, group: FactorGroup, values: Mapping):
-        self.side = side
         self.target = target
-        self.group = group
-        table = {}
-        for x, v in values.items():
-            group.check(x)
-            if group.is_identity(x):
-                if not target.equal(v, target.identity):
-                    raise ValueError("the identity must map to the identity")
-                continue
-            if not target.equal(v, target.identity):
-                table[x] = v
-        for x in list(table):
-            inv_x = group.inv(x)
-            forced = target.inv(table[x])
-            if inv_x == x:
-                if not target.equal(table[x], forced):
-                    raise ValueError(f"value at the involution {x} must be its own inverse")
-            elif inv_x in table:
-                if not target.equal(table[inv_x], forced):
-                    raise ValueError(f"map breaks alternation at {x}")
-            elif not target.equal(forced, target.identity):
-                table[inv_x] = forced
-        self.table = table
+        super().__init__(side, group, values)
 
-    def __call__(self, x: int):
-        self.group.check(x)
-        return self.table.get(x, self.target.identity)
+    def trivial(self):
+        return self.target.identity
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.table))
+    def forced_inverse(self, inv_x: int, value):
+        return self.target.inv(value)
 
-    @property
-    def support_radius(self) -> int:
-        return max((abs(x) for x in self.table), default=0)
+    def equal(self, u, v) -> bool:
+        return self.target.equal(u, v)
+
+    def coboundary_size(self, x: int, y: int) -> Union[Fraction, float]:
+        """d(mu(xy), mu(x)mu(y))."""
+        target = self.target
+        return target.dist(self(self.group.mul(x, y)), target.mul(self(x), self(y)))
 
     def sup_norm(self) -> Union[Fraction, float]:
         e = self.target.identity
         return max((self.target.dist(v, e) for v in self.table.values()), default=Fraction(0))
-
-    def _pairs(self) -> Iterator[tuple[int, int]]:
-        if self.group.is_finite:
-            for x in self.group.elements():
-                for y in self.group.elements():
-                    yield x, y
-        else:
-            window = 2 * (self.support_radius + 2)
-            for x in range(-window, window + 1):
-                for y in range(-window, window + 1):
-                    yield x, y
-
-    def defect_witness(self) -> tuple[Union[Fraction, float], int, int]:
-        best = (Fraction(0), self.group.identity, self.group.identity)
-        for x, y in self._pairs():
-            value = self.target.dist(self(self.group.mul(x, y)), self.target.mul(self(x), self(y)))
-            if value > best[0]:
-                best = (value, x, y)
-        return best
-
-    def defect(self) -> Union[Fraction, float]:
-        return self.defect_witness()[0]
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ over exact coordinates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
+from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup, _fr, certified_window
 from .words import A, B, IDENTITY, Splitting, Word, invert, multiply, other_side
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "ModuleAction",
     "FiniteDimRep",
     "RegularRep",
+    "FactorTableMap",
     "FactorCocycleMap",
     "SplitQC",
     "act",
@@ -47,10 +49,6 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 DenseVector = tuple[Fraction, ...]
 SparseVector = dict  # Word -> Fraction, no zero entries
 Vector = Union[DenseVector, SparseVector]
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -278,45 +276,59 @@ def _one_letter(side: str, x: int) -> Word:
     return Word(((side, x),))
 
 
-class FactorCocycleMap:
-    """A finitely supported alternating cocycle on one factor.
+class FactorTableMap(ABC):
+    """A finitely supported alternating map on one factor, kept as a table.
 
     Values may be given on any set of elements; the inverse of each support
-    element receives the forced value -x^-1.f(x), and inconsistent explicit
-    pairs are rejected.
+    element receives the value alternation forces, and inconsistent explicit
+    pairs are rejected.  A table is a factor quasimorphism's finite part with
+    period 1, so its defect is certified by ``certified_window``.
+
+    Subclasses supply the target: ``trivial()`` (the zero vector or the
+    identity), ``forced_inverse(inv_x, v)`` (the value at inv_x when its
+    inverse maps to v), ``equal`` and ``coboundary_size(x, y)`` (how far the
+    pair is from the cocycle or homomorphism identity).
     """
 
-    def __init__(
-        self,
-        side: str,
-        action: ModuleAction,
-        values: Mapping[int, Vector],
-    ):
+    def __init__(self, side: str, group: FactorGroup, values: Mapping):
         self.side = side
-        self.action = action
-        self.group: FactorGroup = action.splitting.factor(side)
-        table: dict[int, Vector] = {}
+        self.group = group
+        table = {}
         for x, v in values.items():
-            self.group.check(x)
-            if self.group.is_identity(x):
-                if not action.is_zero(v):
-                    raise ValueError("cocycle must vanish at the identity")
+            group.check(x)
+            if self._is_trivial(v):
                 continue
-            if not action.is_zero(v):
-                table[x] = v
+            if group.is_identity(x):
+                raise ValueError("the map must be trivial at the identity")
+            table[x] = v
         for x in list(table):
-            inv_x = self.group.inv(x)
-            forced = action.neg(action.act(_one_letter(side, inv_x), table[x]))
+            inv_x = group.inv(x)
+            forced = self.forced_inverse(inv_x, table[x])
             if inv_x in table:
-                if not action.equal(table[inv_x], forced):
-                    raise ValueError(f"cocycle breaks alternation at {x}")
-            elif not action.is_zero(forced):
+                if not self.equal(table[inv_x], forced):
+                    raise ValueError(f"map breaks alternation at {x}")
+            elif not self._is_trivial(forced):
                 table[inv_x] = forced
         self.table = table
 
-    def __call__(self, x: int) -> Vector:
+    @abstractmethod
+    def trivial(self): ...
+
+    @abstractmethod
+    def forced_inverse(self, inv_x: int, value): ...
+
+    @abstractmethod
+    def equal(self, u, v) -> bool: ...
+
+    @abstractmethod
+    def coboundary_size(self, x: int, y: int) -> Union[Fraction, float]: ...
+
+    def _is_trivial(self, v) -> bool:
+        return self.equal(v, self.trivial())
+
+    def __call__(self, x: int):
         self.group.check(x)
-        return self.table.get(x, self.action.zero())
+        return self.table.get(x, self.trivial())
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -326,11 +338,48 @@ class FactorCocycleMap:
     def support_radius(self) -> int:
         return max((abs(x) for x in self.table), default=0)
 
+    def defect_window(self) -> int:
+        return certified_window(self.support_radius)
+
+    def defect_witness(self) -> tuple[Union[Fraction, float], int, int]:
+        """(defect, first pair attaining it in x-outer, y-inner window order)."""
+        group = self.group
+        best = (Fraction(0), group.identity, group.identity)
+        for x, y in itertools.product(group.window(self.defect_window()), repeat=2):
+            value = self.coboundary_size(x, y)
+            if value > best[0]:
+                best = (value, x, y)
+        return best
+
+    def defect(self) -> Union[Fraction, float]:
+        return self.defect_witness()[0]
+
+
+class FactorCocycleMap(FactorTableMap):
+    """A finitely supported alternating cocycle on one factor; the inverse of
+    each support element receives the forced value -x^-1.f(x)."""
+
+    def __init__(self, side: str, action: ModuleAction, values: Mapping[int, Vector]):
+        self.action = action
+        super().__init__(side, action.splitting.factor(side), values)
+
+    def trivial(self) -> Vector:
+        return self.action.zero()
+
+    def forced_inverse(self, inv_x: int, value: Vector) -> Vector:
+        return self.action.neg(self.action.act(_one_letter(self.side, inv_x), value))
+
+    def equal(self, u: Vector, v: Vector) -> bool:
+        return self.action.equal(u, v)
+
     def coboundary(self, x: int, y: int) -> Vector:
         m = self.action
         fy = self(y)
         translated = fy if m.is_zero(fy) else m.act(_one_letter(self.side, x), fy)
         return m.sub(m.add(self(x), translated), self(self.group.mul(x, y)))
+
+    def coboundary_size(self, x: int, y: int) -> Union[Fraction, float]:
+        return self.action.norm(self.coboundary(x, y))
 
 
 @dataclass(frozen=True)
@@ -374,29 +423,10 @@ def qc_coboundary(f: SplitQC, g: Word, h: Word) -> Vector:
     return m.sub(m.add(eval_split_qc(f, g), m.act(g, eval_split_qc(f, h))), eval_split_qc(f, gh))
 
 
-def _factor_pairs(q: FactorCocycleMap):
-    group = q.group
-    if group.is_finite:
-        for x in group.elements():
-            for y in group.elements():
-                yield x, y
-    else:
-        window = 2 * (q.support_radius + 3)
-        for x in range(-window, window + 1):
-            for y in range(-window, window + 1):
-                yield x, y
-
-
 def split_qc_defect(f: SplitQC) -> Union[Fraction, float]:
-    """Max factor coboundary norm over the enumeration windows; equals the
-    defect of the split map for an isometric action."""
-    worst: Union[Fraction, float] = Fraction(0)
-    for q in (f.fA, f.fB):
-        for x, y in _factor_pairs(q):
-            value = f.action.norm(q.coboundary(x, y))
-            if value > worst:
-                worst = value
-    return worst
+    """The larger factor defect; equals the defect of the split map for an
+    isometric action."""
+    return max(f.fA.defect(), f.fB.defect())
 
 
 def inner_cocycle(m: ModuleAction, v: Vector, g: Word) -> Vector:

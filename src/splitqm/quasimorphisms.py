@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .groups import CyclicGroup, FactorGroup, IntegerGroup
+from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_window
 from .words import (
     A,
     B,
@@ -53,10 +53,6 @@ __all__ = [
 ]
 
 Rational = Fraction
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _sgn(k: int) -> int:
@@ -185,26 +181,12 @@ class FactorQM:
     # -- defect ----------------------------------------------------------
 
     def defect_window(self, scale: int = 1) -> int:
-        """Enumeration window certifying the exact defect on the integers.
-
-        Beyond the support radius the map is periodic plus sign/slope terms,
-        so the coboundary takes finitely many values, all realized for
-        |k|, |l| <= 2*(M + n + 2).  ``scale`` widens the window for
-        cross-checks.
-        """
-        return 2 * (self.support_radius + self.period_or_one + 2) * scale
+        """The certified window on the integers (see ``certified_window``);
+        ``scale`` widens it for cross-checks."""
+        return certified_window(self.support_radius, self.period_or_one) * scale
 
     def _pairs(self, scale: int = 1) -> Iterator[tuple[int, int]]:
-        group = self.group
-        if group.is_finite:
-            for x in group.elements():
-                for y in group.elements():
-                    yield x, y
-        else:
-            window = self.defect_window(scale)
-            for x in range(-window, window + 1):
-                for y in range(-window, window + 1):
-                    yield x, y
+        yield from itertools.product(self.group.window(self.defect_window(scale)), repeat=2)
 
     def coboundary(self, x: int, y: int) -> Fraction:
         return self(x) + self(y) - self(self.group.mul(x, y))
@@ -217,12 +199,8 @@ class FactorQM:
         integers with W the defect window.
         """
         group = self.group
-        if group.is_finite:
-            domain, mul = group.elements(), group.mul
-        else:
-            reach = 2 * self.defect_window(scale)
-            domain, mul = range(-reach, reach + 1), operator.add
-        num = {x: self.numerator(x) for x in domain}
+        mul = group.mul if group.is_finite else operator.add
+        num = {x: self.numerator(x) for x in group.window(2 * self.defect_window(scale))}
         best, best_x, best_y = 0, group.identity, group.identity
         for x, y in self._pairs(scale):
             value = num[x] + num[y] - num[mul(x, y)]

@@ -9,12 +9,13 @@ child seeds, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Collection, Optional
 
 from .groups import CyclicGroup, IntegerGroup
 from .words import (
@@ -281,13 +282,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         q = f.fA
         group = q.group
         aux_same = 1
-        if isinstance(group, IntegerGroup):
-            w = q.defect_window()
-            window = range(-w, w + 1)
-            candidates = [(x, y) for x in window for y in window]
-        else:
-            candidates = [(x, y) for x in group.elements() for y in group.elements()]
-        for x1, x2 in candidates:
+        for x1, x2 in itertools.product(group.window(q.defect_window()), repeat=2):
             if group.is_identity(x1) or group.is_identity(x2):
                 continue
             if group.is_identity(group.mul(x1, x2)):
@@ -528,7 +523,9 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 # -- criterion 9: quasicocycle growth witnesses -----------------------------
 
 
-def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
+def criterion_9(seed: int = DEFAULT_SEED, convention: str = "prefix") -> CriterionResult:
+    """``convention="literal"`` corrupts the ladder translation convention;
+    the criterion must then fail (the CLI's negative control)."""
     rng = _child_rng(seed, "cocycle-witnesses")
     s = _zxz()
     dim3 = FiniteDimRep(
@@ -545,7 +542,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     ]
     for m, v in setups:
         try:
-            power_ladder_cocycle(m, 2, v, depth=6, check_prime=3)
+            power_ladder_cocycle(m, 2, v, depth=6, check_prime=3, convention=convention)
             _, f_stair = staircase_cocycle(m, v, depth=6)
         except GrowthCheckError as exc:
             return CriterionResult(9, "cocycle-witnesses", False, str(exc))
@@ -778,11 +775,19 @@ CRITERIA: tuple[tuple[int, str, Callable[[int], CriterionResult]], ...] = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+def run_all(
+    seed: int = DEFAULT_SEED,
+    only: Optional[Collection[int]] = None,
+    convention: str = "prefix",
+) -> list[CriterionResult]:
+    """Run the criteria numbered in ``only`` (all by default); ``convention``
+    is passed to criterion 9."""
     results = []
     for number, name, func in CRITERIA:
+        if only is not None and number not in only:
+            continue
         try:
-            results.append(func(seed))
+            results.append(func(seed, convention=convention) if number == 9 else func(seed))
         except Exception as exc:  # pragma: no cover - a bug guard, not a path
             results.append(CriterionResult(number, name, False, f"raised {exc!r}"))
     return results

@@ -61,6 +61,12 @@ class Splitting:
             return self.B
         raise ValueError(f"unknown side {side!r}")
 
+    def require_zxz(self, subject: str) -> None:
+        """Raise unless both factors are the integers; ``subject`` names what
+        needs them in the error message."""
+        if not (isinstance(self.A, IntegerGroup) and isinstance(self.B, IntegerGroup)):
+            raise ValueError(f"{subject} needs the Z * Z splitting")
+
 
 @dataclass(frozen=True)
 class Word:

@@ -1,0 +1,42 @@
+"""The benchmark's traced run rebinds splitqm functions and methods by name.
+
+This test loads ``splitbench/tracing.py`` the way the benchmark does and
+checks that the library still offers the hooks the tracer relies on, so a
+refactor cannot silently break a traced run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from splitqm import quasicocycles, quasimorphisms
+from splitqm.quasimorphisms import FactorQM
+from splitqm.words import parse_word
+
+TRACING = Path(__file__).resolve().parents[1] / "splitbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("splitbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_window_pairs_and_restores_the_originals():
+    tracing = _load_tracing()
+    original_pairs = FactorQM.__dict__["_pairs"]
+    original_norm = quasimorphisms.gromov_norm
+    f = quasimorphisms.weight_qm({1: 1, 2: -1})
+    rep = quasicocycles.RegularRep(f.splitting, 1)
+    _, f_qc = quasicocycles.staircase_cocycle(rep, rep.indicator(parse_word(f.splitting, "b")), 2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = quasimorphisms.gromov_norm(f)
+        qc_defect = quasicocycles.split_qc_defect(f_qc)
+    finally:
+        tracer.uninstall()
+    assert report.value > 0 and qc_defect > 0
+    assert tracer.counts["quasimorphisms.window_pairs"] > 0
+    assert FactorQM.__dict__["_pairs"] is original_pairs
+    assert quasimorphisms.gromov_norm is original_norm

@@ -260,6 +260,10 @@ def test_broken_table_factor_is_a_config_error(tmp_path, capsys):
             "conflicting value",
         ),
         (lambda c: c["sampler"].update({"samples": "many"}), "sampler.samples"),
+        (lambda c: c["maps"]["sign"]["A"].update({"period": True, "residues": ["0"]}), "maps.sign.A.period"),
+        (lambda c: c.update({"qrep": {"target": {"kind": "circle"}, "mu": []}}), "qrep.mu"),
+        (lambda c: c.update({"qrep": {"target": {"kind": "circle"}, "mu": {"A": 5}}}), "qrep.mu.A"),
+        (lambda c: c.update({"defect_space": {"choices": "12"}}), "defect_space.choices"),
     ],
 )
 def test_config_errors_carry_their_json_path(tmp_path, capsys, mutate, fragment):

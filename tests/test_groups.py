@@ -113,6 +113,14 @@ def test_integer_enumeration_is_refused():
         list(IntegerGroup().elements())
 
 
+def test_window_is_all_elements_of_a_finite_group_and_an_interval_of_the_integers():
+    s3 = FiniteTableGroup.from_mul(6, lambda x, y: S3_MUL[x][y])
+    assert list(CyclicGroup(5).window(1)) == [0, 1, 2, 3, 4]
+    assert list(s3.window(7)) == [0, 1, 2, 3, 4, 5]
+    assert list(IntegerGroup().window(3)) == [-3, -2, -1, 0, 1, 2, 3]
+    assert list(IntegerGroup().window(0)) == [0]
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-8, 8))
 def test_integer_power_law(x, y, n):
     z = IntegerGroup()

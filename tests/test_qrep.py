@@ -28,7 +28,8 @@ from splitqm.qrep import (
     qrep_sampled_defect,
     sup_norm_qrep,
 )
-from splitqm.words import A, B, IDENTITY, Splitting, Word, parse_word, random_word
+from splitqm.quasicocycles import FactorCocycleMap, RegularRep
+from splitqm.words import A, B, IDENTITY, Splitting, Word, parse_word, random_word, reduce
 
 C2 = CyclicGroup(2)
 C3 = CyclicGroup(3)
@@ -118,12 +119,31 @@ def test_factor_qr_map_forces_inverses():
         FactorQRMap(A, target, C2, {1: 1})
 
 
-def test_factor_qr_map_defect_witness_attains():
+def _qr_table_map():
     target = _hex_metric()
-    mu = FactorQRMap(B, target, C3, {1: 2})
-    value, x, y = mu.defect_witness()
-    attained = target.dist(mu(C3.mul(x, y)), target.mul(mu(x), mu(y)))
-    assert attained == value == mu.defect()
+    mu = FactorQRMap(B, target, C3, {1: 1})
+    return mu, lambda x, y: target.dist(mu(C3.mul(x, y)), target.mul(mu(x), mu(y)))
+
+
+def _cocycle_table_map():
+    s = Splitting(C2, C3)
+    rep = RegularRep(s, 1)
+    q = FactorCocycleMap(B, rep, {1: rep.indicator(IDENTITY)})
+
+    def size(x, y):
+        translated = rep.act(reduce(s, [(B, x)]), q(y))
+        return rep.norm(rep.sub(rep.add(q(x), translated), q(C3.mul(x, y))))
+
+    return q, size
+
+
+@pytest.mark.parametrize("make", [_qr_table_map, _cocycle_table_map], ids=["qrep", "cocycle"])
+def test_factor_qr_map_defect_witness_attains(make):
+    # Both kinds of factor table map share one window scan; its pair must
+    # attain the reported defect under an independently written coboundary.
+    q, size = make()
+    value, x, y = q.defect_witness()
+    assert size(x, y) == value == q.defect() > 0
 
 
 def _qrep_fixture(mu_b_image=1):
@@ -154,7 +174,7 @@ def test_eval_qrep_is_the_ordered_letter_product():
 @settings(deadline=None, max_examples=20)
 @given(st.dictionaries(st.integers(1, 4), st.integers(0, 5), min_size=1, max_size=3), st.integers(1, 5))
 def test_integer_factor_window_is_stable_under_widening(values, b_image):
-    # The certified window 2(M + 2) on the integer factor against a scan of
+    # The certified window 2(M + 3) on the integer factor against a scan of
     # twice that width; the finite factor is scanned in full either way.
     target = _hex_metric()
     splitting = Splitting(IntegerGroup(), C6)
@@ -162,7 +182,7 @@ def test_integer_factor_window_is_stable_under_widening(values, b_image):
         splitting, target, FactorQRMap(A, target, splitting.A, values),
         FactorQRMap(B, target, C6, {1: b_image}),
     )
-    reach = 2 * 2 * (mu.muA.support_radius + 2)
+    reach = 2 * 2 * (mu.muA.support_radius + 3)
     wide = max(
         target.dist(mu.muA(x + y), target.mul(mu.muA(x), mu.muA(y)))
         for x in range(-reach, reach + 1)

@@ -142,6 +142,19 @@ def test_factor_cocycle_map_forces_inverse_values():
         FactorCocycleMap(A, rep, {0: v})
 
 
+def test_factor_cocycle_map_checks_alternation_at_an_involution():
+    # On Z/2 the generator is its own inverse, so its value must equal the
+    # value -a.f(a) that alternation forces there.
+    s = Splitting(CyclicGroup(2), CyclicGroup(3))
+    rep = RegularRep(s, 1)
+    e, a = rep.indicator(IDENTITY), rep.indicator(Word(((A, 1),)))
+    with pytest.raises(ValueError):
+        FactorCocycleMap(A, rep, {1: e})
+    q = FactorCocycleMap(A, rep, {1: rep.sub(e, a)})
+    assert q.support == (1,)
+    assert q(1) == rep.sub(e, a)
+
+
 def test_split_qc_validates_sides_and_action():
     rep = RegularRep(ZXZ, 1)
     other = RegularRep(ZXZ, 1)
