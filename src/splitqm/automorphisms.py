@@ -19,13 +19,13 @@ from .quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval, spli
 from .words import (
     A,
     B,
-    IDENTITY,
+    Letter,
     Splitting,
     Word,
     conjugate,
     invert,
-    multiply,
     power,
+    reduce,
     validate_word,
 )
 
@@ -64,13 +64,19 @@ class Endo:
 
 
 def apply(e: Endo, g: Word) -> Word:
-    """Substitute generator images letter by letter and reduce."""
+    """Substitute generator images letter by letter, then reduce once; each
+    distinct letter's image power is computed once."""
     s = e.splitting
-    result = IDENTITY
-    for side, k in g.letters:
-        image = e.image_a if side == A else e.image_b
-        result = multiply(s, result, power(s, image, k))
-    return result
+    images: dict[Letter, tuple[Letter, ...]] = {}
+    letters: list[Letter] = []
+    for letter in g.letters:
+        image = images.get(letter)
+        if image is None:
+            side, k = letter
+            base = e.image_a if side == A else e.image_b
+            image = images[letter] = power(s, base, k).letters
+        letters.extend(image)
+    return reduce(s, letters)
 
 
 def identity_endo(s: Splitting) -> Endo:

@@ -247,19 +247,26 @@ def _build_action(config: Config) -> tuple[ModuleAction, object]:
             rows_a = _expect(obj.get("mat_a"), list, "action.mat_a", "a matrix")
             rows_b = _expect(obj.get("mat_b"), list, "action.mat_b", "a matrix")
             m = FiniteDimRep(config.splitting, rows_a, rows_b)
-            coords = obj.get("vector", [1] + [0] * (len(rows_a) - 1))
+            coords = _expect(
+                obj.get("vector", [1] + [0] * (len(rows_a) - 1)), list, "action.vector", "a list of coordinates"
+            )
             return m, m.vector([_rational(c, "action.vector") for c in coords])
         if kind == "regular":
             p = obj.get("p", 1)
+            if p != "inf":
+                _expect(p, int, "action.p", 'an integer or "inf"')
             m = RegularRep(config.splitting, float("inf") if p == "inf" else p)
             entries = {}
-            for index, pair in enumerate(obj.get("vector", [["", 1]])):
+            pairs = _expect(obj.get("vector", [["", 1]]), list, "action.vector", "a list of [word, value] pairs")
+            for index, pair in enumerate(pairs):
                 pair = _expect(pair, list, f"action.vector[{index}]", "a [word, value] pair")
                 if len(pair) != 2:
                     raise ConfigError(f"action.vector[{index}]", "expected a [word, value] pair")
                 word = parse_word(config.splitting, _expect(pair[0], str, f"action.vector[{index}][0]", "word text"))
                 entries[word] = _rational(pair[1], f"action.vector[{index}][1]")
             return m, m.vector(entries)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError("action", str(exc)) from None
     raise ConfigError("action.kind", f"unknown action kind {kind!r}")

@@ -245,17 +245,27 @@ class SplitQM:
     def factor_map(self, side: str) -> FactorQM:
         return self.fA if side == A else self.fB
 
+    @cached_property
+    def denominator(self) -> int:
+        """The common denominator L of both factor maps."""
+        return math.lcm(self.fA.denominator, self.fB.denominator)
+
     def __call__(self, g: Word) -> Fraction:
         return eval_split(self, g)
 
 
 def eval_split(f: SplitQM, g: Word) -> Fraction:
-    """Sum of factor values over the normal-form letters."""
+    """Sum of factor values over the normal-form letters, added as integer
+    numerators over the common denominator."""
     fA, fB = f.fA, f.fB
-    total = Fraction(0)
+    total_a = total_b = 0
     for side, x in g.letters:
-        total += fA(x) if side == A else fB(x)
-    return total
+        if side == A:
+            total_a += fA.numerator(x)
+        else:
+            total_b += fB.numerator(x)
+    L = f.denominator
+    return Fraction(total_a * (L // fA.denominator) + total_b * (L // fB.denominator), L)
 
 
 def coboundary(f: SplitQM, g: Word, h: Word) -> Fraction:
@@ -284,7 +294,7 @@ def _letter_numerators(f: SplitQM) -> tuple[int, Callable[[Word], int]]:
     """(L, numerator): L is the common denominator of both factor maps and
     numerator(g) = L*f(g) as an int, summed over memoized letter values."""
     fA, fB = f.fA, f.fB
-    L = math.lcm(fA.denominator, fB.denominator)
+    L = f.denominator
     cache: dict[tuple[str, int], int] = {}
 
     def numerator(g: Word) -> int:

@@ -126,43 +126,67 @@ def multiply(s: Splitting, g: Word, h: Word) -> Word:
     return reduce(s, g.letters + h.letters)
 
 
+def _join(s: Splitting, g: tuple[Letter, ...], h: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Product of two normal-form letter tuples.
+
+    Only the junction can cancel or merge: pop matching letters from the end
+    of ``g`` and the start of ``h`` while they cancel, and stop at the first
+    merge that leaves a non-identity letter.
+    """
+    j, i = len(g), 0
+    while j and i < len(h) and g[j - 1][0] == h[i][0]:
+        side = h[i][0]
+        factor = s.factor(side)
+        x = factor.mul(g[j - 1][1], h[i][1])
+        if not factor.is_identity(x):
+            return g[: j - 1] + ((side, x),) + h[i + 1 :]
+        j, i = j - 1, i + 1
+    return g[:j] + h[i:]
+
+
 def invert(s: Splitting, g: Word) -> Word:
     letters = tuple((side, s.factor(side).inv(x)) for side, x in reversed(g.letters))
     return Word(letters)
 
 
 def power(s: Splitting, g: Word, n: int) -> Word:
-    """g^n by repeated squaring on reduced words."""
+    """g^n: reduce g once, then square and multiply joining at junctions."""
+    g = reduce(s, g.letters)
     if n < 0:
         g, n = invert(s, g), -n
-    acc, sq = IDENTITY, g
+    acc, sq = (), g.letters
     while n:
         if n & 1:
-            acc = multiply(s, acc, sq)
-        sq = multiply(s, sq, sq)
+            acc = _join(s, acc, sq)
         n >>= 1
-    return acc
+        if n:
+            sq = _join(s, sq, sq)
+    return Word(acc)
 
 
 def conjugate(s: Splitting, h: Word, g: Word) -> Word:
     """h g h^-1."""
-    return multiply(s, multiply(s, h, g), invert(s, h))
+    h = reduce(s, h.letters)
+    return reduce(s, h.letters + g.letters + invert(s, h).letters)
 
 
 def cyclically_reduce(s: Splitting, g: Word) -> tuple[Word, Word]:
     """Split ``g`` as conjugator * core * conjugator^-1.
 
     The core either lies in a single factor (at most one letter) or its
-    normal form starts and ends in different factors.
+    normal form starts and ends in different factors.  Only the first strip
+    reduces; later ones join the stripped letter onto a normal form.
     """
-    core = g
+    core = g.letters
     stripped: list[Letter] = []
-    while len(core) >= 2 and core.letters[0][0] == core.letters[-1][0]:
-        first = core.letters[0]
-        core = reduce(s, core.letters[1:] + (first,))
+    if len(core) >= 2 and core[0][0] == core[-1][0]:
+        stripped.append(core[0])
+        core = reduce(s, core[1:] + core[:1]).letters
+    while len(core) >= 2 and core[0][0] == core[-1][0]:
+        first = core[0]
+        core = _join(s, core[1:], (first,))
         stripped.append(first)
-    conjugator = Word(tuple(stripped))
-    return core, conjugator
+    return Word(core), Word(tuple(stripped))
 
 
 _GEN_TOKEN = re.compile(r"^([ab])(?:\^(-?\d+))?$")

@@ -23,6 +23,7 @@ from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, split_defect, 
 from splitqm.words import (
     A,
     B,
+    IDENTITY,
     Splitting,
     Word,
     conjugate,
@@ -30,6 +31,7 @@ from splitqm.words import (
     multiply,
     parse_word,
     random_word,
+    reduce,
 )
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
@@ -52,6 +54,33 @@ def test_apply_substitutes_generator_images():
     assert apply(e, parse_word(ZXZ, "b")) == parse_word(ZXZ, "a^2 b")
     assert apply(e, parse_word(ZXZ, "a b^-1")) == parse_word(ZXZ, "a b^-1 a^-2")
     assert apply(e, parse_word(ZXZ, "")) == parse_word(ZXZ, "")
+
+
+def multiply_fold_apply(e, g):
+    """Substitute images one generator at a time, left-folding ``multiply``."""
+    s = e.splitting
+    result = IDENTITY
+    for side, k in g.letters:
+        base = e.image_a if side == A else e.image_b
+        if k < 0:
+            base, k = invert(s, base), -k
+        for _ in range(k):
+            result = multiply(s, result, base)
+    return result
+
+
+_RAW_LETTERS = st.tuples(st.sampled_from([A, B]), st.integers(-4, 4))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.lists(_RAW_LETTERS, max_size=10),
+)
+def test_apply_matches_a_left_fold_of_multiply(seed_a, seed_b, raw):
+    e = Endo(ZXZ, random_word(ZXZ, 4, 3, seed_a), random_word(ZXZ, 4, 3, seed_b))
+    for g in (Word(tuple(raw)), reduce(ZXZ, raw)):
+        assert apply(e, g) == multiply_fold_apply(e, g)
 
 
 @given(st.integers(0, 2**32 - 1))

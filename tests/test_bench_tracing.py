@@ -8,7 +8,8 @@ refactor cannot silently break a traced run.
 import importlib.util
 from pathlib import Path
 
-from splitqm import quasicocycles, quasimorphisms
+from splitqm import automorphisms, quasicocycles, quasimorphisms, words
+from splitqm.groups import IntegerGroup
 from splitqm.quasimorphisms import FactorQM
 from splitqm.words import parse_word
 
@@ -40,3 +41,25 @@ def test_tracer_counts_window_pairs_and_restores_the_originals():
     assert tracer.counts["quasimorphisms.window_pairs"] > 0
     assert FactorQM.__dict__["_pairs"] is original_pairs
     assert quasimorphisms.gromov_norm is original_norm
+
+
+def test_tracer_counts_the_word_kernel_and_restores_the_originals():
+    tracing = _load_tracing()
+    original_reduce, original_apply = words.reduce, automorphisms.apply
+    s = words.Splitting(IntegerGroup(), IntegerGroup())
+    # A 3-periodic first factor and a zero second one: invariant under the twist by 3.
+    f = quasimorphisms.SplitQM(s, FactorQM(s.A, period=3, residues=(0, 1, -1)), FactorQM(s.B))
+    g = parse_word(s, "a b^2 a^-1 b")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cube = words.power(s, g, 3)
+        twisted = automorphisms.apply(automorphisms.twist(s, 3), g)
+        report = automorphisms.check_fixed_point(f, 3, [g, cube])
+    finally:
+        tracer.uninstall()
+    assert len(cube) == 12 and len(twisted) == 6 and report.invariant
+    assert tracer.counts["words.reduce.letters"] > 0
+    assert tracer.counts["automorphisms.apply"] > 0
+    assert words.reduce is original_reduce and automorphisms.reduce is original_reduce
+    assert automorphisms.apply is original_apply

@@ -264,6 +264,13 @@ def test_broken_table_factor_is_a_config_error(tmp_path, capsys):
         (lambda c: c.update({"qrep": {"target": {"kind": "circle"}, "mu": []}}), "qrep.mu"),
         (lambda c: c.update({"qrep": {"target": {"kind": "circle"}, "mu": {"A": 5}}}), "qrep.mu.A"),
         (lambda c: c.update({"defect_space": {"choices": "12"}}), "defect_space.choices"),
+        (
+            lambda c: c.update(
+                {"action": {"kind": "finite_dim", "mat_a": [[1, 0], [0, 1]], "mat_b": [[1, 0], [0, 1]], "vector": "10"}}
+            ),
+            "action.vector",
+        ),
+        (lambda c: c.update({"action": {"kind": "regular", "p": True}}), "action.p"),
     ],
 )
 def test_config_errors_carry_their_json_path(tmp_path, capsys, mutate, fragment):

@@ -25,7 +25,18 @@ from splitqm.quasimorphisms import (
     split_defect,
     weight_qm,
 )
-from splitqm.words import A, B, Splitting, Word, conjugate, multiply, parse_word, power, random_word
+from splitqm.words import (
+    A,
+    B,
+    Splitting,
+    Word,
+    conjugate,
+    invert,
+    multiply,
+    parse_word,
+    power,
+    random_word,
+)
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
 C5XC6 = Splitting(CyclicGroup(5), CyclicGroup(6))
@@ -118,6 +129,24 @@ def fraction_defect_witness(q, scale=1):
         if value > best[0]:
             best = (value, x, y)
     return best
+
+
+def fraction_eval_split(f, g):
+    """The split value as a Fraction sum over the letters."""
+    return sum((f.factor_map(side)(x) for side, x in g.letters), Fraction(0))
+
+
+def junction_walk_value(f, g, h):
+    """delta f(g, h) read off the junction of two normal forms: cancelling
+    letter pairs contribute q(x) + q(x^-1) = 0, and the first merge that
+    leaves a letter contributes its factor coboundary."""
+    s = f.splitting
+    left, right = list(g.letters), list(h.letters)
+    while left and right and left[-1][0] == right[0][0]:
+        (side, x), (_, y) = left.pop(), right.pop(0)
+        if not s.factor(side).is_identity(s.factor(side).mul(x, y)):
+            return f.factor_map(side).coboundary(x, y)
+    return Fraction(0)
 
 
 def fraction_junction_maximum(q):
@@ -238,7 +267,8 @@ def test_sampled_defect_matches_fraction_evaluation(f, seed):
     extras = junction_pairs(f)
     expected = Fraction(0)
     for g, h in list(zip(words[::2], words[1::2])) + extras:
-        expected = max(expected, abs(eval_split(f, g) + eval_split(f, h) - eval_split(f, multiply(s, g, h))))
+        gh = multiply(s, g, h)
+        expected = max(expected, abs(fraction_eval_split(f, g) + fraction_eval_split(f, h) - fraction_eval_split(f, gh)))
     assert sampled_defect(f, iter(words).__next__, 30, extra_pairs=extras) == expected
     assert expected == split_defect(f)
 
@@ -264,6 +294,36 @@ def test_sampled_defect_attains_the_exact_value_on_junction_pairs(f, seed):
         extras.append((Word(((side, x),)), Word(((side, y),))))
     sampler = lambda: Word(())  # noqa: E731 - junction pairs carry the value
     assert sampled_defect(f, sampler, 1, extra_pairs=extras) == split_defect(f)
+
+
+@settings(deadline=None, max_examples=60)
+@given(all_split_qms(), st.integers(0, 2**32 - 1), st.integers(0, 6))
+def test_coboundary_is_the_junction_value(f, seed, cut):
+    s = f.splitting
+    g = random_word(s, 6, 4, seed)
+    # h starts by undoing a tail of g, so the junction cancels before it merges.
+    h = multiply(s, invert(s, Word(g.letters[cut:])), random_word(s, 4, 4, seed + 1))
+    assert coboundary(f, g, h) == junction_walk_value(f, g, h)
+
+
+def test_eval_split_adds_coprime_denominators_exactly():
+    f = SplitQM(
+        ZXZ,
+        FactorQM(ZXZ.A, finite_part={1: Fraction(1, 2), -1: Fraction(-1, 2)}),
+        FactorQM(ZXZ.B, sign_coeff=Fraction(1, 3)),
+    )
+    assert f.denominator == 6
+    for text in ["a", "b", "a b", "a b^-3 a b^2", "a^-1 b^-1 a^-1", "a^2 b a"]:
+        g = parse_word(ZXZ, text)
+        assert eval_split(f, g) == fraction_eval_split(f, g)
+    assert eval_split(f, parse_word(ZXZ, "a b a b")) == Fraction(5, 3)
+
+
+@pytest.mark.parametrize("letter", [(A, 5), (A, -1), (B, 6), (B, True)])
+def test_eval_split_rejects_letters_outside_the_factors(letter):
+    f = SplitQM(C5XC6, FactorQM(C5XC6.A), FactorQM(C5XC6.B, finite_part={1: 1, 5: -1}))
+    with pytest.raises(ValueError):
+        eval_split(f, Word((letter,)))
 
 
 def test_single_letter_pairs_reproduce_factor_coboundaries():
@@ -359,4 +419,4 @@ def test_cached_evaluator_matches_plain_evaluation(f, seed):
     evaluate = cached_evaluator(f)
     for offset in range(30):
         g = random_word(f.splitting, 6, 4, seed + offset)
-        assert evaluate(g) == eval_split(f, g)
+        assert evaluate(g) == eval_split(f, g) == fraction_eval_split(f, g)

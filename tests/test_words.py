@@ -1,7 +1,7 @@
 """Normal-form word arithmetic: reduction, parsing, and enumeration."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from splitqm.groups import CyclicGroup, FiniteTableGroup, IntegerGroup
 from splitqm.words import (
@@ -37,7 +37,21 @@ MIXED = Splitting(
     FiniteTableGroup.from_mul(4, lambda x, y: KLEIN_MUL[x][y]),
     CyclicGroup(3),
 )
-SPLITTINGS = [ZXZ, C5XC6, MIXED]
+# S3 does not commute, so junction merges must keep the order of the letters.
+S3XZ = Splitting(
+    FiniteTableGroup.from_mul(
+        6, lambda x, y: [
+            [0, 1, 2, 3, 4, 5],
+            [1, 2, 0, 4, 5, 3],
+            [2, 0, 1, 5, 3, 4],
+            [3, 5, 4, 0, 2, 1],
+            [4, 3, 5, 1, 0, 2],
+            [5, 4, 3, 2, 1, 0],
+        ][x][y]
+    ),
+    IntegerGroup(),
+)
+SPLITTINGS = [ZXZ, C5XC6, MIXED, S3XZ]
 
 
 def _letter_values(s, side, draw):
@@ -47,17 +61,56 @@ def _letter_values(s, side, draw):
     return draw(st.integers(-4, 4))
 
 
+def _raw_letters(s, draw, max_len):
+    """Letters that need not alternate and may be identities."""
+    raw = []
+    for _ in range(draw(st.integers(0, max_len))):
+        side = draw(st.sampled_from([A, B]))
+        raw.append((side, _letter_values(s, side, draw)))
+    return tuple(raw)
+
+
 @st.composite
-def splitting_and_words(draw, count=1, max_len=10):
+def splitting_and_words(draw, count=1, max_len=10, raw=False):
+    """A splitting and ``count`` reduced words; with ``raw``, each word may
+    also be left unreduced."""
     s = draw(st.sampled_from(SPLITTINGS))
     words = []
     for _ in range(count):
-        raw = []
-        for _ in range(draw(st.integers(0, max_len))):
-            side = draw(st.sampled_from([A, B]))
-            raw.append((side, _letter_values(s, side, draw)))
-        words.append(reduce(s, raw))
+        letters = _raw_letters(s, draw, max_len)
+        words.append(Word(letters) if raw and draw(st.booleans()) else reduce(s, letters))
     return (s, *words)
+
+
+# -- the full-reduce definitions the junction kernel replaced, as oracles ------
+
+
+def full_reduce_power(s, g, n):
+    """g^n by square-and-multiply over ``multiply``."""
+    if n < 0:
+        g, n = invert(s, g), -n
+    acc, sq = IDENTITY, g
+    while n:
+        if n & 1:
+            acc = multiply(s, acc, sq)
+        sq = multiply(s, sq, sq)
+        n >>= 1
+    return acc
+
+
+def full_reduce_conjugate(s, h, g):
+    return multiply(s, multiply(s, h, g), invert(s, h))
+
+
+def full_reduce_cyclically_reduce(s, g):
+    """Strip one letter at a time, reducing the rotated word each time."""
+    core = g
+    stripped = []
+    while len(core) >= 2 and core.letters[0][0] == core.letters[-1][0]:
+        first = core.letters[0]
+        core = reduce(s, core.letters[1:] + (first,))
+        stripped.append(first)
+    return core, Word(tuple(stripped))
 
 
 def test_reduce_merges_adjacent_letters_and_drops_identities():
@@ -88,21 +141,78 @@ def test_multiplication_is_associative(case):
     assert multiply(s, multiply(s, g, h), k) == multiply(s, g, multiply(s, h, k))
 
 
-@given(splitting_and_words(max_len=5), st.integers(-6, 6))
+@settings(max_examples=300)
+@given(splitting_and_words(max_len=5, raw=True), st.integers(-6, 6))
 def test_power_matches_repeated_multiplication(case, n):
     s, g = case
     base = g if n >= 0 else invert(s, g)
     expected = IDENTITY
     for _ in range(abs(n)):
         expected = multiply(s, expected, base)
-    assert power(s, g, n) == expected
+    assert power(s, g, n) == expected == full_reduce_power(s, g, n)
 
 
-@given(splitting_and_words(count=2, max_len=6))
+@given(splitting_and_words(count=2, max_len=6, raw=True))
 def test_conjugation_definition(case):
     s, g, h = case
-    expected = multiply(s, multiply(s, h, g), invert(s, h))
-    assert conjugate(s, h, g) == expected
+    assert conjugate(s, h, g) == full_reduce_conjugate(s, h, g)
+
+
+@settings(max_examples=300)
+@given(splitting_and_words(max_len=12, raw=True))
+def test_cyclic_reduction_matches_the_rotate_and_reduce_loop(case):
+    s, g = case
+    assert cyclically_reduce(s, g) == full_reduce_cyclically_reduce(s, g)
+
+
+def test_junction_merges_keep_the_order_of_non_commuting_letters():
+    for x in range(1, 6):
+        for y in range(1, 6):
+            g = Word(((A, x), (B, 2), (A, y)))
+            for n in (-3, -2, 2, 3):
+                assert power(S3XZ, g, n) == full_reduce_power(S3XZ, g, n)
+            assert cyclically_reduce(S3XZ, g) == full_reduce_cyclically_reduce(S3XZ, g)
+
+
+def raises_value_error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def words_with_an_invalid_letter(draw):
+    """A splitting and two raw words, each holding one letter that is no
+    element of its factor."""
+    s = draw(st.sampled_from(SPLITTINGS))
+    side = draw(st.sampled_from([A, B]))
+    factor = s.factor(side)
+    if factor.is_finite:
+        x = draw(st.one_of(st.integers(-6, -1), st.integers(factor.size, factor.size + 6)))
+    else:
+        x = draw(st.sampled_from([True, False, 1.5]))
+    words = []
+    for _ in range(2):
+        letters = _raw_letters(s, draw, 6)
+        position = draw(st.integers(0, len(letters)))
+        words.append(Word(letters[:position] + ((side, x),) + letters[position:]))
+    return (s, *words)
+
+
+@given(words_with_an_invalid_letter(), st.integers(-3, 3))
+def test_invalid_letters_still_raise(case, n):
+    """Wherever the full-reduce definition raises, the kernel raises too."""
+    s, g, h = case
+    for new, old, args in [
+        (power, full_reduce_power, (s, g, n)),
+        (conjugate, full_reduce_conjugate, (s, h, g)),
+        (conjugate, full_reduce_conjugate, (s, g, h)),
+        (cyclically_reduce, full_reduce_cyclically_reduce, (s, g)),
+    ]:
+        if raises_value_error(old, *args):
+            assert raises_value_error(new, *args)
 
 
 @given(splitting_and_words())
@@ -201,3 +311,4 @@ def test_enumerate_words_is_exhaustive_and_duplicate_free(splitting, per_side, e
     na, nb = per_side
     two_letter = sum(1 for g in words if len(g) == 2)
     assert two_letter == 2 * na * nb
+
