@@ -65,14 +65,17 @@ class Endo:
 
 def apply(e: Endo, g: Word) -> Word:
     """Substitute generator images letter by letter, then reduce once; each
-    distinct letter's image power is computed once."""
+    distinct letter is checked against its factor and its image power is
+    computed once.  Raises ValueError on a letter outside the factors."""
     s = e.splitting
     images: dict[Letter, tuple[Letter, ...]] = {}
     letters: list[Letter] = []
     for letter in g.letters:
         image = images.get(letter)
-        if image is None:
+        # True and 1.0 hit the memo slot of 1, so only an exact int skips the check.
+        if image is None or type(letter[1]) is not int:
             side, k = letter
+            s.factor(side).check(k)
             base = e.image_a if side == A else e.image_b
             image = images[letter] = power(s, base, k).letters
         letters.extend(image)

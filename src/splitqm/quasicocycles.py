@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,7 @@ __all__ = [
 
 Rational = Fraction
 Matrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 DenseVector = tuple[Fraction, ...]
 SparseVector = dict  # Word -> Fraction, no zero entries
 Vector = Union[DenseVector, SparseVector]
@@ -160,7 +162,8 @@ class FiniteDimRep(ModuleAction):
                     raise ValueError(
                         f"matrix for a cyclic factor of order {factor.n} must satisfy m^n = 1"
                     )
-        self._letter_matrices: dict[tuple[str, int], Matrix] = {}
+        # (side, k) -> (matrix, int rows, d) with matrix == rows / d.
+        self._letters: dict[tuple[str, int], tuple[Matrix, IntMatrix, int]] = {}
 
     def zero(self) -> DenseVector:
         return tuple(Fraction(0) for _ in range(self.dim))
@@ -178,22 +181,32 @@ class FiniteDimRep(ModuleAction):
         c = _fr(c)
         return tuple(c * a for a in v)
 
+    def _letter(self, side: str, k: int) -> tuple[Matrix, IntMatrix, int]:
+        """The matrix of the letter (side, k) and its integer scaling by the
+        common denominator of its entries, memoized per letter."""
+        key = (side, k)
+        entry = self._letters.get(key)
+        if entry is None:
+            m = mat_pow(self.mat[side], k)
+            d = math.lcm(*(x.denominator for row in m for x in row))
+            rows = tuple(tuple(int(x * d) for x in row) for row in m)
+            entry = self._letters[key] = (m, rows, d)
+        return entry
+
     def letter_matrix(self, side: str, k: int) -> Matrix:
         """The matrix of the letter (side, k), memoized per letter."""
-        key = (side, k)
-        m = self._letter_matrices.get(key)
-        if m is None:
-            m = self._letter_matrices[key] = mat_pow(self.mat[side], k)
-        return m
-
-    def word_matrix(self, g: Word) -> Matrix:
-        acc = identity_matrix(self.dim)
-        for side, k in g.letters:
-            acc = mat_mul(acc, self.letter_matrix(side, k))
-        return acc
+        return self._letter(side, k)[0]
 
     def act(self, g: Word, v: DenseVector) -> DenseVector:
-        return mat_vec(self.word_matrix(g), v)
+        """Apply the letter matrices to v from right to left, O(d^2) per
+        letter, on int numerators over one common denominator."""
+        den = math.lcm(*(x.denominator for x in v))
+        nums = [x.numerator * (den // x.denominator) for x in v]
+        for side, k in reversed(g.letters):
+            _, rows, d = self._letter(side, k)
+            nums = [sum(map(operator.mul, row, nums)) for row in rows]
+            den *= d
+        return tuple(Fraction(n, den) for n in nums)
 
     def norm(self, v: DenseVector, which: str = "linf") -> Union[Fraction, float]:
         if which == "linf":
@@ -342,10 +355,16 @@ class FactorTableMap(ABC):
         return certified_window(self.support_radius)
 
     def defect_witness(self) -> tuple[Union[Fraction, float], int, int]:
-        """(defect, first pair attaining it in x-outer, y-inner window order)."""
-        group = self.group
+        """(defect, first pair attaining it in x-outer, y-inner window order).
+
+        A pair with x, y and xy all off the support has the trivial
+        coboundary, of size 0, so it cannot beat the strict maximum and is
+        skipped."""
+        group, table = self.group, self.table
         best = (Fraction(0), group.identity, group.identity)
         for x, y in itertools.product(group.window(self.defect_window()), repeat=2):
+            if x not in table and y not in table and group.mul(x, y) not in table:
+                continue
             value = self.coboundary_size(x, y)
             if value > best[0]:
                 best = (value, x, y)
@@ -404,17 +423,22 @@ class SplitQC:
         return eval_split_qc(self, g)
 
 
+def _letter_sum(m: ModuleAction, g: Word, value) -> Vector:
+    """The prefix-translated sum of value(side, x) over the letters of g, by
+    the cocycle recursion f(x.h) = f(x) + x.f(h) from the right: one
+    single-letter action per letter, and none while the suffix sum is zero."""
+    total = m.zero()
+    for side, x in reversed(g.letters):
+        head = value(side, x)
+        if not m.is_zero(total):
+            head = m.add(head, m.act(_one_letter(side, x), total))
+        total = head
+    return total
+
+
 def eval_split_qc(f: SplitQC, g: Word) -> Vector:
     """Prefix-translated sum over the normal-form letters."""
-    m = f.action
-    total = m.zero()
-    for i, (side, x) in enumerate(g.letters):
-        value = f.factor_map(side)(x)
-        if m.is_zero(value):
-            continue
-        prefix = Word(g.letters[:i])
-        total = m.add(total, m.act(prefix, value))
-    return total
+    return _letter_sum(f.action, g, lambda side, x: f.factor_map(side)(x))
 
 
 def qc_coboundary(f: SplitQC, g: Word, h: Word) -> Vector:
@@ -437,12 +461,7 @@ def inner_cocycle(m: ModuleAction, v: Vector, g: Word) -> Vector:
 def inner_split_eval(m: ModuleAction, v: Vector, g: Word) -> Vector:
     """Split evaluation of the two factor restrictions of the inner cocycle;
     telescopes to the inner cocycle itself."""
-    total = m.zero()
-    for i, (side, x) in enumerate(g.letters):
-        prefix = Word(g.letters[:i])
-        letter_value = inner_cocycle(m, v, _one_letter(side, x))
-        total = m.add(total, m.act(prefix, letter_value))
-    return total
+    return _letter_sum(m, g, lambda side, x: inner_cocycle(m, v, _one_letter(side, x)))
 
 
 class GrowthCheckError(RuntimeError):

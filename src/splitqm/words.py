@@ -175,18 +175,29 @@ def cyclically_reduce(s: Splitting, g: Word) -> tuple[Word, Word]:
 
     The core either lies in a single factor (at most one letter) or its
     normal form starts and ends in different factors.  Only the first strip
-    reduces; later ones join the stripped letter onto a normal form.
+    reduces; later ones move the first letter onto the last, which it merges
+    with or cancels, tracked by two indices and the current last letter, so
+    the whole strip takes linear time.
     """
     core = g.letters
-    stripped: list[Letter] = []
-    if len(core) >= 2 and core[0][0] == core[-1][0]:
-        stripped.append(core[0])
-        core = reduce(s, core[1:] + core[:1]).letters
-    while len(core) >= 2 and core[0][0] == core[-1][0]:
-        first = core[0]
-        core = _join(s, core[1:], (first,))
+    if len(core) < 2 or core[0][0] != core[-1][0]:
+        return Word(core), IDENTITY
+    stripped = [core[0]]
+    core = reduce(s, core[1:] + core[:1]).letters
+    lo, hi = 0, len(core)
+    last = core[-1] if core else None
+    while hi - lo >= 2 and core[lo][0] == last[0]:
+        first = core[lo]
         stripped.append(first)
-    return Word(core), Word(tuple(stripped))
+        lo += 1
+        factor = s.factor(first[0])
+        x = factor.mul(last[1], first[1])
+        if factor.is_identity(x):
+            hi -= 1
+            last = core[hi - 1]
+        else:
+            last = (first[0], x)
+    return Word(core[lo : hi - 1] + (last,) if hi > lo else ()), Word(tuple(stripped))
 
 
 _GEN_TOKEN = re.compile(r"^([ab])(?:\^(-?\d+))?$")

@@ -63,3 +63,27 @@ def test_tracer_counts_the_word_kernel_and_restores_the_originals():
     assert tracer.counts["automorphisms.apply"] > 0
     assert words.reduce is original_reduce and automorphisms.reduce is original_reduce
     assert automorphisms.apply is original_apply
+
+
+def test_tracer_counts_single_letter_actions_and_restores_both_act_methods():
+    tracing = _load_tracing()
+    qc = quasicocycles
+    originals = (qc.FiniteDimRep.__dict__["act"], qc.RegularRep.__dict__["act"])
+    s = words.Splitting(IntegerGroup(), IntegerGroup())
+    dense = qc.FiniteDimRep(s, ((1, 1), (0, 1)), ((0, 1), (1, 0)))
+    regular = qc.RegularRep(s, 1)
+    b = parse_word(s, "b")
+    _, f_dense = qc.staircase_cocycle(dense, dense.vector([1, 0]), 3)
+    _, f_regular = qc.staircase_cocycle(regular, regular.indicator(b), 3)
+    w = qc.staircase_word(s, 3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        values = [qc.eval_split_qc(f_dense, w), qc.eval_split_qc(f_regular, w)]
+    finally:
+        tracer.uninstall()
+    assert values == [dense.vector([3, 0]), regular.indicator(b, 3)]
+    assert tracer.counts["quasicocycles.FiniteDimRep.act"] > 0
+    assert tracer.counts["quasicocycles.RegularRep.act"] > 0
+    assert tracing.layer_metrics(tracer, 1)["quasicocycles.act.calls"][0] > 0
+    assert (qc.FiniteDimRep.__dict__["act"], qc.RegularRep.__dict__["act"]) == originals

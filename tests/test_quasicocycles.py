@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitqm.groups import CyclicGroup, IntegerGroup
+from splitqm.qrep import FactorQRMap, FiniteMetric
 from splitqm.quasicocycles import (
     FactorCocycleMap,
     FiniteDimRep,
@@ -44,6 +45,31 @@ def _permutation_rep():
     # Permutation matrices act by sup-norm isometries, so the certified
     # window applies (the shear above is not an isometry).
     return FiniteDimRep(ZXZ, ((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+
+
+def _rational_rep():
+    # Non-integral generators and inverses, so letter matrices carry denominators.
+    return FiniteDimRep(ZXZ, ((2, 1), (1, 1)), ((Fraction(1, 2), 0), (0, 2)))
+
+
+def _cyclic_rep():
+    # The second factor is Z/3, acting by a rotation of order 3.
+    return FiniteDimRep(Splitting(IntegerGroup(), CyclicGroup(3)), SHEAR, ((0, -1), (1, -1)))
+
+
+def word_matrix_act(rep, g, v):
+    """g.v as the product of uncached letter powers, applied to v once."""
+    m = identity_matrix(rep.dim)
+    for side, k in g.letters:
+        m = mat_mul(m, mat_pow(rep.mat[side], k))
+    return mat_vec(m, v)
+
+
+def translate(rep, g, v):
+    """g.v without ``rep.act``."""
+    if isinstance(rep, RegularRep):
+        return {multiply(rep.splitting, g, w): c for w, c in v.items()}
+    return word_matrix_act(rep, g, v)
 
 
 def _qc_window(q):
@@ -90,6 +116,15 @@ def test_matrix_action_is_a_homomorphism(seed):
     v = rep.vector([1, Fraction(-1, 2)])
     assert rep.act(g, rep.act(h, v)) == rep.act(multiply(ZXZ, g, h), v)
     assert rep.act(IDENTITY, v) == v
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_dense_action_matches_the_word_matrix_product(seed):
+    for rep in (_rational_rep(), _cyclic_rep()):
+        g = random_word(rep.splitting, 8, 3, seed)
+        v = rep.vector([Fraction(2, 3), Fraction(-5, 4)])
+        assert rep.act(g, v) == word_matrix_act(rep, g, v)
+        assert rep.act(g, rep.zero()) == rep.zero()
 
 
 def test_matrix_norms():
@@ -167,18 +202,29 @@ def test_split_qc_validates_sides_and_action():
         SplitQC(ZXZ, other, fA, fB)
 
 
+def _split_qcs():
+    regular = RegularRep(ZXZ, 1)
+    yield SplitQC(
+        ZXZ, regular,
+        FactorCocycleMap(A, regular, {1: regular.indicator(IDENTITY)}),
+        FactorCocycleMap(B, regular, {1: regular.indicator(parse_word(ZXZ, "a b"))}),
+    )
+    for rep in (_rational_rep(), _cyclic_rep()):
+        fA = FactorCocycleMap(A, rep, {1: rep.vector([1, Fraction(-1, 3)]), 3: rep.vector([0, 2])})
+        fB = FactorCocycleMap(B, rep, {1: rep.vector([Fraction(1, 2), 1])})
+        yield SplitQC(rep.splitting, rep, fA, fB)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_split_evaluation_is_the_prefix_translated_sum(seed):
-    rep = RegularRep(ZXZ, 1)
-    fA = FactorCocycleMap(A, rep, {1: rep.indicator(IDENTITY)})
-    fB = FactorCocycleMap(B, rep, {1: rep.indicator(parse_word(ZXZ, "a b"))})
-    f = SplitQC(ZXZ, rep, fA, fB)
-    g = random_word(ZXZ, 6, 4, seed)
-    expected = rep.zero()
-    for i, (side, x) in enumerate(g.letters):
-        value = f.factor_map(side)(x)
-        expected = rep.add(expected, rep.act(Word(g.letters[:i]), value))
-    assert eval_split_qc(f, g) == expected
+    for f in _split_qcs():
+        rep = f.action
+        g = random_word(f.splitting, 6, 4, seed)
+        expected = rep.zero()
+        for i, (side, x) in enumerate(g.letters):
+            value = f.factor_map(side)(x)
+            expected = rep.add(expected, translate(rep, Word(g.letters[:i]), value))
+        assert eval_split_qc(f, g) == expected
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -309,3 +355,60 @@ def test_dense_qc_window_is_stable_under_widening(depth):
     _, f = staircase_cocycle(rep, rep.vector([1, 0, Fraction(-1, 2)]), depth)
     defect = split_qc_defect(f)
     assert defect == _scan_qc_defect(f, lambda q: 2 * _qc_window(q)) > 0
+
+
+def full_scan_defect_witness(q):
+    """Every window pair, none skipped: the defect and the first pair
+    attaining it in x-outer, y-inner order."""
+    window = q.group.window(q.defect_window())
+    best = (Fraction(0), q.group.identity, q.group.identity)
+    for x in window:
+        for y in window:
+            value = q.coboundary_size(x, y)
+            if value > best[0]:
+                best = (value, x, y)
+    return best
+
+
+def _hexagon():
+    return FiniteMetric.from_length_function(CyclicGroup(6), [0, Fraction(1, 2), 1, 1, 1, Fraction(1, 2)])
+
+
+def _regular_staircase():
+    rep = RegularRep(ZXZ, 1)
+    return staircase_cocycle(rep, rep.indicator(parse_word(ZXZ, "b")), 3)[1]
+
+
+def _dense_staircase():
+    rep = _permutation_rep()
+    return staircase_cocycle(rep, rep.vector([1, -2, 0]), 3)[1]
+
+
+def _small_regular():
+    return RegularRep(Splitting(CyclicGroup(2), CyclicGroup(3)), 1)
+
+
+TABLE_MAPS = {
+    "regular-staircase": lambda: _regular_staircase().fA,
+    "regular-empty": lambda: _regular_staircase().fB,
+    "regular-ladder": lambda: power_ladder_cocycle(RegularRep(ZXZ, 1), 2, {IDENTITY: Fraction(1)}, 2)[0],
+    "regular-cyclic": lambda: FactorCocycleMap(B, _small_regular(), {1: {IDENTITY: Fraction(1)}}),
+    "permutation-staircase": lambda: _dense_staircase().fA,
+    "qrep-cyclic": lambda: FactorQRMap(B, _hexagon(), CyclicGroup(3), {1: 1}),
+    "qrep-empty": lambda: FactorQRMap(A, _hexagon(), CyclicGroup(2), {}),
+    "qrep-integer": lambda: FactorQRMap(A, _hexagon(), IntegerGroup(), {2: 1, 3: 2}),
+    # On Z/8 with support {3, 5}, both sent to the involution 3, the first
+    # maximum is at (1, 2), where only xy = 3 lies on the support.
+    "qrep-only-xy": lambda: FactorQRMap(A, _hexagon(), CyclicGroup(8), {3: 3}),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_MAPS)
+def test_defect_witness_skipping_off_support_pairs_matches_the_full_scan(name):
+    q = TABLE_MAPS[name]()
+    expected = full_scan_defect_witness(q)
+    assert q.defect_witness() == expected
+    if name == "qrep-only-xy":
+        assert expected == (1, 1, 2)
+    if not q.table:
+        assert expected == (0, q.group.identity, q.group.identity)

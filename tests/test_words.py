@@ -165,6 +165,16 @@ def test_cyclic_reduction_matches_the_rotate_and_reduce_loop(case):
     assert cyclically_reduce(s, g) == full_reduce_cyclically_reduce(s, g)
 
 
+def test_cyclic_reduction_of_a_long_conjugate_matches_the_loop():
+    # g = h a^2 b h'^-1 with h' = h less its last letter b^2: 1999 strips
+    # cancel, and the last one merges b^2 into b.
+    h = Word(tuple((A if i % 2 == 0 else B, 1 + i % 3) for i in range(2000)))
+    core = Word(((A, 2), (B, 3)))
+    g = conjugate(ZXZ, h, core)
+    assert len(g) == 4001
+    assert cyclically_reduce(ZXZ, g) == full_reduce_cyclically_reduce(ZXZ, g) == (core, h)
+
+
 def test_junction_merges_keep_the_order_of_non_commuting_letters():
     for x in range(1, 6):
         for y in range(1, 6):
