@@ -123,7 +123,6 @@ from .qrep import (
     SmallSubgroupReport,
     SplitHom,
     SplitQRep,
-    Unitary,
     WitnessReport,
     check_no_small_subgroups,
     enumerate_factor_homs,
@@ -133,7 +132,6 @@ from .qrep import (
     nontriviality_witness,
     qrep_defect,
     qrep_delta,
-    qrep_factor_defect,
     qrep_sampled_defect,
 )
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
 from .words import (
@@ -294,7 +293,7 @@ class QRepSetup:
     splitting: Splitting
     target: MetricGroup
     mu: SplitQRep
-    eps: Union[Fraction, float]
+    eps: Fraction
     max_norm: Optional[Fraction]
 
 
@@ -329,7 +328,7 @@ def _build_qrep(config: Config) -> QRepSetup:
     except (ValueError, TypeError) as exc:
         raise ConfigError("qrep.mu", str(exc)) from None
     if isinstance(target, Circle):
-        eps = 2 * math.pi * float(_rational(obj.get("eps_turns", "1/4"), "qrep.eps_turns"))
+        eps = _rational(obj.get("eps_turns", "1/4"), "qrep.eps_turns")
     else:
         eps = _rational(obj.get("eps", 1), "qrep.eps")
     max_norm = _rational(obj["max_norm"], "qrep.max_norm") if "max_norm" in obj else None
@@ -584,10 +583,7 @@ def cmd_qrep(args) -> int:
     rows = [
         ("target", type(setup.target).__name__),
         ("eps", str(setup.eps)),
-        (
-            "no eps-small subgroups",
-            f"{'yes' if small.passed else 'NO'} ({'certified' if small.certified else 'certificates only'})",
-        ),
+        ("no eps-small subgroups", f"{'yes' if small.passed else 'NO'} (certified)"),
         ("delta (sup norm)", str(qrep_delta(setup.mu))),
         ("defect", str(exact)),
         (f"sampled defect ({count} pairs)", str(sampled)),
@@ -622,12 +618,7 @@ def cmd_qrep(args) -> int:
     if failures:
         print(f"identity violation: {failures} witness searches exhausted", file=sys.stderr)
         return 1
-    mismatch = (
-        sampled != exact
-        if getattr(setup.target, "is_exact", False)
-        else abs(float(sampled) - float(exact)) > 1e-9
-    )
-    if mismatch:
+    if sampled != exact:
         print(f"identity violation: sampled defect {sampled} != defect {exact}", file=sys.stderr)
         return 1
     return 0

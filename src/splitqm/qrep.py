@@ -4,41 +4,32 @@ A factor map sends factor elements into a metric group, is alternating
 (mu(x^-1) = mu(x)^-1), and is the identity off a finite support on integer
 factors.  The split map multiplies the letter images in normal-form order.
 Its defect is the larger of the two factor defects; the nontriviality
-witness search certifies the distance-to-homomorphisms lower bound.
+witness search certifies the distance-to-homomorphisms lower bound.  Every
+target's distance is an exact ``Fraction``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr
 from .quasicocycles import FactorTableMap
 from .quasimorphisms import junction_pairs
 from .words import A, B, IDENTITY, Splitting, Word, multiply
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None
-
 __all__ = [
     "MetricGroup",
     "FiniteMetric",
     "Circle",
-    "Unitary",
     "FactorQRMap",
     "SplitQRep",
     "eval_qrep",
-    "qrep_factor_defect",
-    "qrep_factor_defect_witness",
     "qrep_defect",
     "qrep_sampled_defect",
-    "sup_norm_qrep",
     "qrep_delta",
     "FactorHom",
     "SplitHom",
@@ -49,17 +40,11 @@ __all__ = [
     "nontriviality_witness",
     "SmallSubgroupReport",
     "check_no_small_subgroups",
-    "FLOAT_TOL",
 ]
-
-FLOAT_TOL = 1e-9
-TWO_PI = 2.0 * math.pi
 
 
 class MetricGroup(ABC):
-    """A group carrying a bi-invariant metric."""
-
-    is_exact: bool = False
+    """A group carrying a bi-invariant metric with exact rational values."""
 
     @property
     @abstractmethod
@@ -72,7 +57,7 @@ class MetricGroup(ABC):
     def inv(self, x): ...
 
     @abstractmethod
-    def dist(self, x, y) -> Union[Fraction, float]: ...
+    def dist(self, x, y) -> Fraction: ...
 
     def power(self, x, n: int):
         if n < 0:
@@ -91,11 +76,10 @@ class MetricGroup(ABC):
             acc = self.mul(acc, x)
         return acc
 
-    def equal(self, x, y, tol: float = FLOAT_TOL) -> bool:
-        d = self.dist(x, y)
-        return d == 0 if self.is_exact else d <= tol
+    def equal(self, x, y) -> bool:
+        return self.dist(x, y) == 0
 
-    def norm(self, x) -> Union[Fraction, float]:
+    def norm(self, x) -> Fraction:
         return self.dist(x, self.identity)
 
 
@@ -106,8 +90,6 @@ class FiniteMetric(MetricGroup):
     indexed accordingly.  Metric axioms and bi-invariance are verified
     exhaustively at construction.
     """
-
-    is_exact = True
 
     def __init__(self, group: FactorGroup, matrix: Sequence[Sequence]):
         if not group.is_finite:
@@ -176,11 +158,11 @@ class FiniteMetric(MetricGroup):
 
 
 class Circle(MetricGroup):
-    """The rotation group with arc-length distance.
+    """The rotation group with arc-length distance measured in turns.
 
     Elements are exact rational turns in [0, 1); the distance between turns
-    s and t is 2*pi*min(|s-t| mod 1, 1-(|s-t| mod 1)).  Group operations are
-    exact; only the distance is a float.
+    s and t is min(|s-t| mod 1, 1-(|s-t| mod 1)), so a half turn is the
+    largest distance.
     """
 
     @property
@@ -199,94 +181,9 @@ class Circle(MetricGroup):
     def power(self, x: Fraction, n: int) -> Fraction:
         return (n * x) % 1
 
-    def arc_turns(self, x: Fraction, y: Fraction) -> Fraction:
+    def dist(self, x: Fraction, y: Fraction) -> Fraction:
         delta = (x - y) % 1
         return min(delta, 1 - delta)
-
-    def dist(self, x: Fraction, y: Fraction) -> float:
-        return TWO_PI * float(self.arc_turns(x, y))
-
-    def equal(self, x: Fraction, y: Fraction, tol: float = FLOAT_TOL) -> bool:
-        return self.arc_turns(x, y) == 0
-
-
-# Nontrivial subgroups of the circle all contain a turn in [1/3, 2/3], so the
-# open ball of radius 2*pi/3 is the largest one free of them.
-CIRCLE_SMALL_SUBGROUP_THRESHOLD_TURNS = Fraction(1, 3)
-
-
-class Unitary(MetricGroup):
-    """The unitary group U(n) with Frobenius distance, in floating point.
-
-    Long products drift, so accumulation re-projects onto the unitary group
-    (via QR) every 64 multiplications.
-    """
-
-    PROJECT_EVERY = 64
-
-    def __init__(self, n: int):
-        if np is None:
-            raise RuntimeError("the unitary target needs numpy")
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        self.n = n
-        self._identity = np.eye(n, dtype=complex)
-
-    @property
-    def identity(self):
-        return self._identity
-
-    def matrix(self, rows) -> "np.ndarray":
-        m = np.asarray(rows, dtype=complex)
-        if m.shape != (self.n, self.n):
-            raise ValueError("matrix shape mismatch")
-        if self.dist(m @ m.conj().T, self._identity) > 1e-6:
-            raise ValueError("matrix is not unitary")
-        return m
-
-    def project(self, m):
-        q, r = np.linalg.qr(m)
-        phases = np.diagonal(r).copy()
-        phases /= np.abs(phases)
-        return q * phases
-
-    def mul(self, x, y):
-        return x @ y
-
-    def inv(self, x):
-        return x.conj().T
-
-    def power(self, x, n: int):
-        if n < 0:
-            x, n = self.inv(x), -n
-        acc = self._identity
-        count = 0
-        while n:
-            if n & 1:
-                acc = acc @ x
-                count += 1
-            x = x @ x
-            count += 1
-            if count % self.PROJECT_EVERY == 0:
-                acc, x = self.project(acc), self.project(x)
-            n >>= 1
-        return acc
-
-    def product(self, elements: Iterable):
-        acc = self._identity
-        for count, x in enumerate(elements, start=1):
-            acc = acc @ x
-            if count % self.PROJECT_EVERY == 0:
-                acc = self.project(acc)
-        return acc
-
-    def dist(self, x, y) -> float:
-        return float(np.linalg.norm(x - y, "fro"))
-
-    def random_element(self, rng) -> "np.ndarray":
-        gen = np.random.default_rng(rng.getrandbits(64))
-        raw = gen.standard_normal((self.n, self.n)) + 1j * gen.standard_normal((self.n, self.n))
-        return self.project(raw)
 
 
 class FactorQRMap(FactorTableMap):
@@ -310,12 +207,12 @@ class FactorQRMap(FactorTableMap):
     def equal(self, u, v) -> bool:
         return self.target.equal(u, v)
 
-    def coboundary_size(self, x: int, y: int) -> Union[Fraction, float]:
+    def coboundary_size(self, x: int, y: int) -> Fraction:
         """d(mu(xy), mu(x)mu(y))."""
         target = self.target
         return target.dist(self(self.group.mul(x, y)), target.mul(self(x), self(y)))
 
-    def sup_norm(self) -> Union[Fraction, float]:
+    def sup_norm(self) -> Fraction:
         e = self.target.identity
         return max((self.target.dist(v, e) for v in self.table.values()), default=Fraction(0))
 
@@ -348,20 +245,11 @@ def eval_qrep(mu: SplitQRep, g: Word):
     return mu.target.product(mu.factor_map(side)(x) for side, x in g.letters)
 
 
-def qrep_factor_defect(mu_f: FactorQRMap) -> Union[Fraction, float]:
-    """Sup of d(mu(xy), mu(x)mu(y)) over the factor enumeration window."""
-    return mu_f.defect()
-
-
-def qrep_factor_defect_witness(mu_f: FactorQRMap):
-    return mu_f.defect_witness()
-
-
-def qrep_defect(mu: SplitQRep) -> Union[Fraction, float]:
+def qrep_defect(mu: SplitQRep) -> Fraction:
     return max(mu.muA.defect(), mu.muB.defect())
 
 
-def qrep_sampled_defect(mu: SplitQRep, sampler, count: int) -> Union[Fraction, float]:
+def qrep_sampled_defect(mu: SplitQRep, sampler, count: int) -> Fraction:
     """Max coboundary distance over sampled word pairs plus the junction
     pairs embedding each factor's worst pair; never exceeds qrep_defect."""
     worst = Fraction(0)
@@ -374,11 +262,7 @@ def qrep_sampled_defect(mu: SplitQRep, sampler, count: int) -> Union[Fraction, f
     return worst
 
 
-def sup_norm_qrep(mu_f: FactorQRMap) -> Union[Fraction, float]:
-    return mu_f.sup_norm()
-
-
-def qrep_delta(mu: SplitQRep) -> Union[Fraction, float]:
+def qrep_delta(mu: SplitQRep) -> Fraction:
     """The larger factor sup-norm, the quantity the witness search certifies."""
     return max(mu.muA.sup_norm(), mu.muB.sup_norm())
 
@@ -491,8 +375,8 @@ def enumerate_factor_qr_maps(
 @dataclass(frozen=True)
 class WitnessReport:
     word: Optional[Word]
-    distance: Union[Fraction, float]
-    delta: Union[Fraction, float]
+    distance: Fraction
+    delta: Fraction
     exhausted: bool
     checked: int
 
@@ -544,12 +428,10 @@ def nontriviality_witness(
     space is reported, not raised, to distinguish it from refutation.
     """
     delta = qrep_delta(mu)
-    eps_value = float(eps)
-    if float(delta) > eps_value / 2 + FLOAT_TOL:
+    if 2 * delta > _fr(eps):
         raise ValueError("the witness argument needs 2*delta <= eps")
     if delta == 0:
         return WitnessReport(IDENTITY, Fraction(0), delta, exhausted=False, checked=0)
-    tol = 0 if mu.target.is_exact else FLOAT_TOL
     best_word: Optional[Word] = None
     best = Fraction(0)
     checked = 0
@@ -558,7 +440,7 @@ def nontriviality_witness(
         d = mu.target.dist(eval_qrep(mu, g), eval_split_hom(rho, g))
         if d > best:
             best, best_word = d, g
-        if d >= delta - tol:
+        if d >= delta:
             return WitnessReport(g, d, delta, exhausted=False, checked=checked)
     return WitnessReport(best_word, best, delta, exhausted=True, checked=checked)
 
@@ -566,11 +448,8 @@ def nontriviality_witness(
 @dataclass(frozen=True)
 class SmallSubgroupReport:
     passed: bool
-    certified: bool
-    epsilon: float
+    epsilon: Fraction
     witness: Optional[tuple]
-    max_power_needed: Optional[int]
-    exhausted: tuple
 
 
 def _cyclic_closure(target: FiniteMetric, g: int) -> tuple[int, ...]:
@@ -582,69 +461,28 @@ def _cyclic_closure(target: FiniteMetric, g: int) -> tuple[int, ...]:
     return tuple(elements)
 
 
-def check_no_small_subgroups(
-    target: MetricGroup, eps, certificates: Sequence = (), power_bound: int = 4096
-) -> SmallSubgroupReport:
+def check_no_small_subgroups(target: MetricGroup, eps) -> SmallSubgroupReport:
     """Decide whether the open eps-ball around the identity contains a
     nontrivial subgroup.
 
     FiniteMetric: exhaustive over cyclic subgroups (a subgroup lies in the
-    ball iff each of its cyclic subgroups does), hence certified.  Circle:
-    certified by the exact threshold 2*pi/3 (the subgroup of third turns is
-    extremal); supplied certificate angles are additionally power-scanned.
-    Unitary: only the certificates are scanned, so a pass is not certified.
+    ball iff each of its cyclic subgroups does).  Circle: every nontrivial
+    subgroup has an element at least 1/3 turn from the identity, and the
+    third turns reach exactly 1/3, so the ball holds a subgroup iff
+    eps > 1/3.
     """
-    eps_value = float(eps)
+    eps = _fr(eps)
     if isinstance(target, FiniteMetric):
         for g in target.elements():
             if g == target.identity:
                 continue
             subgroup = _cyclic_closure(target, g)
-            if all(float(target.dist(x, target.identity)) < eps_value for x in subgroup):
-                return SmallSubgroupReport(False, True, eps_value, subgroup, None, ())
-        return SmallSubgroupReport(True, True, eps_value, None, None, ())
+            if all(target.dist(x, target.identity) < eps for x in subgroup):
+                return SmallSubgroupReport(False, eps, subgroup)
+        return SmallSubgroupReport(True, eps, None)
     if isinstance(target, Circle):
-        # The subgroup {0, 1/3, 2/3} has max distance 2*pi/3 and sits inside
-        # any larger open ball; smaller balls exclude every subgroup.
-        threshold = TWO_PI * float(CIRCLE_SMALL_SUBGROUP_THRESHOLD_TURNS)
-        if eps_value > threshold + FLOAT_TOL:
-            witness = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-            return SmallSubgroupReport(False, True, eps_value, witness, None, ())
-        max_power = None
-        exhausted = []
-        for theta in certificates:
-            theta = target.turn(theta)
-            if theta == 0 or target.dist(theta, target.identity) >= eps_value:
-                continue
-            bound = max(power_bound, theta.denominator)
-            for n in range(1, bound + 1):
-                if target.dist(target.power(theta, n), target.identity) >= eps_value:
-                    if max_power is None or n > max_power:
-                        max_power = n
-                    break
-            else:
-                exhausted.append(theta)
-        if exhausted:
-            # Rational turns generate finite subgroups, so a full-orbit scan
-            # with no escape is a genuine violation.
-            theta = exhausted[0]
-            subgroup = tuple(sorted({target.power(theta, n) for n in range(theta.denominator)}))
-            return SmallSubgroupReport(
-                False, True, eps_value, subgroup, max_power, tuple(exhausted)
-            )
-        return SmallSubgroupReport(True, True, eps_value, None, max_power, ())
-    max_power = None
-    exhausted = []
-    for u in certificates:
-        if target.dist(u, target.identity) >= eps_value or target.equal(u, target.identity):
-            continue
-        for n in range(1, power_bound + 1):
-            if target.dist(target.power(u, n), target.identity) >= eps_value:
-                if max_power is None or n > max_power:
-                    max_power = n
-                break
-        else:
-            exhausted.append(u)
-    return SmallSubgroupReport(
-        not exhausted, False, eps_value, None, max_power, tuple(exhausted)
-    )
+        third = Fraction(1, 3)
+        if eps > third:
+            return SmallSubgroupReport(False, eps, (Fraction(0), third, 2 * third))
+        return SmallSubgroupReport(True, eps, None)
+    raise TypeError(f"no small-subgroup rule for {type(target).__name__}")

@@ -183,10 +183,13 @@ class FiniteDimRep(ModuleAction):
 
     def _letter(self, side: str, k: int) -> tuple[Matrix, IntMatrix, int]:
         """The matrix of the letter (side, k) and its integer scaling by the
-        common denominator of its entries, memoized per letter."""
+        common denominator of its entries, memoized per letter.  Raises
+        ValueError on a letter outside the factors."""
         key = (side, k)
         entry = self._letters.get(key)
-        if entry is None:
+        # True and 1.0 hit the memo slot of 1, so only an exact int skips the check.
+        if entry is None or type(k) is not int:
+            self.splitting.factor(side).check(k)
             m = mat_pow(self.mat[side], k)
             d = math.lcm(*(x.denominator for row in m for x in row))
             rows = tuple(tuple(int(x * d) for x in row) for row in m)

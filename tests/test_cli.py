@@ -196,22 +196,70 @@ def test_maximising_pair_beyond_the_sampler_is_not_a_violation(tmp_path, capsys)
     assert "[cfg] PASS map 'far': sampled defect 2, split defect 2" in capsys.readouterr().out
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_exits_quietly():
     # The read end is closed before the command starts, so its first write
     # fails with EPIPE, as under `splitqm selftest | head -1`.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "splitqm.cli", "selftest", "--only", "2,13"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, env=_src_env(), timeout=120,
         )
     finally:
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
+
+
+def test_package_imports_only_the_standard_library():
+    code = "import splitqm, splitqm.cli, sys; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+CIRCLE_QREP_CONFIG = {
+    "schema": 1,
+    "splitting": {"A": {"type": "integer"}, "B": {"type": "integer"}},
+    "qrep": {
+        "target": {"kind": "circle"},
+        "mu": {"A": [[1, "1/8"]], "B": [[1, "1/8"]]},
+        "eps_turns": "1/4",
+    },
+    "sampler": {"seed": 7, "samples": 200, "length_bound": 4, "exponent_bound": 3},
+}
+
+
+def test_circle_qrep_config_is_exact_in_turns(tmp_path, capsys):
+    path = _write(tmp_path, CIRCLE_QREP_CONFIG)
+    assert cli.main(["qrep", "--config", path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["target"] == "Circle"
+    assert report["eps"] == "1/4"
+    assert report["no eps-small subgroups"] == "yes (certified)"
+    assert report["delta (sup norm)"] == "1/8"
+    assert report["defect"] == "1/4"  # mu(a^2) = 0 against 1/8 + 1/8
+    assert report["sampled defect (200 pairs)"] == "1/4"
+
+
+def test_circle_qrep_config_with_a_small_subgroup_fails(tmp_path, capsys):
+    payload = json.loads(json.dumps(CIRCLE_QREP_CONFIG))
+    payload["qrep"]["eps_turns"] = "1/2"
+    path = _write(tmp_path, payload)
+    assert cli.main(["qrep", "--config", path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["eps"] == "1/2"
+    assert report["no eps-small subgroups"] == "NO (certified)"
+    assert "identity violation: target admits an eps-small subgroup" in captured.err
 
 
 def test_table_factor_config(tmp_path, capsys):

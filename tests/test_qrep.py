@@ -1,10 +1,8 @@
 """Quasi-representations: metric targets, defects, and witness searches."""
 
-import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,9 +12,9 @@ from splitqm.qrep import (
     FactorHom,
     FactorQRMap,
     FiniteMetric,
+    MetricGroup,
     SplitHom,
     SplitQRep,
-    Unitary,
     check_no_small_subgroups,
     enumerate_factor_homs,
     enumerate_factor_qr_maps,
@@ -26,7 +24,6 @@ from splitqm.qrep import (
     qrep_defect,
     qrep_delta,
     qrep_sampled_defect,
-    sup_norm_qrep,
 )
 from splitqm.quasicocycles import FactorCocycleMap, RegularRep
 from splitqm.words import A, B, IDENTITY, Splitting, Word, parse_word, random_word, reduce
@@ -81,26 +78,11 @@ def test_circle_arithmetic_is_exact():
     assert circle.mul(Fraction(3, 4), Fraction(1, 2)) == Fraction(1, 4)
     assert circle.inv(Fraction(1, 3)) == Fraction(2, 3)
     assert circle.power(Fraction(1, 6), 9) == Fraction(1, 2)
-    assert circle.arc_turns(Fraction(0), Fraction(3, 4)) == Fraction(1, 4)
-    assert circle.dist(Fraction(0), Fraction(1, 2)) == pytest.approx(math.pi)
+    assert circle.dist(Fraction(0), Fraction(3, 4)) == Fraction(1, 4)
+    assert circle.dist(Fraction(0), Fraction(1, 2)) == Fraction(1, 2)
+    assert circle.dist(Fraction(1, 10), Fraction(9, 10)) == Fraction(1, 5)
     assert circle.equal(circle.mul(Fraction(1, 3), Fraction(2, 3)), Fraction(0))
     assert not circle.equal(Fraction(0), Fraction(1, 10**9))
-
-
-def test_unitary_products_stay_unitary():
-    target = Unitary(2)
-    u = target.matrix([[0, 1], [1, 0]])
-    angle = np.exp(1j * math.pi / 7)
-    v = target.matrix([[angle, 0], [0, 1]])
-    long_product = target.product([u, v] * 300)
-    assert target.dist(long_product @ long_product.conj().T, target.identity) < 1e-8
-    assert target.dist(target.power(v, 14), target.identity) < 1e-8
-    assert target.dist(target.mul(u, target.inv(u)), target.identity) < 1e-12
-    rng = random.Random(5)
-    w = target.random_element(rng)
-    assert target.dist(w @ w.conj().T, target.identity) < 1e-10
-    with pytest.raises(ValueError):
-        target.matrix([[1, 1], [0, 1]])
 
 
 def test_factor_qr_map_forces_inverses():
@@ -108,7 +90,7 @@ def test_factor_qr_map_forces_inverses():
     mu = FactorQRMap(B, target, C3, {1: 1})
     assert mu(2) == 5  # inv(1) in the target
     assert mu.support == (1, 2)
-    assert sup_norm_qrep(mu) == Fraction(1, 2)
+    assert mu.sup_norm() == Fraction(1, 2)
     with pytest.raises(ValueError):
         FactorQRMap(B, target, C3, {1: 1, 2: 1})
     with pytest.raises(ValueError):
@@ -237,7 +219,7 @@ def test_qr_map_enumeration_respects_the_norm_ball():
     target = _hex_metric()
     b_maps = list(enumerate_factor_qr_maps(B, C3, target, Fraction(1, 2)))
     assert len(b_maps) == 3
-    assert all(sup_norm_qrep(mu) <= Fraction(1, 2) for mu in b_maps)
+    assert all(mu.sup_norm() <= Fraction(1, 2) for mu in b_maps)
     a_maps = list(enumerate_factor_qr_maps(A, C2, target, Fraction(1, 2)))
     assert len(a_maps) == 1 and a_maps[0].support == ()
     with pytest.raises(ValueError):
@@ -295,43 +277,49 @@ def test_nontriviality_witness_preconditions():
 def test_small_subgroups_in_finite_targets():
     target = _hex_metric()
     report = check_no_small_subgroups(target, 1)
-    assert report.passed and report.certified
+    assert report.passed and report.epsilon == 1
     report = check_no_small_subgroups(target, Fraction(5, 4))
-    assert not report.passed and report.certified
+    assert not report.passed
     assert set(report.witness) == {0, 1, 2, 3, 4, 5}  # the whole group fits
     lopsided = FiniteMetric.from_length_function(
         C6, [0, 1, Fraction(1, 2), 1, Fraction(1, 2), 1]
     )
     report = check_no_small_subgroups(lopsided, Fraction(3, 4))
-    assert not report.passed and report.certified
+    assert not report.passed
     assert set(report.witness) == {0, 2, 4}
 
 
 def test_small_subgroups_in_the_circle():
+    # The third turns lie in the open ball exactly when eps > 1/3.
     circle = Circle()
-    report = check_no_small_subgroups(circle, 2 * math.pi / 3 + 0.01)
-    assert not report.passed and report.certified
-    assert report.witness == (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-    report = check_no_small_subgroups(
-        circle, math.pi / 2, certificates=[Fraction(1, 16), Fraction(3, 64)]
-    )
-    assert report.passed and report.certified
-    assert report.max_power_needed is not None
-    assert report.exhausted == ()
+    thirds = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
+    for eps in (Fraction(1, 3) + Fraction(1, 10**12), Fraction(1, 2), 1):
+        report = check_no_small_subgroups(circle, eps)
+        assert not report.passed and report.witness == thirds
+        assert report.epsilon == eps and isinstance(report.epsilon, Fraction)
+    for eps in (Fraction(1, 3), Fraction(1, 4), Fraction(1, 10**12)):
+        report = check_no_small_subgroups(circle, eps)
+        assert report.passed and report.witness is None
 
 
-def test_small_subgroups_in_the_unitary_group_are_uncertified():
-    target = Unitary(2)
-    angle = np.exp(2j * math.pi / 3)
-    u = target.matrix([[angle, 0], [0, 1]])
-    report = check_no_small_subgroups(target, 0.5, certificates=[u])
-    assert report.passed and not report.certified
-    big_ball = check_no_small_subgroups(target, 10.0, certificates=[u])
-    assert not big_ball.passed and not big_ball.certified
-    assert len(big_ball.exhausted) == 1
+def test_small_subgroups_need_a_known_target():
+    class Trivial(MetricGroup):
+        identity = 0
+
+        def mul(self, x, y):
+            return 0
+
+        def inv(self, x):
+            return 0
+
+        def dist(self, x, y):
+            return Fraction(0)
+
+    with pytest.raises(TypeError):
+        check_no_small_subgroups(Trivial(), 1)
 
 
-def test_circle_qrep_with_float_tolerance():
+def test_circle_qrep_is_exact_in_turns():
     circle = Circle()
     splitting = Splitting(IntegerGroup(), IntegerGroup())
     mu = SplitQRep(
@@ -340,14 +328,18 @@ def test_circle_qrep_with_float_tolerance():
         FactorQRMap(A, circle, splitting.A, {1: Fraction(1, 8)}),
         FactorQRMap(B, circle, splitting.B, {1: Fraction(1, 8)}),
     )
-    delta = qrep_delta(mu)
-    assert delta == pytest.approx(2 * math.pi / 8)
+    delta, defect = qrep_delta(mu), qrep_defect(mu)
+    assert isinstance(delta, Fraction) and delta == Fraction(1, 8)
+    assert isinstance(defect, Fraction) and defect == Fraction(1, 4)  # mu(2) = 0 vs 1/4
     rho = SplitHom(
         splitting,
         circle,
         FactorHom(A, splitting.A, circle, generator_image=Fraction(0)),
         FactorHom(B, splitting.B, circle, generator_image=Fraction(0)),
     )
-    report = nontriviality_witness(mu, rho, eps=math.pi / 2)
-    assert report.succeeded
-    assert report.distance >= delta - 1e-9
+    report = nontriviality_witness(mu, rho, eps=Fraction(1, 4))  # 2*delta == eps
+    # The first candidate, a^-1, is exactly delta away, which ends the search.
+    assert report.succeeded and report.checked == 1
+    assert report.word == Word(((A, -1),)) and report.distance == delta
+    with pytest.raises(ValueError):
+        nontriviality_witness(mu, rho, eps=Fraction(1, 4) - Fraction(1, 10**12))
