@@ -44,10 +44,7 @@ from .quasimorphisms import (
     coboundary,
     default_sampler,
     doubling_witness,
-    eval_factor,
     eval_split,
-    factor_defect_exact,
-    factor_defect_witness,
     gromov_norm,
     homogenize_eval,
     is_trivial,

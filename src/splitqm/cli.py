@@ -12,10 +12,8 @@ standard output early (as for a process ended by SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,10 +25,10 @@ from .words import (
     B,
     IDENTITY,
     Splitting,
+    Word,
     WordSyntaxError,
     format_word,
     parse_word,
-    random_word,
 )
 from .quasimorphisms import (
     FactorQM,
@@ -80,7 +78,7 @@ from .qrep import (
     qrep_delta,
     qrep_sampled_defect,
 )
-from .selftest import DEFAULT_SEED, format_result, run_all
+from .selftest import DEFAULT_SEED, child_rng, format_result, run_all
 
 __all__ = ["main", "load_config", "Config", "ConfigError"]
 
@@ -356,12 +354,16 @@ def _build_defect_space(config: Config) -> DefectSpaceSetup:
 # -- drivers -----------------------------------------------------------------
 
 
-def _child_seed(seed: int, subcommand: str) -> int:
-    return int.from_bytes(hashlib.sha256(f"{seed}:{subcommand}".encode()).digest()[:8], "big")
-
-
 def _seed_for(args, config: Config) -> int:
     return args.seed if args.seed is not None else config.sampler.seed
+
+
+def _sampling(args, config: Config, s: Splitting, label: str) -> tuple[Callable[[], Word], int]:
+    """The word sampler on the child seed of ``label`` with the config's
+    bounds, and the sample count (``--samples`` over the config)."""
+    rng = child_rng(_seed_for(args, config), label)
+    count = args.samples if args.samples is not None else config.sampler.samples
+    return default_sampler(s, rng, config.sampler.length_bound, config.sampler.exponent_bound), count
 
 
 def _emit(args, rows: Sequence[tuple[str, str]]) -> None:
@@ -411,11 +413,7 @@ def _doubling_witness_status(report: GromovNormReport) -> int:
 def cmd_defect(args) -> int:
     config = load_config(args.config)
     f = _named_map(config, args.map)
-    rng = random.Random(_child_seed(_seed_for(args, config), "defect"))
-    count = args.samples if args.samples is not None else config.sampler.samples
-    sampler = default_sampler(
-        f.splitting, rng, config.sampler.length_bound, config.sampler.exponent_bound
-    )
+    sampler, count = _sampling(args, config, f.splitting, "defect")
     exact = split_defect(f)
     sampled = sampled_defect(f, sampler, count, extra_pairs=junction_pairs(f))
     report = gromov_norm(f)
@@ -437,17 +435,10 @@ def cmd_defect(args) -> int:
 def cmd_decompose(args) -> int:
     config = load_config(args.config)
     f = _named_map(config, args.map)
-    rng = random.Random(_child_seed(_seed_for(args, config), "decompose"))
-    count = args.samples if args.samples is not None else config.sampler.samples
+    sampler, count = _sampling(args, config, f.splitting, "decompose")
     worst = Fraction(0)
     for _ in range(count):
-        g = random_word(
-            f.splitting,
-            config.sampler.length_bound,
-            config.sampler.exponent_bound,
-            rng,
-        )
-        worst = max(worst, abs(decomposition_residual(f, g)))
+        worst = max(worst, abs(decomposition_residual(f, sampler())))
     _emit(args, [("words checked", str(count)), ("max residual", str(worst))])
     return 0
 
@@ -455,18 +446,8 @@ def cmd_decompose(args) -> int:
 def cmd_tau_check(args) -> int:
     config = load_config(args.config)
     f = _named_map(config, args.map)
-    rng = random.Random(_child_seed(_seed_for(args, config), "tau-check"))
-    count = args.samples if args.samples is not None else config.sampler.samples
-    samples = [
-        random_word(
-            f.splitting,
-            config.sampler.length_bound,
-            config.sampler.exponent_bound,
-            rng,
-        )
-        for _ in range(count)
-    ]
-    report = check_fixed_point(f, args.exponent, samples)
+    sampler, count = _sampling(args, config, f.splitting, "tau-check")
+    report = check_fixed_point(f, args.exponent, [sampler() for _ in range(count)])
     witness = "none"
     if report.witness is not None:
         witness = (
@@ -572,12 +553,8 @@ def cmd_qrep(args) -> int:
             eps=Fraction(1),
             max_norm=Fraction(1, 2),
         )
-    rng = random.Random(_child_seed(_seed_for(args, config), "qrep"))
-    count = args.samples if args.samples is not None else config.sampler.samples
+    sampler, count = _sampling(args, config, setup.splitting, "qrep")
     small = check_no_small_subgroups(setup.target, setup.eps)
-    sampler = default_sampler(
-        setup.splitting, rng, config.sampler.length_bound, config.sampler.exponent_bound
-    )
     exact = qrep_defect(setup.mu)
     sampled = qrep_sampled_defect(setup.mu, sampler, count)
     rows = [
@@ -654,15 +631,12 @@ def cmd_selftest(args) -> int:
     convention = "literal" if args.debug_literal_convention else "prefix"
     failures = 0
     for result in run_all(seed, only, convention):
-        print(format_result(result))
+        print(format_result(result), flush=True)
         if not result.passed:
             failures += 1
     if config is not None and config.maps:
         for name, f in sorted(config.maps.items()):
-            rng = random.Random(_child_seed(seed, f"selftest:{name}"))
-            sampler = default_sampler(
-                f.splitting, rng, config.sampler.length_bound, config.sampler.exponent_bound
-            )
+            sampler, _ = _sampling(args, config, f.splitting, f"selftest:{name}")
             exact = split_defect(f)
             sampled = sampled_defect(
                 f, sampler, min(config.sampler.samples, 2000), extra_pairs=junction_pairs(f)

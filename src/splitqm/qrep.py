@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr
 from .quasicocycles import FactorTableMap
 from .quasimorphisms import junction_pairs
-from .words import A, B, IDENTITY, Splitting, Word, multiply
+from .words import A, B, IDENTITY, Splitting, Word, by_side, multiply
 
 __all__ = [
     "MetricGroup",
@@ -217,6 +217,19 @@ class FactorQRMap(FactorTableMap):
         return max((self.target.dist(v, e) for v in self.table.values()), default=Fraction(0))
 
 
+def _check_factor_maps(splitting: Splitting, target: MetricGroup, on_a, on_b) -> None:
+    """Each factor map of a split map into ``target`` is tagged with its
+    side, is defined on that factor of the splitting and maps into
+    ``target`` itself."""
+    if on_a.side != A or on_b.side != B:
+        raise ValueError("factor maps must be tagged with their sides")
+    for mu, factor in ((on_a, splitting.A), (on_b, splitting.B)):
+        if mu.group != factor:
+            raise ValueError("factor map group must match the splitting")
+        if mu.target is not target:
+            raise ValueError("factor maps must share the target")
+
+
 @dataclass(frozen=True)
 class SplitQRep:
     splitting: Splitting
@@ -225,16 +238,10 @@ class SplitQRep:
     muB: FactorQRMap
 
     def __post_init__(self) -> None:
-        if self.muA.side != A or self.muB.side != B:
-            raise ValueError("factor maps must be tagged with their sides")
-        for mu, factor in ((self.muA, self.splitting.A), (self.muB, self.splitting.B)):
-            if mu.group != factor:
-                raise ValueError("factor map group must match the splitting")
-            if mu.target is not self.target:
-                raise ValueError("factor maps must share the target")
+        _check_factor_maps(self.splitting, self.target, self.muA, self.muB)
 
     def factor_map(self, side: str) -> FactorQRMap:
-        return self.muA if side == A else self.muB
+        return by_side(side, self.muA, self.muB)
 
     def __call__(self, g: Word):
         return eval_qrep(self, g)
@@ -321,8 +328,11 @@ class SplitHom:
     hA: FactorHom
     hB: FactorHom
 
+    def __post_init__(self) -> None:
+        _check_factor_maps(self.splitting, self.target, self.hA, self.hB)
+
     def factor_map(self, side: str) -> FactorHom:
-        return self.hA if side == A else self.hB
+        return by_side(side, self.hA, self.hB)
 
     def __call__(self, g: Word):
         return eval_split_hom(self, g)

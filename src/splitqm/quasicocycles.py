@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup, _fr, certified_window
-from .words import A, B, IDENTITY, Splitting, Word, invert, multiply, other_side
+from .words import A, B, Splitting, Word, by_side, invert, multiply
 
 __all__ = [
     "Matrix",
@@ -32,7 +32,6 @@ __all__ = [
     "FactorTableMap",
     "FactorCocycleMap",
     "SplitQC",
-    "act",
     "eval_split_qc",
     "qc_coboundary",
     "split_qc_defect",
@@ -45,7 +44,6 @@ __all__ = [
     "staircase_cocycle",
 ]
 
-Rational = Fraction
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 DenseVector = tuple[Fraction, ...]
@@ -284,10 +282,6 @@ class RegularRep(ModuleAction):
         return not v
 
 
-def act(m: ModuleAction, g: Word, v: Vector) -> Vector:
-    return m.act(g, v)
-
-
 def _one_letter(side: str, x: int) -> Word:
     return Word(((side, x),))
 
@@ -420,7 +414,7 @@ class SplitQC:
             raise ValueError("factor maps must share the module action")
 
     def factor_map(self, side: str) -> FactorCocycleMap:
-        return self.fA if side == A else self.fB
+        return by_side(side, self.fA, self.fB)
 
     def __call__(self, g: Word) -> Vector:
         return eval_split_qc(self, g)

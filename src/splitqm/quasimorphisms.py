@@ -23,6 +23,7 @@ from .words import (
     B,
     Splitting,
     Word,
+    by_side,
     cyclically_reduce,
     multiply,
     other_side,
@@ -33,11 +34,8 @@ from .words import (
 __all__ = [
     "FactorQM",
     "SplitQM",
-    "eval_factor",
     "eval_split",
     "coboundary",
-    "factor_defect_exact",
-    "factor_defect_witness",
     "split_defect",
     "default_sampler",
     "cached_evaluator",
@@ -51,8 +49,6 @@ __all__ = [
     "rademacher",
     "weight_qm",
 ]
-
-Rational = Fraction
 
 
 def _sgn(k: int) -> int:
@@ -214,22 +210,6 @@ class FactorQM:
         return self.defect_witness(scale)[0]
 
 
-def eval_factor(q: FactorQM, x: int) -> Fraction:
-    return q(x)
-
-
-def factor_defect_exact(d: FactorGroup, q: FactorQM, scale: int = 1) -> Fraction:
-    if d != q.group:
-        raise ValueError("descriptor does not match the factor map")
-    return q.defect(scale)
-
-
-def factor_defect_witness(d: FactorGroup, q: FactorQM, scale: int = 1) -> tuple[Fraction, int, int]:
-    if d != q.group:
-        raise ValueError("descriptor does not match the factor map")
-    return q.defect_witness(scale)
-
-
 @dataclass(frozen=True)
 class SplitQM:
     """The split quasimorphism assembled from two factor maps."""
@@ -243,7 +223,7 @@ class SplitQM:
             raise ValueError("factor maps do not match the splitting")
 
     def factor_map(self, side: str) -> FactorQM:
-        return self.fA if side == A else self.fB
+        return by_side(side, self.fA, self.fB)
 
     @cached_property
     def denominator(self) -> int:
@@ -262,8 +242,10 @@ def eval_split(f: SplitQM, g: Word) -> Fraction:
     for side, x in g.letters:
         if side == A:
             total_a += fA.numerator(x)
-        else:
+        elif side == B:
             total_b += fB.numerator(x)
+        else:
+            raise ValueError(f"unknown side {side!r}")
     L = f.denominator
     return Fraction(total_a * (L // fA.denominator) + total_b * (L // fB.denominator), L)
 
@@ -293,7 +275,6 @@ def default_sampler(
 def _letter_numerators(f: SplitQM) -> tuple[int, Callable[[Word], int]]:
     """(L, numerator): L is the common denominator of both factor maps and
     numerator(g) = L*f(g) as an int, summed over memoized letter values."""
-    fA, fB = f.fA, f.fB
     L = f.denominator
     cache: dict[tuple[str, int], int] = {}
 
@@ -303,7 +284,7 @@ def _letter_numerators(f: SplitQM) -> tuple[int, Callable[[Word], int]]:
             value = cache.get(letter)
             if value is None:
                 side, x = letter
-                q = fA if side == A else fB
+                q = f.factor_map(side)
                 value = cache[letter] = q.numerator(x) * (L // q.denominator)
             total += value
         return total

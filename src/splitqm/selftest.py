@@ -1,9 +1,12 @@
 """The acceptance suite: thirteen numbered checks covering every module.
 
-Each criterion is a self-contained deterministic function returning a
-CriterionResult; the CLI selftest subcommand and the test suite both drive
-this registry.  All randomness derives from one seed through per-criterion
-child seeds, so repeated runs are byte-identical.
+Each criterion is a self-contained deterministic function of a child rng
+that returns its PASS detail or raises ``CriterionFailed``.  ``CRITERIA`` is
+the one place a criterion is numbered and named, and ``run_criterion`` the
+one place its outcome becomes a ``CriterionResult``; the CLI selftest
+subcommand and the test suite both drive it.  All randomness derives from
+one seed through child rngs keyed by criterion name, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Optional
+from typing import Callable, Collection, Iterator, Optional
 
 from .groups import CyclicGroup, IntegerGroup
 from .words import (
@@ -91,7 +94,15 @@ from .qrep import (
     qrep_sampled_defect,
 )
 
-__all__ = ["CriterionResult", "CRITERIA", "run_all", "DEFAULT_SEED"]
+__all__ = [
+    "CriterionFailed",
+    "CriterionResult",
+    "CRITERIA",
+    "DEFAULT_SEED",
+    "child_rng",
+    "run_all",
+    "run_criterion",
+]
 
 DEFAULT_SEED = 271828
 
@@ -107,7 +118,16 @@ class CriterionResult:
     detail: str
 
 
-def _child_rng(seed: int, label: str) -> random.Random:
+class CriterionFailed(Exception):
+    """A criterion does not hold; the message is its FAIL detail.
+
+    Derived from ``Exception`` directly, so a criterion's own ``except
+    RuntimeError`` can never swallow it.
+    """
+
+
+def child_rng(seed: int, label: str) -> random.Random:
+    """The generator a criterion or subcommand named ``label`` draws from."""
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -154,8 +174,7 @@ def _random_finite_qm(group: CyclicGroup, rng: random.Random) -> FactorQM:
 # -- criterion 1: split defect equals sampled defect ----------------------
 
 
-def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _child_rng(seed, "defect-equality")
+def criterion_1(rng: random.Random) -> str:
     start = time.perf_counter()
     configs: list[SplitQM] = []
     s_int = _zxz()
@@ -174,19 +193,12 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
         sampler = default_sampler(f.splitting, rng, length_bound=4, exponent_bound=4)
         sampled = sampled_defect(f, sampler, 10_000, extra_pairs=junction_pairs(f))
         if sampled != exact:
-            return CriterionResult(
-                1, "defect-equality", False, f"sampled {sampled} != exact {exact}"
-            )
+            raise CriterionFailed(f"sampled {sampled} != exact {exact}")
         defects.append(exact)
     elapsed = time.perf_counter() - start
     if elapsed >= 10.0:
-        return CriterionResult(1, "defect-equality", False, f"too slow: {elapsed:.2f}s")
-    return CriterionResult(
-        1,
-        "defect-equality",
-        True,
-        f"20 configs x 10000 pairs, max defect {max(defects)}, {elapsed:.2f}s",
-    )
+        raise CriterionFailed(f"too slow: {elapsed:.2f}s")
+    return f"20 configs x 10000 pairs, max defect {max(defects)}, {elapsed:.2f}s"
 
 
 # -- criterion 2: sign map against an exponent-count oracle ---------------
@@ -199,26 +211,24 @@ def _sign_map() -> SplitQM:
     )
 
 
-def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _child_rng(seed, "sign-evaluation")
+def criterion_2(rng: random.Random) -> str:
     f = _sign_map()
     s = f.splitting
     anchor = parse_word(s, "a b^-2 a^3 b")
     if eval_split(f, anchor) != 2:
-        return CriterionResult(2, "sign-evaluation", False, "anchor word is not 2")
+        raise CriterionFailed("anchor word is not 2")
     for _ in range(500):
         g = random_word(s, 8, 6, rng)
         oracle = sum((k > 0) - (k < 0) for _, k in g.letters)
         if eval_split(f, g) != oracle:
-            return CriterionResult(2, "sign-evaluation", False, f"mismatch at {g}")
-    return CriterionResult(2, "sign-evaluation", True, "anchor = 2 and 500 words match the oracle")
+            raise CriterionFailed(f"mismatch at {g}")
+    return "anchor = 2 and 500 words match the oracle"
 
 
 # -- criterion 3: homogenization is homogeneous and conjugacy-invariant ---
 
 
-def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _child_rng(seed, "homogenization")
+def criterion_3(rng: random.Random) -> str:
     s_int = _zxz()
     f_int = SplitQM(
         s_int,
@@ -246,25 +256,18 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
             base = homogenize_eval(f, g)
             for n in range(-4, 5):
                 if homogenize_eval(f, power(s, g, n)) != n * base:
-                    return CriterionResult(
-                        3, "homogenization", False, f"power identity fails at {g}^{n}"
-                    )
+                    raise CriterionFailed(f"power identity fails at {g}^{n}")
             for w in conjugators:
                 if homogenize_eval(f, conjugate(s, w, g)) != base:
-                    return CriterionResult(
-                        3, "homogenization", False, f"conjugacy fails at {w}{g}"
-                    )
+                    raise CriterionFailed(f"conjugacy fails at {w}{g}")
             checked += 1
-    return CriterionResult(
-        3, "homogenization", True, f"{checked} words x 9 powers x 6 conjugators"
-    )
+    return f"{checked} words x 9 powers x 6 conjugators"
 
 
 # -- criterion 4: doubling witnesses and the homogenized defect bound ------
 
 
-def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _child_rng(seed, "doubling-witness")
+def criterion_4(rng: random.Random) -> str:
     s_int = _zxz()
     s_fin = Splitting(CyclicGroup(5), CyclicGroup(6))
     configs: list[SplitQM] = []
@@ -288,15 +291,11 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
                 continue
             witness = doubling_witness(f, x1, x2, aux_same, 1, side=A)
             if witness.gap != 2 * q.coboundary(x1, x2):
-                return CriterionResult(
-                    4, "doubling-witness", False, f"gap != 2*coboundary at {(x1, x2)}"
-                )
+                raise CriterionFailed(f"gap != 2*coboundary at {(x1, x2)}")
             pair_checks += 1
         report = gromov_norm(f)
         if report.value != split_defect(f) or not report.witness_attains:
-            return CriterionResult(
-                4, "doubling-witness", False, "maximized witness misses 2*split_defect"
-            )
+            raise CriterionFailed("maximized witness misses 2*split_defect")
         sampler = default_sampler(f.splitting, rng, length_bound=4, exponent_bound=4)
         bound = 2 * split_defect(f)
         for _ in range(1000):
@@ -307,15 +306,8 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
                 - homogenize_eval(f, multiply(f.splitting, g, h))
             )
             if gap > bound:
-                return CriterionResult(
-                    4, "doubling-witness", False, f"homogenized coboundary {gap} > {bound}"
-                )
-    return CriterionResult(
-        4,
-        "doubling-witness",
-        True,
-        f"{pair_checks} window pairs doubled; 10 maximized witnesses; 10000 sampled pairs bounded",
-    )
+                raise CriterionFailed(f"homogenized coboundary {gap} > {bound}")
+    return f"{pair_checks} window pairs doubled; 10 maximized witnesses; 10000 sampled pairs bounded"
 
 
 # -- criterion 5: counting maps against the offset-scan oracle -------------
@@ -336,10 +328,9 @@ def _reduced_strings(max_len: int) -> list[str]:
     return out
 
 
-def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _child_rng(seed, "counting")
+def criterion_5(rng: random.Random) -> str:
     if counting.counting_qm("aba", "ababa") != 2:
-        return CriterionResult(5, "counting", False, "anchor value is not 2")
+        raise CriterionFailed("anchor value is not 2")
     words = _reduced_strings(8)
     nonzero_checks = 0
     for g in words:
@@ -350,30 +341,20 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
                 counts[piece] = counts.get(piece, 0) + 1
         for w, expected in counts.items():
             if counting.subword_count(w, g) != expected:
-                return CriterionResult(
-                    5, "counting", False, f"count mismatch for {w!r} in {g!r}"
-                )
+                raise CriterionFailed(f"count mismatch for {w!r} in {g!r}")
             nonzero_checks += 1
         for _ in range(2):
             w = rng.choice(words)
             expected = counts.get(w, 0) - counts.get(counting.invert_letters(w), 0)
             if w and counting.counting_qm(w, g) != expected:
-                return CriterionResult(
-                    5, "counting", False, f"counting map mismatch for {w!r} in {g!r}"
-                )
-    return CriterionResult(
-        5,
-        "counting",
-        True,
-        f"{len(words)} words, {nonzero_checks} exhaustive occurring-subword checks",
-    )
+                raise CriterionFailed(f"counting map mismatch for {w!r} in {g!r}")
+    return f"{len(words)} words, {nonzero_checks} exhaustive occurring-subword checks"
 
 
 # -- criterion 6: block decomposition residual ------------------------------
 
 
-def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _child_rng(seed, "decomposition")
+def criterion_6(rng: random.Random) -> str:
     s = _zxz()
     boundary = [
         IDENTITY,
@@ -394,14 +375,12 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         f = SplitQM(s, fA, fB)
         for g in boundary:
             if counting.decomposition_residual(f, g) != 0:
-                return CriterionResult(6, "decomposition", False, f"residual at {g}")
+                raise CriterionFailed(f"residual at {g}")
         for _ in range(1000):
             g = random_word(s, 6, 5, rng)
             if counting.decomposition_residual(f, g) != 0:
-                return CriterionResult(6, "decomposition", False, f"residual at {g}")
-    return CriterionResult(
-        6, "decomposition", True, "10 configs x (1000 random + 9 boundary) words, residual 0"
-    )
+                raise CriterionFailed(f"residual at {g}")
+    return "10 configs x (1000 random + 9 boundary) words, residual 0"
 
 
 # -- criterion 7: twist fixed points ----------------------------------------
@@ -414,8 +393,7 @@ def _antisymmetric_residues(p: int, values: list[Fraction]) -> tuple[Fraction, .
     return tuple(table)
 
 
-def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _child_rng(seed, "twist-fixed-points")
+def criterion_7(rng: random.Random) -> str:
     s = _zxz()
     letter_words = [
         counting.word_from_letters(s, text) for text in _reduced_strings(6)
@@ -430,25 +408,17 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
         tau = twist(s, n)
         for g in letter_words:
             if eval_split(good, apply(tau, g)) != eval_split(good, g):
-                return CriterionResult(
-                    7, "twist-fixed-points", False, f"invariance fails at n={n}, {g}"
-                )
+                raise CriterionFailed(f"invariance fails at n={n}, {g}")
         for g in enumerate_words(s, 3, 2 * n):
             if eval_split(good, apply(tau, g)) != eval_split(good, g):
-                return CriterionResult(
-                    7, "twist-fixed-points", False, f"invariance fails at n={n}, {g}"
-                )
+                raise CriterionFailed(f"invariance fails at n={n}, {g}")
         for _ in range(10_000 // 3):
             g = random_word(s, 6, 2 * n + 2, rng)
             if eval_split(good, apply(tau, g)) != eval_split(good, g):
-                return CriterionResult(
-                    7, "twist-fixed-points", False, f"invariance fails at n={n}, {g}"
-                )
+                raise CriterionFailed(f"invariance fails at n={n}, {g}")
         report = check_fixed_point(good, n, (letter_words[k] for k in range(0, 1457, 9)))
         if not (report.condition_holds and report.invariant):
-            return CriterionResult(
-                7, "twist-fixed-points", False, f"fixed-point report wrong at n={n}"
-            )
+            raise CriterionFailed(f"fixed-point report wrong at n={n}")
         bad_configs = [
             SplitQM(s, good.fA, FactorQM(s.B, finite_part={1: F(1), -1: F(-1)})),
             SplitQM(s, FactorQM(s.A, finite_part={1: F(1), -1: F(-1)}), FactorQM(s.B)),
@@ -465,39 +435,25 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
         for bad in bad_configs:
             witness = violation_witness(bad, n)
             if witness is None:
-                return CriterionResult(
-                    7, "twist-fixed-points", False, f"no violation witness at n={n}"
-                )
+                raise CriterionFailed(f"no violation witness at n={n}")
             gaps = [abs(gap) for _, gap in witness.growth]
             if not all(x < y for x, y in zip(gaps, gaps[1:])):
-                return CriterionResult(
-                    7, "twist-fixed-points", False, f"growth not strictly increasing at n={n}"
-                )
+                raise CriterionFailed(f"growth not strictly increasing at n={n}")
     for n in (1, 2, -1, -2):
         residues = _antisymmetric_residues(abs(n), [])
         f = SplitQM(s, FactorQM(s.A, period=abs(n), residues=residues), FactorQM(s.B))
         report = check_fixed_point(f, n, letter_words[:200])
         if not report.forces_zero:
-            return CriterionResult(
-                7, "twist-fixed-points", False, f"|n|<=2 config not forced to zero at n={n}"
-            )
+            raise CriterionFailed(f"|n|<=2 config not forced to zero at n={n}")
         if any(eval_split(f, g) != 0 for g in letter_words):
-            return CriterionResult(
-                7, "twist-fixed-points", False, f"|n|<=2 config not zero at n={n}"
-            )
-    return CriterionResult(
-        7,
-        "twist-fixed-points",
-        True,
-        "n in {3,4,5}: 3 exhaustive layers invariant, 9 violation witnesses grow; |n|<=2 forces 0",
-    )
+            raise CriterionFailed(f"|n|<=2 config not zero at n={n}")
+    return "n in {3,4,5}: 3 exhaustive layers invariant, 9 violation witnesses grow; |n|<=2 forces 0"
 
 
 # -- criterion 8: conjugation moves values by at most twice the defect ------
 
 
-def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _child_rng(seed, "inner-conjugation")
+def criterion_8(rng: random.Random) -> str:
     s_int = _zxz()
     s_fin = Splitting(CyclicGroup(5), CyclicGroup(6))
     configs = [
@@ -514,18 +470,17 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
             try:
                 inner_distance_check(f, h, samples)
             except RuntimeError as exc:
-                return CriterionResult(8, "inner-conjugation", False, str(exc))
+                raise CriterionFailed(str(exc)) from exc
             total += len(samples)
-    return CriterionResult(8, "inner-conjugation", True, f"{total} conjugation pairs bounded")
+    return f"{total} conjugation pairs bounded"
 
 
 # -- criterion 9: quasicocycle growth witnesses -----------------------------
 
 
-def criterion_9(seed: int = DEFAULT_SEED, convention: str = "prefix") -> CriterionResult:
+def criterion_9(rng: random.Random, convention: str = "prefix") -> str:
     """``convention="literal"`` corrupts the ladder translation convention;
     the criterion must then fail (the CLI's negative control)."""
-    rng = _child_rng(seed, "cocycle-witnesses")
     s = _zxz()
     dim3 = FiniteDimRep(
         s,
@@ -544,35 +499,25 @@ def criterion_9(seed: int = DEFAULT_SEED, convention: str = "prefix") -> Criteri
             power_ladder_cocycle(m, 2, v, depth=6, check_prime=3, convention=convention)
             _, f_stair = staircase_cocycle(m, v, depth=6)
         except GrowthCheckError as exc:
-            return CriterionResult(9, "cocycle-witnesses", False, str(exc))
+            raise CriterionFailed(str(exc)) from exc
         if isinstance(m, RegularRep):
             xi_norm = m.norm(v)
             for n in range(1, 7):
                 got = m.norm(eval_split_qc(f_stair, staircase_word(s, n)))
                 if abs(float(got) - n * float(xi_norm)) > 1e-9:
-                    return CriterionResult(
-                        9, "cocycle-witnesses", False, f"staircase norm growth fails at {n}"
-                    )
+                    raise CriterionFailed(f"staircase norm growth fails at {n}")
     for m, v in (setups[0], setups[1]):
         for _ in range(250):
             g = random_word(s, 5, 3, rng)
             if not m.equal(inner_split_eval(m, v, g), inner_cocycle(m, v, g)):
-                return CriterionResult(
-                    9, "cocycle-witnesses", False, f"inner split evaluation differs at {g}"
-                )
-    return CriterionResult(
-        9,
-        "cocycle-witnesses",
-        True,
-        "ladder p=2 q=3 and staircase exact to depth 6 in dim-3 and regular (p=1,2); inner split on 500 words",
-    )
+                raise CriterionFailed(f"inner split evaluation differs at {g}")
+    return "ladder p=2 q=3 and staircase exact to depth 6 in dim-3 and regular (p=1,2); inner split on 500 words"
 
 
 # -- criterion 10: defect-space calculus ------------------------------------
 
 
-def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _child_rng(seed, "defect-space")
+def criterion_10(rng: random.Random) -> str:
     choices = [F(k, 2) for k in range(-4, 5)]
     vectors_checked = 0
     for n in range(2, 9):
@@ -580,12 +525,10 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
             order_bound_check(f)
             dn, sup = defect_norm(f), sup_norm(f)
             if not (sup <= dn <= 3 * sup or (dn == 0 and sup == 0)):
-                return CriterionResult(
-                    10, "defect-space", False, f"sandwich fails on Z/{n}: sup={sup}, dn={dn}"
-                )
+                raise CriterionFailed(f"sandwich fails on Z/{n}: sup={sup}, dn={dn}")
             vectors_checked += 1
     if [v.values for v in alternating_vectors(CyclicGroup(2), choices)] != [{}]:
-        return CriterionResult(10, "defect-space", False, "Z/2 admits a non-zero vector")
+        raise CriterionFailed("Z/2 admits a non-zero vector")
     chains = [
         (CyclicGroup(3), CyclicGroup(6), CyclicGroup(2), 2),
         (CyclicGroup(3), CyclicGroup(12), CyclicGroup(4), 4),
@@ -596,22 +539,17 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         ses = ShortExactSequence(i, pi)
         for f in alternating_vectors(sub, choices):
             if defect_norm(embed_subgroup(f, i)) != defect_norm(f):
-                return CriterionResult(10, "defect-space", False, "subgroup embedding not isometric")
+                raise CriterionFailed("subgroup embedding not isometric")
         for f in alternating_vectors(quot, choices):
             if defect_norm(pullback_quotient(f, pi)) != defect_norm(f):
-                return CriterionResult(10, "defect-space", False, "quotient pullback not isometric")
+                raise CriterionFailed("quotient pullback not isometric")
         for _ in range(100):
             f_sub = _random_defect_vector(sub, rng)
             f_quot = _random_defect_vector(quot, rng)
             j = ses_embed(f_sub, f_quot, ses)
             if defect_norm(j) != max(defect_norm(f_sub), defect_norm(f_quot)):
-                return CriterionResult(10, "defect-space", False, "combined embedding not isometric")
-    return CriterionResult(
-        10,
-        "defect-space",
-        True,
-        f"{vectors_checked} vectors bounded+sandwiched; embeddings isometric on both chains",
-    )
+                raise CriterionFailed("combined embedding not isometric")
+    return f"{vectors_checked} vectors bounded+sandwiched; embeddings isometric on both chains"
 
 
 def _random_defect_vector(group: CyclicGroup, rng: random.Random) -> DefectVector:
@@ -628,15 +566,14 @@ def _random_defect_vector(group: CyclicGroup, rng: random.Random) -> DefectVecto
 # -- criterion 11: quasi-representations ------------------------------------
 
 
-def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _child_rng(seed, "quasi-representations")
+def criterion_11(rng: random.Random) -> str:
     target = FiniteMetric.from_length_function(
         CyclicGroup(6), [F(0), F(1, 2), F(1), F(1), F(1), F(1, 2)]
     )
     s = Splitting(CyclicGroup(2), CyclicGroup(3))
     small = check_no_small_subgroups(target, 1)
     if not small.passed:
-        return CriterionResult(11, "quasi-representations", False, "target has 1-small subgroups")
+        raise CriterionFailed("target has 1-small subgroups")
     mus = [
         SplitQRep(s, target, mu_a, mu_b)
         for mu_a in enumerate_factor_qr_maps(A, s.A, target, F(1, 2))
@@ -648,24 +585,18 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
         for h_b in enumerate_factor_homs(B, s.B, target)
     ]
     if len(rhos) != 6:
-        return CriterionResult(
-            11, "quasi-representations", False, f"expected 6 homomorphisms, got {len(rhos)}"
-        )
+        raise CriterionFailed(f"expected 6 homomorphisms, got {len(rhos)}")
     witness_count = 0
     for mu in mus:
         sampler = default_sampler(s, rng, length_bound=4, exponent_bound=4)
         exact = qrep_defect(mu)
         sampled = qrep_sampled_defect(mu, sampler, 1000)
         if sampled != exact:
-            return CriterionResult(
-                11, "quasi-representations", False, f"finite sampled {sampled} != {exact}"
-            )
+            raise CriterionFailed(f"finite sampled {sampled} != {exact}")
         for rho in rhos:
             report = nontriviality_witness(mu, rho, eps=1)
             if not report.succeeded:
-                return CriterionResult(
-                    11, "quasi-representations", False, "finite witness search exhausted"
-                )
+                raise CriterionFailed("finite witness search exhausted")
             witness_count += 1
     circle = Circle()
     s_int = _zxz()
@@ -677,14 +608,12 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
     small = check_no_small_subgroups(circle, F(1, 4))
     if not small.passed:
-        return CriterionResult(11, "quasi-representations", False, "circle said to have small subgroups")
+        raise CriterionFailed("circle said to have small subgroups")
     sampler = default_sampler(s_int, rng, length_bound=4, exponent_bound=3)
     exact = qrep_defect(mu)
     sampled = qrep_sampled_defect(mu, sampler, 1000)
     if sampled != exact:
-        return CriterionResult(
-            11, "quasi-representations", False, f"circle sampled {sampled} != {exact}"
-        )
+        raise CriterionFailed(f"circle sampled {sampled} != {exact}")
     for _ in range(1000):
         rho = SplitHom(
             s_int,
@@ -694,23 +623,16 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
         )
         report = nontriviality_witness(mu, rho, eps=F(1, 4))
         if not report.succeeded:
-            return CriterionResult(
-                11, "quasi-representations", False, f"circle witness exhausted for {rho}"
-            )
+            raise CriterionFailed(f"circle witness exhausted for {rho}")
         witness_count += 1
-    return CriterionResult(
-        11,
-        "quasi-representations",
-        True,
-        f"defect equalities hold; {witness_count} witness searches succeeded",
-    )
+    return f"defect equalities hold; {witness_count} witness searches succeeded"
 
 
 # -- criterion 12: weight maps ----------------------------------------------
 
 
-def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
-    del seed
+def criterion_12(rng: random.Random) -> str:
+    del rng
     f = weight_qm({1: F(1)})
     s = f.splitting
     for k in [k for k in range(-5, 6) if k]:
@@ -720,9 +642,7 @@ def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
             for n in range(1, 11):
                 g = Word(((A, k), (B, sign)) * n)
                 if eval_split(f, g) != n * (s_k + s_sign):
-                    return CriterionResult(
-                        12, "weight-maps", False, f"value mismatch at k={k}, sign={sign}, n={n}"
-                    )
+                    raise CriterionFailed(f"value mismatch at k={k}, sign={sign}, n={n}")
     tested = 0
     for v1 in (-1, 0, 1):
         for v2 in (-1, 0, 1):
@@ -732,32 +652,26 @@ def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
                     g = weight_qm(table)
                     zero = all(v == 0 for v in table.values())
                     if is_trivial(g) != zero:
-                        return CriterionResult(
-                            12, "weight-maps", False, f"triviality wrong for {table}"
-                        )
+                        raise CriterionFailed(f"triviality wrong for {table}")
                     tested += 1
-    return CriterionResult(
-        12, "weight-maps", True, f"junction-power values exact; triviality correct on {tested} tables"
-    )
+    return f"junction-power values exact; triviality correct on {tested} tables"
 
 
 # -- criterion 13: the literal convention must fail -------------------------
 
 
-def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
-    del seed
+def criterion_13(rng: random.Random) -> str:
+    del rng
     s = _zxz()
     m = RegularRep(s, 1)
     try:
         power_ladder_cocycle(m, 2, m.indicator(IDENTITY), depth=4, convention="literal")
     except GrowthCheckError as exc:
-        return CriterionResult(13, "negative-control", True, f"literal convention rejected: {exc}")
-    return CriterionResult(
-        13, "negative-control", False, "literal convention unexpectedly passed the growth check"
-    )
+        return f"literal convention rejected: {exc}"
+    raise CriterionFailed("literal convention unexpectedly passed the growth check")
 
 
-CRITERIA: tuple[tuple[int, str, Callable[[int], CriterionResult]], ...] = (
+CRITERIA: tuple[tuple[int, str, Callable[..., str]], ...] = (
     (1, "defect-equality", criterion_1),
     (2, "sign-evaluation", criterion_2),
     (3, "homogenization", criterion_3),
@@ -774,22 +688,37 @@ CRITERIA: tuple[tuple[int, str, Callable[[int], CriterionResult]], ...] = (
 )
 
 
+def run_criterion(
+    number: int, seed: int = DEFAULT_SEED, convention: str = "prefix"
+) -> CriterionResult:
+    """Run one criterion on the child rng of its name; ``convention`` is
+    passed to criterion 9.
+
+    A returned detail is a PASS, ``CriterionFailed`` a FAIL with its text,
+    and any other exception a FAIL naming it (a bug guard).
+    """
+    name, func = {n: (nm, fn) for n, nm, fn in CRITERIA}[number]
+    rng = child_rng(seed, name)
+    try:
+        detail = func(rng, convention=convention) if number == 9 else func(rng)
+        passed = True
+    except CriterionFailed as exc:
+        passed, detail = False, str(exc)
+    except Exception as exc:
+        passed, detail = False, f"raised {exc!r}"
+    return CriterionResult(number, name, passed, detail)
+
+
 def run_all(
     seed: int = DEFAULT_SEED,
     only: Optional[Collection[int]] = None,
     convention: str = "prefix",
-) -> list[CriterionResult]:
-    """Run the criteria numbered in ``only`` (all by default); ``convention``
-    is passed to criterion 9."""
-    results = []
-    for number, name, func in CRITERIA:
-        if only is not None and number not in only:
-            continue
-        try:
-            results.append(func(seed, convention=convention) if number == 9 else func(seed))
-        except Exception as exc:  # pragma: no cover - a bug guard, not a path
-            results.append(CriterionResult(number, name, False, f"raised {exc!r}"))
-    return results
+) -> Iterator[CriterionResult]:
+    """Run the criteria numbered in ``only`` (all by default), yielding each
+    result as soon as its criterion finishes."""
+    for number, _, _ in CRITERIA:
+        if only is None or number in only:
+            yield run_criterion(number, seed, convention)
 
 
 def format_result(result: CriterionResult) -> str:

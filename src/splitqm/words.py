@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
 
@@ -42,6 +42,19 @@ def other_side(side: str) -> str:
     return B if side == A else A
 
 
+T = TypeVar("T")
+
+
+def by_side(side: str, on_a: T, on_b: T) -> T:
+    """``on_a`` for side A and ``on_b`` for side B; any other side is a
+    ValueError, so a letter on an unknown side is never read as B."""
+    if side == A:
+        return on_a
+    if side == B:
+        return on_b
+    raise ValueError(f"unknown side {side!r}")
+
+
 @dataclass(frozen=True)
 class Splitting:
     """An ordered pair of non-trivial factor groups."""
@@ -55,6 +68,8 @@ class Splitting:
                 raise ValueError("factors must be non-trivial")
 
     def factor(self, side: str) -> FactorGroup:
+        # Written out rather than through ``by_side``: this is on the
+        # per-letter path of ``reduce`` and ``random_word``.
         if side == A:
             return self.A
         if side == B:

@@ -25,7 +25,8 @@ from splitqm.qrep import (
     qrep_delta,
     qrep_sampled_defect,
 )
-from splitqm.quasicocycles import FactorCocycleMap, RegularRep
+from splitqm.quasicocycles import FactorCocycleMap, RegularRep, eval_split_qc, staircase_cocycle
+from splitqm.quasimorphisms import FactorQM, SplitQM, cached_evaluator, eval_split, homogenize_eval
 from splitqm.words import A, B, IDENTITY, Splitting, Word, parse_word, random_word, reduce
 
 C2 = CyclicGroup(2)
@@ -143,6 +144,52 @@ def test_split_qrep_validates_its_parts():
     other_target = _hex_metric()
     with pytest.raises(ValueError):
         SplitQRep(mu.splitting, other_target, mu.muA, mu.muB)
+
+
+def test_split_hom_validates_its_parts():
+    s, target = Splitting(C2, C3), _hex_metric()
+    hA = FactorHom(A, C2, target, generator_image=3)
+    hB = FactorHom(B, C3, target, generator_image=2)
+    assert SplitHom(s, target, hA, hB)(Word(((A, 1),))) == 3
+    with pytest.raises(ValueError):
+        SplitHom(s, target, hB, hA)
+    with pytest.raises(ValueError):  # a factor hom on a group outside the splitting
+        SplitHom(s, target, FactorHom(A, C3, target, generator_image=2), hB)
+    with pytest.raises(ValueError):
+        SplitHom(s, _hex_metric(), hA, hB)
+
+
+def _sign_split_map():
+    s = Splitting(IntegerGroup(), IntegerGroup())
+    return SplitQM(s, FactorQM(s.A, sign_coeff=1), FactorQM(s.B, sign_coeff=2))
+
+
+def _staircase_split_map():
+    rep = RegularRep(Splitting(IntegerGroup(), IntegerGroup()), 1)
+    return staircase_cocycle(rep, rep.indicator(IDENTITY), 3)[1]
+
+
+def _rho():
+    mu, target = _qrep_fixture()
+    hA = FactorHom(A, C2, target, generator_image=3)
+    return SplitHom(mu.splitting, target, hA, FactorHom(B, C3, target, generator_image=2))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda g: eval_split(_sign_split_map(), g),
+        lambda g: cached_evaluator(_sign_split_map())(g),
+        lambda g: homogenize_eval(_sign_split_map(), Word(g.letters + ((A, 1),))),
+        lambda g: eval_split_qc(_staircase_split_map(), g),
+        lambda g: eval_qrep(_qrep_fixture()[0], g),
+        lambda g: eval_split_hom(_rho(), g),
+    ],
+    ids=["eval_split", "cached_evaluator", "homogenize_eval", "eval_split_qc", "eval_qrep", "eval_split_hom"],
+)
+def test_split_evaluators_reject_a_letter_on_an_unknown_side(evaluate):
+    with pytest.raises(ValueError, match="unknown side 'C'"):
+        evaluate(Word((("C", 1),)))
 
 
 def test_eval_qrep_is_the_ordered_letter_product():

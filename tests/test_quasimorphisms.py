@@ -14,7 +14,6 @@ from splitqm.quasimorphisms import (
     coboundary,
     doubling_witness,
     eval_split,
-    factor_defect_witness,
     gromov_norm,
     homogenize_eval,
     is_trivial,
@@ -215,7 +214,7 @@ def test_defect_window_is_stable_under_widening(q, rng):
 def test_defect_witness_attains_the_defect(q):
     defect, x, y = q.defect_witness()
     assert abs(q.coboundary(x, y)) == defect
-    assert factor_defect_witness(q.group, q) == (defect, x, y)
+    assert q.defect_witness() == (defect, x, y)
 
 
 @settings(deadline=None, max_examples=40)
@@ -290,7 +289,7 @@ def test_split_coboundary_is_bounded_by_the_factor_defects(f, seed):
 def test_sampled_defect_attains_the_exact_value_on_junction_pairs(f, seed):
     extras = []
     for side, q in ((A, f.fA), (B, f.fB)):
-        _, x, y = factor_defect_witness(q.group, q)
+        _, x, y = q.defect_witness()
         extras.append((Word(((side, x),)), Word(((side, y),))))
     sampler = lambda: Word(())  # noqa: E731 - junction pairs carry the value
     assert sampled_defect(f, sampler, 1, extra_pairs=extras) == split_defect(f)
