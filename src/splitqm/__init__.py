@@ -40,7 +40,6 @@ from .quasimorphisms import (
     FactorQM,
     GromovNormReport,
     SplitQM,
-    cached_evaluator,
     coboundary,
     default_sampler,
     doubling_witness,

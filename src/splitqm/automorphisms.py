@@ -24,6 +24,7 @@ from .words import (
     Word,
     conjugate,
     invert,
+    memo_letter,
     power,
     reduce,
     validate_word,
@@ -70,14 +71,14 @@ def apply(e: Endo, g: Word) -> Word:
     s = e.splitting
     images: dict[Letter, tuple[Letter, ...]] = {}
     letters: list[Letter] = []
+
+    def image_of(side: str, k: int) -> tuple[Letter, ...]:
+        return power(s, e.image_a if side == A else e.image_b, k).letters
+
     for letter in g.letters:
         image = images.get(letter)
-        # True and 1.0 hit the memo slot of 1, so only an exact int skips the check.
         if image is None or type(letter[1]) is not int:
-            side, k = letter
-            s.factor(side).check(k)
-            base = e.image_a if side == A else e.image_b
-            image = images[letter] = power(s, base, k).letters
+            image = memo_letter(s, images, letter, image_of)
         letters.extend(image)
     return reduce(s, letters)
 

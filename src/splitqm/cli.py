@@ -78,7 +78,7 @@ from .qrep import (
     qrep_delta,
     qrep_sampled_defect,
 )
-from .selftest import DEFAULT_SEED, child_rng, format_result, run_all
+from .selftest import CRITERIA, DEFAULT_SEED, child_rng, format_result, run_all
 
 __all__ = ["main", "load_config", "Config", "ConfigError"]
 
@@ -219,9 +219,12 @@ def load_config(path: str) -> Config:
         )
     sampler_obj = _expect(raw.get("sampler", {}), dict, "sampler", "an object")
     sampler = Sampler()
-    for key in ("seed", "samples", "length_bound", "exponent_bound"):
+    for key, least in (("seed", None), ("samples", 0), ("length_bound", 1), ("exponent_bound", 1)):
         if key in sampler_obj:
-            setattr(sampler, key, _expect(sampler_obj[key], int, f"sampler.{key}", "an integer"))
+            value = _expect(sampler_obj[key], int, f"sampler.{key}", "an integer")
+            if least is not None and value < least:
+                raise ConfigError(f"sampler.{key}", f"expected an integer >= {least}, got {value}")
+            setattr(sampler, key, value)
     config.sampler = sampler
     # Validate optional per-subcommand sections eagerly so a bad config is
     # rejected on load no matter which driver runs.
@@ -363,6 +366,8 @@ def _sampling(args, config: Config, s: Splitting, label: str) -> tuple[Callable[
     bounds, and the sample count (``--samples`` over the config)."""
     rng = child_rng(_seed_for(args, config), label)
     count = args.samples if args.samples is not None else config.sampler.samples
+    if count < 0:
+        raise ConfigError("--samples", f"expected a count >= 0, got {count}")
     return default_sampler(s, rng, config.sampler.length_bound, config.sampler.exponent_bound), count
 
 
@@ -628,6 +633,9 @@ def cmd_selftest(args) -> int:
             only = {int(part) for part in args.only.split(",")}
         except ValueError:
             raise ConfigError("--only", "expected a comma-separated list of criterion numbers") from None
+        unknown = sorted(only - {number for number, _, _ in CRITERIA})
+        if unknown:
+            raise ConfigError("--only", f"no criterion numbered {', '.join(map(str, unknown))}")
     convention = "literal" if args.debug_literal_convention else "prefix"
     failures = 0
     for result in run_all(seed, only, convention):

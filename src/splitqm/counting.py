@@ -7,10 +7,11 @@ counted with overlaps allowed.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .quasimorphisms import SplitQM, eval_split
-from .words import A, B, Splitting, Word
+from .words import A, B, Splitting, Word, reduce
 
 __all__ = [
     "letters_from_word",
@@ -23,8 +24,9 @@ __all__ = [
     "decomposition_residual",
 ]
 
-_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 _SIDE = {"a": A, "A": A, "b": B, "B": B}
+_UNKNOWN_LETTER = re.compile(r"[^aAbB]")
+_CANCELLING_PAIR = re.compile(r"aA|Aa|bB|Bb")
 
 
 def letters_from_word(g: Word) -> str:
@@ -43,20 +45,18 @@ def word_from_letters(s: Splitting, text: str) -> Word:
         if ch not in _SIDE:
             raise ValueError(f"unknown letter {ch!r}")
         letters.append((_SIDE[ch], 1 if ch.islower() else -1))
-    from .words import reduce
-
     return reduce(s, letters)
 
 
 def is_reduced_letters(text: str) -> bool:
-    return all(_INVERSE[x] != y for x, y in zip(text, text[1:]))
+    return _CANCELLING_PAIR.search(text) is None
 
 
 def _check_reduced(text: str) -> str:
-    for ch in text:
-        if ch not in _SIDE:
-            raise ValueError(f"unknown letter {ch!r}")
-    if not is_reduced_letters(text):
+    unknown = _UNKNOWN_LETTER.search(text)
+    if unknown:
+        raise ValueError(f"unknown letter {unknown.group()!r}")
+    if _CANCELLING_PAIR.search(text):
         raise ValueError(f"letter word {text!r} is not freely reduced")
     return text
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup, _fr, certified_window
-from .words import A, B, Splitting, Word, by_side, invert, multiply
+from .words import A, B, Splitting, Word, by_side, invert, memo_letter, multiply
 
 __all__ = [
     "Matrix",
@@ -183,16 +183,15 @@ class FiniteDimRep(ModuleAction):
         """The matrix of the letter (side, k) and its integer scaling by the
         common denominator of its entries, memoized per letter.  Raises
         ValueError on a letter outside the factors."""
-        key = (side, k)
-        entry = self._letters.get(key)
-        # True and 1.0 hit the memo slot of 1, so only an exact int skips the check.
+        entry = self._letters.get((side, k))
         if entry is None or type(k) is not int:
-            self.splitting.factor(side).check(k)
-            m = mat_pow(self.mat[side], k)
-            d = math.lcm(*(x.denominator for row in m for x in row))
-            rows = tuple(tuple(int(x * d) for x in row) for row in m)
-            entry = self._letters[key] = (m, rows, d)
+            entry = memo_letter(self.splitting, self._letters, (side, k), self._scaled_power)
         return entry
+
+    def _scaled_power(self, side: str, k: int) -> tuple[Matrix, IntMatrix, int]:
+        m = mat_pow(self.mat[side], k)
+        d = math.lcm(*(x.denominator for row in m for x in row))
+        return m, tuple(tuple(int(x * d) for x in row) for row in m), d
 
     def letter_matrix(self, side: str, k: int) -> Matrix:
         """The matrix of the letter (side, k), memoized per letter."""

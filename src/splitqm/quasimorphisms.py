@@ -21,10 +21,12 @@ from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_windo
 from .words import (
     A,
     B,
+    Letter,
     Splitting,
     Word,
     by_side,
     cyclically_reduce,
+    memo_letter,
     multiply,
     other_side,
     random_word,
@@ -38,7 +40,6 @@ __all__ = [
     "coboundary",
     "split_defect",
     "default_sampler",
-    "cached_evaluator",
     "sampled_defect",
     "junction_pairs",
     "homogenize_eval",
@@ -49,10 +50,6 @@ __all__ = [
     "rademacher",
     "weight_qm",
 ]
-
-
-def _sgn(k: int) -> int:
-    return (k > 0) - (k < 0)
 
 
 @dataclass(frozen=True)
@@ -138,16 +135,7 @@ class FactorQM:
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, x: int) -> Fraction:
-        self.group.check(x)
-        if not isinstance(self.group, IntegerGroup):
-            return self.finite_part.get(x, Fraction(0))
-        value = self.slope * x + self.finite_part.get(x, Fraction(0))
-        if self.period is not None:
-            value += self.residues[x % self.period]
-        value += self.sign_coeff * _sgn(x)
-        return value
-
-    # -- integer view ----------------------------------------------------
+        return Fraction(self.numerator(x), self.denominator)
 
     @cached_property
     def denominator(self) -> int:
@@ -169,7 +157,7 @@ class FactorQM:
         """L*q(x) as an int, with L the common ``denominator``."""
         self.group.check(x)
         slope, finite, residues, sign = self._scaled_terms
-        value = slope * x + finite.get(x, 0) + sign * _sgn(x)
+        value = slope * x + finite.get(x, 0) + sign * ((x > 0) - (x < 0))
         if residues:
             value += residues[x % len(residues)]
         return value
@@ -185,7 +173,8 @@ class FactorQM:
         yield from itertools.product(self.group.window(self.defect_window(scale)), repeat=2)
 
     def coboundary(self, x: int, y: int) -> Fraction:
-        return self(x) + self(y) - self(self.group.mul(x, y))
+        num = self.numerator
+        return Fraction(num(x) + num(y) - num(self.group.mul(x, y)), self.denominator)
 
     def defect_witness(self, scale: int = 1) -> tuple[Fraction, int, int]:
         """(exact defect, first pair attaining it in ``_pairs`` order).
@@ -212,11 +201,18 @@ class FactorQM:
 
 @dataclass(frozen=True)
 class SplitQM:
-    """The split quasimorphism assembled from two factor maps."""
+    """The split quasimorphism assembled from two factor maps.
+
+    Every value goes through ``numerator``, which sums scaled letter values
+    from a memo on the map.  The memo holds one entry per distinct letter
+    evaluated, and a letter is checked against its factor before its value
+    is computed (see ``words.memo_letter``).
+    """
 
     splitting: Splitting
     fA: FactorQM
     fB: FactorQM
+    _letters: dict[Letter, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.fA.group != self.splitting.A or self.fB.group != self.splitting.B:
@@ -230,29 +226,35 @@ class SplitQM:
         """The common denominator L of both factor maps."""
         return math.lcm(self.fA.denominator, self.fB.denominator)
 
+    def _letter_numerator(self, side: str, x: int) -> int:
+        q = self.factor_map(side)
+        return q.numerator(x) * (self.denominator // q.denominator)
+
+    def numerator(self, g: Word) -> int:
+        """L*f(g) as an int, with L the common ``denominator``: the sum of
+        the letters' scaled factor values.  Raises ValueError on a letter
+        outside the factors."""
+        memo = self._letters
+        total = 0
+        for letter in g.letters:
+            value = memo.get(letter)
+            if value is None or type(letter[1]) is not int:
+                value = memo_letter(self.splitting, memo, letter, self._letter_numerator)
+            total += value
+        return total
+
     def __call__(self, g: Word) -> Fraction:
         return eval_split(self, g)
 
 
 def eval_split(f: SplitQM, g: Word) -> Fraction:
-    """Sum of factor values over the normal-form letters, added as integer
-    numerators over the common denominator."""
-    fA, fB = f.fA, f.fB
-    total_a = total_b = 0
-    for side, x in g.letters:
-        if side == A:
-            total_a += fA.numerator(x)
-        elif side == B:
-            total_b += fB.numerator(x)
-        else:
-            raise ValueError(f"unknown side {side!r}")
-    L = f.denominator
-    return Fraction(total_a * (L // fA.denominator) + total_b * (L // fB.denominator), L)
+    """Sum of factor values over the normal-form letters."""
+    return Fraction(f.numerator(g), f.denominator)
 
 
 def coboundary(f: SplitQM, g: Word, h: Word) -> Fraction:
     gh = multiply(f.splitting, g, h)
-    return eval_split(f, g) + eval_split(f, h) - eval_split(f, gh)
+    return Fraction(f.numerator(g) + f.numerator(h) - f.numerator(gh), f.denominator)
 
 
 def split_defect(f: SplitQM, scale: int = 1) -> Fraction:
@@ -270,37 +272,6 @@ def default_sampler(
         return random_word(s, length_bound, exponent_bound, rng)
 
     return sample
-
-
-def _letter_numerators(f: SplitQM) -> tuple[int, Callable[[Word], int]]:
-    """(L, numerator): L is the common denominator of both factor maps and
-    numerator(g) = L*f(g) as an int, summed over memoized letter values."""
-    L = f.denominator
-    cache: dict[tuple[str, int], int] = {}
-
-    def numerator(g: Word) -> int:
-        total = 0
-        for letter in g.letters:
-            value = cache.get(letter)
-            if value is None:
-                side, x = letter
-                q = f.factor_map(side)
-                value = cache[letter] = q.numerator(x) * (L // q.denominator)
-            total += value
-        return total
-
-    return L, numerator
-
-
-def cached_evaluator(f: SplitQM) -> Callable[[Word], Fraction]:
-    """A split evaluator memoizing letter values; sampled words draw letters
-    from a small pool, so this keeps large sampling runs fast."""
-    L, numerator = _letter_numerators(f)
-
-    def evaluate(g: Word) -> Fraction:
-        return Fraction(numerator(g), L)
-
-    return evaluate
 
 
 def junction_pairs(f) -> list[tuple[Word, Word]]:
@@ -328,15 +299,14 @@ def sampled_defect(
     one-letter words (see ``junction_pairs``), which makes the sampled value
     attain the supremum.
     """
-    s = f.splitting
-    L, numerator = _letter_numerators(f)
+    s, numerator = f.splitting, f.numerator
     sampled = ((sampler(), sampler()) for _ in range(count))
     best = 0
     for g, h in itertools.chain(sampled, extra_pairs):
         value = abs(numerator(g) + numerator(h) - numerator(multiply(s, g, h)))
         if value > best:
             best = value
-    return Fraction(best, L)
+    return Fraction(best, f.denominator)
 
 
 def homogenize_eval(f: SplitQM, g: Word) -> Fraction:
@@ -348,6 +318,7 @@ def homogenize_eval(f: SplitQM, g: Word) -> Fraction:
     if len(core) == 1:
         side, x = core.letters[0]
         q = f.factor_map(side)
+        q.group.check(x)
         if isinstance(q.group, IntegerGroup):
             return q.slope * x
         return Fraction(0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
 
@@ -121,6 +121,19 @@ def reduce(s: Splitting, raw: Iterable[Letter]) -> Word:
             out.append((side, x))
             break
     return Word(tuple(out))
+
+
+def memo_letter(
+    s: Splitting, memo: dict[Letter, T], letter: Letter, compute: Callable[[str, int], T]
+) -> T:
+    """The miss path of every per-letter memo: check ``letter`` against its
+    factor (ValueError outside the factors), then store and return
+    ``compute(side, x)``.  Callers also take it on a hit whose element is
+    not an exact ``int``, since ``True`` and ``1.0`` hash like ``1``."""
+    side, x = letter
+    s.factor(side).check(x)
+    value = memo[letter] = compute(side, x)
+    return value
 
 
 def validate_word(s: Splitting, g: Word) -> Word:

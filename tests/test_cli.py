@@ -171,6 +171,23 @@ def test_selftest_subset_without_config(capsys):
     ]
 
 
+@pytest.mark.parametrize("only", ["14", "0,99", "2,14"])
+def test_selftest_rejects_unknown_criterion_numbers(only, capsys):
+    assert cli.main(["selftest", "--only", only]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: --only: no criterion numbered" in err
+
+
+@pytest.mark.parametrize("command", ["defect", "decompose", "tau-check"])
+def test_negative_sample_counts_are_rejected(config_path, capsys, command):
+    extra = ["3"] if command == "tau-check" else []
+    assert cli.main([command, "--config", config_path, "weights", *extra, "--samples", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: --samples: expected a count >= 0, got -3" in err
+
+
 def test_selftest_negative_control_fails_criterion_9(capsys):
     assert cli.main(["selftest", "--only", "9", "--debug-literal-convention"]) == 1
     assert capsys.readouterr().out.splitlines() == [
@@ -312,6 +329,9 @@ def test_broken_table_factor_is_a_config_error(tmp_path, capsys):
             "conflicting value",
         ),
         (lambda c: c["sampler"].update({"samples": "many"}), "sampler.samples"),
+        (lambda c: c["sampler"].update({"samples": -1}), "sampler.samples: expected an integer >= 0"),
+        (lambda c: c["sampler"].update({"length_bound": 0}), "sampler.length_bound: expected an integer >= 1"),
+        (lambda c: c["sampler"].update({"exponent_bound": 0}), "sampler.exponent_bound: expected an integer >= 1"),
         (lambda c: c["maps"]["sign"]["A"].update({"period": True, "residues": ["0"]}), "maps.sign.A.period"),
         (lambda c: c.update({"qrep": {"target": {"kind": "circle"}, "mu": []}}), "qrep.mu"),
         (lambda c: c.update({"qrep": {"target": {"kind": "circle"}, "mu": {"A": 5}}}), "qrep.mu.A"),

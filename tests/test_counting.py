@@ -69,11 +69,13 @@ def test_subword_count_matches_regex_oracle(w, g):
 
 
 def test_subword_count_rejects_bad_strings():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("unknown letter 'x'")):
         subword_count("ax", "aba")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("unknown letter '\\n'")):
+        subword_count("ab", "ab\nab")
+    with pytest.raises(ValueError, match=re.escape("letter word 'aA' is not freely reduced")):
         subword_count("aA", "ab")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("letter word 'abBa' is not freely reduced")):
         subword_count("ab", "abBa")
 
 

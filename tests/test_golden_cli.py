@@ -1,0 +1,75 @@
+"""Golden outputs of the command-line interface.
+
+Each case runs ``python -m splitqm.cli`` in a subprocess from the repository
+root and compares its exit code and stdout with ``tests/golden/<case>.txt``,
+whose first line is ``exit <code>`` and whose remaining lines are stdout
+byte for byte.  Regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --regen
+
+and review the diff: a changed golden file is a changed CLI output.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SHOWCASE = "configs/showcase.json"
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for name in ("sign", "weights", "mixed"):
+        for fmt in ("table", "json"):
+            common = ["--config", SHOWCASE, "--format", fmt]
+            cases[f"defect-{name}-{fmt}"] = ["defect", *common, name]
+            cases[f"decompose-{name}-{fmt}"] = ["decompose", *common, name]
+            cases[f"tau-check-{name}-3-{fmt}"] = ["tau-check", *common, name, "3"]
+    cases["qrep-default"] = ["qrep"]
+    cases["qrep-finite_qrep"] = ["qrep", "--config", "configs/finite_qrep.json"]
+    cases["qc-growth-default"] = ["qc-growth"]
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        cases[f"qc-growth-{config.stem}"] = ["qc-growth", "--config", f"configs/{config.name}"]
+    cases["defect-space"] = ["defect-space"]
+    cases["rademacher"] = ["rademacher"]
+    cases["selftest-sign-2-12-13"] = ["selftest", "--config", "configs/sign.json", "--only", "2,12,13"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitqm.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return f"exit {proc.returncode}\n{proc.stdout}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case):
+    expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert _run(CASES[case]) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: test_golden_cli.py --regen")
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.txt"):
+        stale.unlink()
+    for case, argv in sorted(CASES.items()):
+        (GOLDEN / f"{case}.txt").write_text(_run(argv), encoding="utf-8")
+        print(case)

@@ -26,7 +26,7 @@ from splitqm.qrep import (
     qrep_sampled_defect,
 )
 from splitqm.quasicocycles import FactorCocycleMap, RegularRep, eval_split_qc, staircase_cocycle
-from splitqm.quasimorphisms import FactorQM, SplitQM, cached_evaluator, eval_split, homogenize_eval
+from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval
 from splitqm.words import A, B, IDENTITY, Splitting, Word, parse_word, random_word, reduce
 
 C2 = CyclicGroup(2)
@@ -179,13 +179,12 @@ def _rho():
     "evaluate",
     [
         lambda g: eval_split(_sign_split_map(), g),
-        lambda g: cached_evaluator(_sign_split_map())(g),
         lambda g: homogenize_eval(_sign_split_map(), Word(g.letters + ((A, 1),))),
         lambda g: eval_split_qc(_staircase_split_map(), g),
         lambda g: eval_qrep(_qrep_fixture()[0], g),
         lambda g: eval_split_hom(_rho(), g),
     ],
-    ids=["eval_split", "cached_evaluator", "homogenize_eval", "eval_split_qc", "eval_qrep", "eval_split_hom"],
+    ids=["eval_split", "homogenize_eval", "eval_split_qc", "eval_qrep", "eval_split_hom"],
 )
 def test_split_evaluators_reject_a_letter_on_an_unknown_side(evaluate):
     with pytest.raises(ValueError, match="unknown side 'C'"):

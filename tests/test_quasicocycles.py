@@ -127,7 +127,7 @@ def test_dense_action_matches_the_word_matrix_product(seed):
         assert rep.act(g, rep.zero()) == rep.zero()
 
 
-@pytest.mark.parametrize("bad", [(B, 7), (A, True), ("C", 1), (A, 1.5)])
+@pytest.mark.parametrize("bad", [(B, 7), (A, True), (A, 1.0), ("C", 1), (A, 1.5)])
 @pytest.mark.parametrize("after", [(), ((A, 1), (B, 1))])
 def test_dense_action_rejects_letters_outside_the_factors(bad, after):
     # act applies letters right to left, so the valid ones fill the memo

@@ -10,7 +10,6 @@ from splitqm.quasimorphisms import (
     DoublingWitness,
     FactorQM,
     SplitQM,
-    cached_evaluator,
     coboundary,
     doubling_witness,
     eval_split,
@@ -130,9 +129,20 @@ def fraction_defect_witness(q, scale=1):
     return best
 
 
+def fraction_factor_value(q, x):
+    """slope*x + finite part + residue + sign term, in Fractions."""
+    value = q.finite_part.get(x, Fraction(0))
+    if q.group.is_finite:
+        return value
+    value += q.slope * x + q.sign_coeff * ((x > 0) - (x < 0))
+    if q.period is not None:
+        value += q.residues[x % q.period]
+    return value
+
+
 def fraction_eval_split(f, g):
     """The split value as a Fraction sum over the letters."""
-    return sum((f.factor_map(side)(x) for side, x in g.letters), Fraction(0))
+    return sum((fraction_factor_value(f.factor_map(side), x) for side, x in g.letters), Fraction(0))
 
 
 def junction_walk_value(f, g, h):
@@ -191,6 +201,15 @@ def test_values_combine_all_terms():
     assert q(2) == 1 + 1 + Fraction(-1, 3) + Fraction(1, 4)
     assert q(-2) == -q(2)
     assert q(0) == 0
+
+
+@given(integer_qms())
+def test_factor_values_match_the_term_oracle(q):
+    for x in range(-2 * q.defect_window(), 2 * q.defect_window() + 1):
+        assert q(x) == fraction_factor_value(q, x)
+        assert q.coboundary(x, 1) == (
+            fraction_factor_value(q, x) + fraction_factor_value(q, 1) - fraction_factor_value(q, x + 1)
+        )
 
 
 @given(integer_qms())
@@ -414,8 +433,27 @@ def test_weight_tables_fill_in_alternation_and_reject_conflicts():
 
 @settings(deadline=None, max_examples=25)
 @given(all_split_qms(), st.integers(0, 2**32 - 1))
-def test_cached_evaluator_matches_plain_evaluation(f, seed):
-    evaluate = cached_evaluator(f)
-    for offset in range(30):
-        g = random_word(f.splitting, 6, 4, seed + offset)
-        assert evaluate(g) == eval_split(f, g) == fraction_eval_split(f, g)
+def test_warm_letter_memo_matches_fraction_evaluation(f, seed):
+    words = [random_word(f.splitting, 6, 4, seed + offset) for offset in range(30)]
+    expected = [fraction_eval_split(f, g) for g in words]
+    for _ in range(2):
+        assert [eval_split(f, g) for g in words] == expected
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        eval_split,
+        lambda f, g: f(g),
+        homogenize_eval,
+        lambda f, g: sampled_defect(f, lambda: g, 1),
+    ],
+    ids=["eval_split", "SplitQM.__call__", "homogenize_eval", "sampled_defect"],
+)
+def test_a_warm_letter_memo_rejects_elements_that_hash_like_a_valid_one(evaluate, bad):
+    f = SplitQM(ZXZ, FactorQM(ZXZ.A, sign_coeff=1), FactorQM(ZXZ.B, sign_coeff=2))
+    evaluate(f, Word(((A, 1), (B, 1))))
+    for word in (Word(((A, bad),)), Word(((A, bad), (B, 1)))):
+        with pytest.raises(ValueError):
+            evaluate(f, word)
