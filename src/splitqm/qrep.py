@@ -14,7 +14,7 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr
 from .quasicocycles import FactorTableMap
@@ -211,6 +211,16 @@ class FactorQRMap(FactorTableMap):
         """d(mu(xy), mu(x)mu(y))."""
         target = self.target
         return target.dist(self(self.group.mul(x, y)), target.mul(self(x), self(y)))
+
+    def pair_sizer(self) -> Callable[[int, int, int], tuple[int, int]]:
+        def size(x: int, y: int, xy: int) -> tuple[int, int]:
+            d = self.coboundary_size(x, y)
+            return d.numerator, d.denominator
+
+        return size
+
+    def size_value(self, s: int, t: int) -> Fraction:
+        return Fraction(s, t)
 
     def sup_norm(self) -> Fraction:
         e = self.target.identity

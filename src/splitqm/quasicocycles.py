@@ -3,8 +3,9 @@
 Two module kinds are supported: finite-dimensional rational representations
 (one invertible matrix per factor generator) and the left-regular
 representation on finitely supported functions with rational values.  All
-vector identities are exact; norms for exponents other than one are floats
-over exact coordinates.
+vector identities are exact.  The l1 and sup norms are exact Fractions; the
+l^p norm for any other exponent is a float, the p-th root of an exact sum
+when p is an integer.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import math
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup, _fr, certified_window
-from .words import A, B, Splitting, Word, by_side, invert, memo_letter, multiply
+from .words import A, B, Splitting, Word, _join, by_side, invert, memo_letter, multiply, reduce
 
 __all__ = [
     "Matrix",
@@ -49,6 +51,12 @@ IntMatrix = tuple[tuple[int, ...], ...]
 DenseVector = tuple[Fraction, ...]
 SparseVector = dict  # Word -> Fraction, no zero entries
 Vector = Union[DenseVector, SparseVector]
+# A vector as int numerators over a denominator kept beside it: a tuple of
+# ints for a dense vector; for a sparse one a dict to non-zero ints from the
+# letter tuples of normal-form words, which hash faster than the words.
+Numerators = Union[tuple[int, ...], dict]
+# A pair size (s, t) with t > 0: pairs are ordered by s / t.
+Size = tuple[Union[int, float], int]
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -125,6 +133,35 @@ class ModuleAction(ABC):
     @abstractmethod
     def is_zero(self, v: Vector) -> bool: ...
 
+    @abstractmethod
+    def vector(self, data) -> Vector:
+        """Validate and normalise outside data into a vector."""
+
+    @abstractmethod
+    def denominator(self, v: Vector) -> int:
+        """The lcm of the denominators of the coordinates of v."""
+
+    @abstractmethod
+    def numerators(self, v: Vector, den: int) -> Numerators:
+        """den * v as ints; den must be a multiple of ``denominator(v)``."""
+
+    @abstractmethod
+    def translate(self, side: str, x: int, nums: Numerators) -> tuple[Numerators, int]:
+        """The letter (side, x) applied to int numerators over some den:
+        (numerators of the image, d) with the image over den * d."""
+
+    @abstractmethod
+    def sum_size(
+        self, u: Optional[Numerators], side: str, x: int, v: Optional[Numerators],
+        w: Optional[Numerators], den: int,
+    ) -> Size:
+        """The norm of u + (side, x).v - w, all three over den and None for
+        zero, as a pair size for ``size_value``: no Fraction is built."""
+
+    @abstractmethod
+    def size_value(self, s: Union[int, float], t: int) -> Union[Fraction, float]:
+        """The norm that ``sum_size`` measured as (s, t)."""
+
     def neg(self, v: Vector) -> Vector:
         return self.scale(Fraction(-1), v)
 
@@ -197,16 +234,37 @@ class FiniteDimRep(ModuleAction):
         """The matrix of the letter (side, k), memoized per letter."""
         return self._letter(side, k)[0]
 
+    def denominator(self, v: DenseVector) -> int:
+        return math.lcm(*(x.denominator for x in v))
+
+    def numerators(self, v: DenseVector, den: int) -> tuple[int, ...]:
+        return tuple(x.numerator * (den // x.denominator) for x in v)
+
+    def translate(self, side: str, x: int, nums: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """The memoized int rows of the letter times nums, O(d^2)."""
+        _, rows, d = self._letter(side, x)
+        return tuple(sum(map(operator.mul, row, nums)) for row in rows), d
+
     def act(self, g: Word, v: DenseVector) -> DenseVector:
-        """Apply the letter matrices to v from right to left, O(d^2) per
-        letter, on int numerators over one common denominator."""
-        den = math.lcm(*(x.denominator for x in v))
-        nums = [x.numerator * (den // x.denominator) for x in v]
+        """Translate v by the letters of g from right to left, on int
+        numerators over one common denominator."""
+        den = self.denominator(v)
+        nums = self.numerators(v, den)
         for side, k in reversed(g.letters):
-            _, rows, d = self._letter(side, k)
-            nums = [sum(map(operator.mul, row, nums)) for row in rows]
+            nums, d = self.translate(side, k, nums)
             den *= d
         return tuple(Fraction(n, den) for n in nums)
+
+    def sum_size(self, u, side, x, v, w, den) -> Size:
+        """The sup norm, the one ``norm`` gives by default; the translation
+        multiplies the denominator by the letter's d."""
+        zero = (0,) * self.dim
+        t, d = (zero, 1) if v is None else self.translate(side, x, v)
+        gap = (abs(d * a + b - d * c) for a, b, c in zip(u or zero, t, w or zero))
+        return max(gap, default=0), den * d
+
+    def size_value(self, s: int, t: int) -> Fraction:
+        return Fraction(s, t)
 
     def norm(self, v: DenseVector, which: str = "linf") -> Union[Fraction, float]:
         if which == "linf":
@@ -239,16 +297,16 @@ class RegularRep(ModuleAction):
         return {}
 
     def indicator(self, g: Word, value=Fraction(1)) -> SparseVector:
-        value = _fr(value)
-        return {g: value} if value else {}
+        return self.vector({g: value})
 
     def vector(self, entries: Mapping[Word, Fraction]) -> SparseVector:
-        out = {}
+        """Reduce every key to its normal form, which checks its letters, sum
+        the values of equal normal forms and drop the zeros."""
+        out: dict[Word, Fraction] = {}
         for g, value in entries.items():
-            value = _fr(value)
-            if value:
-                out[g] = value
-        return out
+            g = reduce(self.splitting, g.letters)
+            out[g] = out.get(g, 0) + _fr(value)
+        return {g: value for g, value in out.items() if value}
 
     def add(self, u: SparseVector, v: SparseVector) -> SparseVector:
         out = dict(u)
@@ -280,6 +338,60 @@ class RegularRep(ModuleAction):
     def is_zero(self, v: SparseVector) -> bool:
         return not v
 
+    def denominator(self, v: SparseVector) -> int:
+        return math.lcm(*(x.denominator for x in v.values()))
+
+    def numerators(self, v: SparseVector, den: int) -> dict[tuple, int]:
+        return {g.letters: x.numerator * (den // x.denominator) for g, x in v.items()}
+
+    def translate(self, side: str, x: int, nums: dict[tuple, int]) -> tuple[dict[tuple, int], int]:
+        """Join the letter onto each key at the junction: the keys are normal
+        forms, so no key is reduced again and no letter checked.  An identity
+        letter acts trivially; joined on, it would leave an identity letter
+        in front of a key that does not start on its side."""
+        if self.splitting.factor(side).is_identity(x):
+            return nums, 1
+        s, letter = self.splitting, ((side, x),)
+        return {_join(s, letter, g): n for g, n in nums.items()}, 1
+
+    def sum_size(self, u, side, x, v, w, den) -> Size:
+        """Over den, l1 sums the absolute numerators and p = inf takes their
+        maximum; an integer p sums their p-th powers, over den**p.  Any other
+        p gives the float norm itself, over 1, of a total that keeps
+        ``add``'s key order, since a float sum depends on it."""
+        total = dict(u) if u else {}
+        if v:
+            _add_into(total, self.translate(side, x, v)[0], 1)
+        if w:
+            _add_into(total, w, -1)
+        p, nums = self.p, total.values()
+        if p == 1:
+            return sum(map(abs, nums)), den
+        if p == math.inf:
+            return max(map(abs, nums), default=0), den
+        if type(p) is int:
+            return sum(abs(n) ** p for n in nums), den**p
+        return self.norm({Word(g): Fraction(n, den) for g, n in total.items()}), 1
+
+    def size_value(self, s: Union[int, float], t: int) -> Union[Fraction, float]:
+        p = self.p
+        if p == 1 or p == math.inf:
+            return Fraction(s, t)
+        if type(p) is int:
+            return float(Fraction(s, t)) ** (1.0 / p)
+        return s
+
+
+def _add_into(total: dict[tuple, int], terms: dict[tuple, int], sign: int) -> None:
+    """total += sign * terms on sparse numerators, as ``RegularRep.add``
+    does: a new key goes last and a key that cancels is removed."""
+    for g, n in terms.items():
+        n = total.get(g, 0) + sign * n
+        if n:
+            total[g] = n
+        else:
+            del total[g]
+
 
 def _one_letter(side: str, x: int) -> Word:
     return Word(((side, x),))
@@ -295,8 +407,10 @@ class FactorTableMap(ABC):
 
     Subclasses supply the target: ``trivial()`` (the zero vector or the
     identity), ``forced_inverse(inv_x, v)`` (the value at inv_x when its
-    inverse maps to v), ``equal`` and ``coboundary_size(x, y)`` (how far the
-    pair is from the cocycle or homomorphism identity).
+    inverse maps to v), ``equal``, ``coboundary_size(x, y)`` (how far the
+    pair is from the cocycle or homomorphism identity), and for the scan
+    ``pair_sizer()`` and ``size_value``, which give that size exactly as a
+    pair (s, t) ordered by s / t.
     """
 
     def __init__(self, side: str, group: FactorGroup, values: Mapping):
@@ -332,6 +446,14 @@ class FactorTableMap(ABC):
     @abstractmethod
     def coboundary_size(self, x: int, y: int) -> Union[Fraction, float]: ...
 
+    @abstractmethod
+    def pair_sizer(self) -> Callable[[int, int, int], Size]:
+        """A function from (x, y, xy) to the size of the pair (x, y) as (s, t)
+        with t > 0; ``size_value(s, t)`` is ``coboundary_size(x, y)``."""
+
+    @abstractmethod
+    def size_value(self, s: Union[int, float], t: int) -> Union[Fraction, float]: ...
+
     def _is_trivial(self, v) -> bool:
         return self.equal(v, self.trivial())
 
@@ -355,16 +477,19 @@ class FactorTableMap(ABC):
 
         A pair with x, y and xy all off the support has the trivial
         coboundary, of size 0, so it cannot beat the strict maximum and is
-        skipped."""
+        skipped.  Sizes (s, t) compare exactly by cross-multiplying, and the
+        defect is built once, from the winning pair."""
         group, table = self.group, self.table
-        best = (Fraction(0), group.identity, group.identity)
+        size = self.pair_sizer()
+        best_s, best_t, best_x, best_y = 0, 1, group.identity, group.identity
         for x, y in itertools.product(group.window(self.defect_window()), repeat=2):
-            if x not in table and y not in table and group.mul(x, y) not in table:
+            xy = group.mul(x, y)
+            if x not in table and y not in table and xy not in table:
                 continue
-            value = self.coboundary_size(x, y)
-            if value > best[0]:
-                best = (value, x, y)
-        return best
+            s, t = size(x, y, xy)
+            if s * best_t > best_s * t:
+                best_s, best_t, best_x, best_y = s, t, x, y
+        return (self.size_value(best_s, best_t) if best_s else Fraction(0)), best_x, best_y
 
     def defect(self) -> Union[Fraction, float]:
         return self.defect_witness()[0]
@@ -372,10 +497,15 @@ class FactorTableMap(ABC):
 
 class FactorCocycleMap(FactorTableMap):
     """A finitely supported alternating cocycle on one factor; the inverse of
-    each support element receives the forced value -x^-1.f(x)."""
+    each support element receives the forced value -x^-1.f(x).
+
+    Every value passes through ``action.vector`` (a dense value must have
+    the action's dimension; a regular one has normal-form keys), so the scan
+    can trust the table."""
 
     def __init__(self, side: str, action: ModuleAction, values: Mapping[int, Vector]):
         self.action = action
+        values = {x: action.vector(v) for x, v in values.items()}
         super().__init__(side, action.splitting.factor(side), values)
 
     def trivial(self) -> Vector:
@@ -388,6 +518,8 @@ class FactorCocycleMap(FactorTableMap):
         return self.action.equal(u, v)
 
     def coboundary(self, x: int, y: int) -> Vector:
+        """f(x) + x.f(y) - f(xy) on Fractions: the definition the integer
+        scan is tested against."""
         m = self.action
         fy = self(y)
         translated = fy if m.is_zero(fy) else m.act(_one_letter(self.side, x), fy)
@@ -395,6 +527,22 @@ class FactorCocycleMap(FactorTableMap):
 
     def coboundary_size(self, x: int, y: int) -> Union[Fraction, float]:
         return self.action.norm(self.coboundary(x, y))
+
+    @cached_property
+    def _scaled_table(self) -> tuple[dict[int, Numerators], int]:
+        """The table as int numerators over one denominator D, the lcm of the
+        denominators of all its coordinates."""
+        m = self.action
+        den = math.lcm(*(m.denominator(v) for v in self.table.values()))
+        return {x: m.numerators(v, den) for x, v in self.table.items()}, den
+
+    def pair_sizer(self) -> Callable[[int, int, int], Size]:
+        nums, den = self._scaled_table
+        get, side, sum_size = nums.get, self.side, self.action.sum_size
+        return lambda x, y, xy: sum_size(get(x), side, x, get(y), get(xy), den)
+
+    def size_value(self, s: Union[int, float], t: int) -> Union[Fraction, float]:
+        return self.action.size_value(s, t)
 
 
 @dataclass(frozen=True)

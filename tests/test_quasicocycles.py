@@ -29,7 +29,7 @@ from splitqm.quasicocycles import (
     staircase_cocycle,
     staircase_word,
 )
-from splitqm.words import A, B, IDENTITY, Splitting, Word, multiply, parse_word, random_word
+from splitqm.words import A, B, IDENTITY, Splitting, Word, multiply, parse_word, random_word, reduce
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
 
@@ -155,6 +155,18 @@ def test_regular_rep_translation_is_an_isometry(seed):
     v = rep.add(rep.indicator(h), rep.indicator(IDENTITY, Fraction(-1, 3)))
     assert rep.act(g, v) == {multiply(ZXZ, g, w): c for w, c in v.items()}
     assert rep.norm(rep.act(g, v)) == rep.norm(v)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_regular_one_letter_translation_on_numerators_matches_act(seed):
+    s = Splitting(IntegerGroup(), CyclicGroup(3))
+    rep = RegularRep(s, 1)
+    v = rep.vector({random_word(s, 4, 3, seed + i): Fraction(i - 2, i + 1) for i in range(4)})
+    den = rep.denominator(v)
+    for side, x in ((A, 0), (A, 2), (A, -1), (B, 0), (B, 1), (B, 2)):
+        nums, d = rep.translate(side, x, rep.numerators(v, den))
+        assert d == 1
+        assert nums == rep.numerators(rep.act(reduce(s, ((side, x),)), v), den)
 
 
 def test_regular_rep_norms_and_vectors():
@@ -422,3 +434,98 @@ def test_defect_witness_skipping_off_support_pairs_matches_the_full_scan(name):
         assert expected == (1, 1, 2)
     if not q.table:
         assert expected == (0, q.group.identity, q.group.identity)
+
+
+RAW_CANCELLING = Word(((A, 1), (A, -1)))
+
+
+def test_regular_vectors_normalise_their_keys():
+    rep = RegularRep(ZXZ, 1)
+    v = rep.vector({RAW_CANCELLING: 1, IDENTITY: 1})
+    assert v == {IDENTITY: 2}
+    assert rep.norm(rep.act(IDENTITY, v)) == rep.norm(v) == 2
+    assert rep.is_zero(rep.vector({RAW_CANCELLING: 1, IDENTITY: -1}))
+    assert rep.indicator(Word(((A, 0),))) == rep.indicator(IDENTITY)
+    assert rep.indicator(Word(((A, 1), (B, 0), (A, 1)))) == rep.indicator(parse_word(ZXZ, "a^2"))
+    for bad in ((A, 1.5), (A, True), ("C", 1)):
+        with pytest.raises(ValueError):
+            rep.indicator(Word((bad,)))
+
+
+def test_factor_cocycle_map_validates_its_values():
+    with pytest.raises(ValueError):
+        FactorCocycleMap(A, _permutation_rep(), {1: (1, 2)})
+    rep = RegularRep(ZXZ, 1)
+    q = FactorCocycleMap(A, rep, {1: {RAW_CANCELLING: 1, IDENTITY: -1}})
+    assert q.table == {}
+    assert q.defect() == 0
+    q = FactorCocycleMap(A, rep, {1: {RAW_CANCELLING: 1, IDENTITY: 2}})
+    assert q(1) == {IDENTITY: 3}
+
+
+SCAN_ACTIONS = {
+    "regular-l1": lambda: RegularRep(ZXZ, 1),
+    "regular-l2": lambda: RegularRep(ZXZ, 2),
+    "regular-linf": lambda: RegularRep(ZXZ, math.inf),
+    "regular-l1.5": lambda: RegularRep(ZXZ, 1.5),
+    "permutation": _permutation_rep,
+    "rational": _rational_rep,
+    "cyclic": _cyclic_rep,
+}
+
+_small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _random_cocycle_map(draw, rep):
+    """An alternating factor cocycle map with one to three random values; the
+    regular ones have unreduced keys, so values may merge or cancel."""
+    side = draw(st.sampled_from((A, B)))
+    group = rep.splitting.factor(side)
+    support = (1,) if group.is_finite else (1, 2, 3)
+    values = {}
+    for x in draw(st.lists(st.sampled_from(support), min_size=1, max_size=3, unique=True)):
+        if isinstance(rep, RegularRep):
+            letters = st.tuples(st.sampled_from((A, B)), st.integers(-2, 2))
+            keys = st.lists(letters, max_size=3).map(lambda raw: Word(tuple(raw)))
+            values[x] = draw(st.dictionaries(keys, _small_fractions, min_size=1, max_size=3))
+        else:
+            values[x] = draw(st.lists(_small_fractions, min_size=rep.dim, max_size=rep.dim))
+    return FactorCocycleMap(side, rep, values)
+
+
+@pytest.mark.parametrize("name", SCAN_ACTIONS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_integer_scan_matches_the_fraction_oracle(name, data):
+    # full_scan_defect_witness measures q.coboundary with action.norm on
+    # every window pair: the slow exact definition.
+    q = _random_cocycle_map(data.draw, SCAN_ACTIONS[name]())
+    size = q.pair_sizer()
+    window = q.group.window(q.defect_window())
+    for x in window:
+        for y in window:
+            assert q.size_value(*size(x, y, q.group.mul(x, y))) == q.coboundary_size(x, y)
+    assert q.defect_witness() == full_scan_defect_witness(q)
+
+
+CRITERION_9_DIM3 = (((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "make, witness",
+    [
+        (lambda: FiniteDimRep(ZXZ, *CRITERION_9_DIM3), (Fraction(100108), -18, -6)),
+        (lambda: RegularRep(ZXZ, 1), (Fraction(3), -6, 1)),
+        (lambda: RegularRep(ZXZ, 2), (1.7320508075688772, -6, 1)),
+    ],
+)
+def test_criterion_9_staircase_defects_are_pinned(make, witness):
+    # Criterion 9's depth-6 staircases, with values recorded from the
+    # Fraction scan that built one vector-valued coboundary per pair.
+    rep = make()
+    seed = rep.vector((1, 0, 0)) if isinstance(rep, FiniteDimRep) else rep.indicator(IDENTITY)
+    _, f = staircase_cocycle(rep, seed, depth=6)
+    assert f.fA.defect_witness() == witness
+    assert f.fB.defect_witness() == (0, 0, 0)
+    defect = split_qc_defect(f)
+    assert defect == witness[0] and type(defect) is type(witness[0])
