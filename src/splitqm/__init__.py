@@ -124,7 +124,6 @@ from .qrep import (
     enumerate_factor_homs,
     enumerate_factor_qr_maps,
     eval_qrep,
-    eval_split_hom,
     nontriviality_witness,
     qrep_defect,
     qrep_delta,

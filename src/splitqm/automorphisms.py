@@ -76,8 +76,8 @@ def apply(e: Endo, g: Word) -> Word:
         return power(s, e.image_a if side == A else e.image_b, k).letters
 
     for letter in g.letters:
-        image = images.get(letter)
-        if image is None or type(letter[1]) is not int:
+        image = images.get(letter) if type(letter[1]) is int else None
+        if image is None:
             image = memo_letter(s, images, letter, image_of)
         letters.extend(image)
     return reduce(s, letters)

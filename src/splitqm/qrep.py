@@ -18,8 +18,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr
 from .quasicocycles import FactorTableMap
-from .quasimorphisms import junction_pairs
-from .words import A, B, IDENTITY, Splitting, Word, by_side, multiply
+from .quasimorphisms import junction_pairs, sampled_defect
+from .words import A, B, IDENTITY, Splitting, SplitMap, Word
 
 __all__ = [
     "MetricGroup",
@@ -33,7 +33,6 @@ __all__ = [
     "qrep_delta",
     "FactorHom",
     "SplitHom",
-    "eval_split_hom",
     "enumerate_factor_homs",
     "enumerate_factor_qr_maps",
     "WitnessReport",
@@ -227,56 +226,41 @@ class FactorQRMap(FactorTableMap):
         return max((self.target.dist(v, e) for v in self.table.values()), default=Fraction(0))
 
 
-def _check_factor_maps(splitting: Splitting, target: MetricGroup, on_a, on_b) -> None:
-    """Each factor map of a split map into ``target`` is tagged with its
-    side, is defined on that factor of the splitting and maps into
-    ``target`` itself."""
-    if on_a.side != A or on_b.side != B:
-        raise ValueError("factor maps must be tagged with their sides")
-    for mu, factor in ((on_a, splitting.A), (on_b, splitting.B)):
-        if mu.group != factor:
-            raise ValueError("factor map group must match the splitting")
-        if mu.target is not target:
-            raise ValueError("factor maps must share the target")
-
-
 @dataclass(frozen=True)
-class SplitQRep:
+class SplitQRep(SplitMap):
     splitting: Splitting
     target: MetricGroup
     muA: FactorQRMap
     muB: FactorQRMap
+    codomain = "target"
 
-    def __post_init__(self) -> None:
-        _check_factor_maps(self.splitting, self.target, self.muA, self.muB)
+    @property
+    def factor_maps(self) -> tuple[FactorQRMap, FactorQRMap]:
+        return self.muA, self.muB
 
-    def factor_map(self, side: str) -> FactorQRMap:
-        return by_side(side, self.muA, self.muB)
+    def pair_size(self, g: Word, h: Word, gh: Word) -> tuple[int, int]:
+        """d(mu(gh), mu(g)mu(h)) as its numerator and denominator."""
+        target = self.target
+        d = target.dist(eval_qrep(self, gh), target.mul(eval_qrep(self, g), eval_qrep(self, h)))
+        return d.numerator, d.denominator
 
     def __call__(self, g: Word):
         return eval_qrep(self, g)
 
 
-def eval_qrep(mu: SplitQRep, g: Word):
-    """Ordered product of the letter images."""
-    return mu.target.product(mu.factor_map(side)(x) for side, x in g.letters)
+def eval_qrep(mu: SplitQRep | SplitHom, g: Word):
+    """Ordered product of the letter images, read from the map's letter
+    memo: the one evaluator of quasi-representations and homomorphisms."""
+    return mu.target.product(map(mu.letter, g.letters))
 
 
-def qrep_defect(mu: SplitQRep) -> Fraction:
-    return max(mu.muA.defect(), mu.muB.defect())
+qrep_defect = SplitMap.defect
 
 
 def qrep_sampled_defect(mu: SplitQRep, sampler, count: int) -> Fraction:
     """Max coboundary distance over sampled word pairs plus the junction
     pairs embedding each factor's worst pair; never exceeds qrep_defect."""
-    worst = Fraction(0)
-    pairs = [(sampler(), sampler()) for _ in range(count)]
-    for g, h in pairs + junction_pairs(mu):
-        gh = multiply(mu.splitting, g, h)
-        value = mu.target.dist(eval_qrep(mu, gh), mu.target.mul(eval_qrep(mu, g), eval_qrep(mu, h)))
-        if value > worst:
-            worst = value
-    return worst
+    return sampled_defect(mu, sampler, count, junction_pairs(mu))
 
 
 def qrep_delta(mu: SplitQRep) -> Fraction:
@@ -330,26 +314,21 @@ class FactorHom:
 
 
 @dataclass(frozen=True)
-class SplitHom:
+class SplitHom(SplitMap):
     """A genuine homomorphism on the free product, one factor hom per side."""
 
     splitting: Splitting
     target: MetricGroup
     hA: FactorHom
     hB: FactorHom
+    codomain = "target"
 
-    def __post_init__(self) -> None:
-        _check_factor_maps(self.splitting, self.target, self.hA, self.hB)
-
-    def factor_map(self, side: str) -> FactorHom:
-        return by_side(side, self.hA, self.hB)
+    @property
+    def factor_maps(self) -> tuple[FactorHom, FactorHom]:
+        return self.hA, self.hB
 
     def __call__(self, g: Word):
-        return eval_split_hom(self, g)
-
-
-def eval_split_hom(rho: SplitHom, g: Word):
-    return rho.target.product(rho.factor_map(side)(x) for side, x in g.letters)
+        return eval_qrep(self, g)
 
 
 def enumerate_factor_homs(side: str, group: FactorGroup, target: FiniteMetric) -> Iterator[FactorHom]:
@@ -457,7 +436,7 @@ def nontriviality_witness(
     checked = 0
     for g in _witness_candidates(mu, depth):
         checked += 1
-        d = mu.target.dist(eval_qrep(mu, g), eval_split_hom(rho, g))
+        d = mu.target.dist(eval_qrep(mu, g), eval_qrep(rho, g))
         if d > best:
             best, best_word = d, g
         if d >= delta:

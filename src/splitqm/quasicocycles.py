@@ -2,10 +2,10 @@
 
 Two module kinds are supported: finite-dimensional rational representations
 (one invertible matrix per factor generator) and the left-regular
-representation on finitely supported functions with rational values.  All
-vector identities are exact.  The l1 and sup norms are exact Fractions; the
-l^p norm for any other exponent is a float, the p-th root of an exact sum
-when p is an integer.
+representation on finitely supported functions with rational values, under
+the l^p norm for an integer p >= 1 or p = inf.  All vector identities are
+exact.  The l1 and sup norms are exact Fractions; for an integer p >= 2 the
+norm is a float, the p-th root of an exact integer sum.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup, _fr, certified_window
-from .words import A, B, Splitting, Word, _join, by_side, invert, memo_letter, multiply, reduce
+from .words import A, B, Letter, Splitting, SplitMap, Word, _join, invert, memo_letter, multiply, reduce
 
 __all__ = [
     "Matrix",
@@ -56,7 +56,7 @@ Vector = Union[DenseVector, SparseVector]
 # letter tuples of normal-form words, which hash faster than the words.
 Numerators = Union[tuple[int, ...], dict]
 # A pair size (s, t) with t > 0: pairs are ordered by s / t.
-Size = tuple[Union[int, float], int]
+Size = tuple[int, int]
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -159,7 +159,7 @@ class ModuleAction(ABC):
         zero, as a pair size for ``size_value``: no Fraction is built."""
 
     @abstractmethod
-    def size_value(self, s: Union[int, float], t: int) -> Union[Fraction, float]:
+    def size_value(self, s: int, t: int) -> Union[Fraction, float]:
         """The norm that ``sum_size`` measured as (s, t)."""
 
     def neg(self, v: Vector) -> Vector:
@@ -220,8 +220,8 @@ class FiniteDimRep(ModuleAction):
         """The matrix of the letter (side, k) and its integer scaling by the
         common denominator of its entries, memoized per letter.  Raises
         ValueError on a letter outside the factors."""
-        entry = self._letters.get((side, k))
-        if entry is None or type(k) is not int:
+        entry = self._letters.get((side, k)) if type(k) is int else None
+        if entry is None:
             entry = memo_letter(self.splitting, self._letters, (side, k), self._scaled_power)
         return entry
 
@@ -256,8 +256,8 @@ class FiniteDimRep(ModuleAction):
         return tuple(Fraction(n, den) for n in nums)
 
     def sum_size(self, u, side, x, v, w, den) -> Size:
-        """The sup norm, the one ``norm`` gives by default; the translation
-        multiplies the denominator by the letter's d."""
+        """The sup norm, as ``norm``; the translation multiplies the
+        denominator by the letter's d."""
         zero = (0,) * self.dim
         t, d = (zero, 1) if v is None else self.translate(side, x, v)
         gap = (abs(d * a + b - d * c) for a, b, c in zip(u or zero, t, w or zero))
@@ -266,14 +266,9 @@ class FiniteDimRep(ModuleAction):
     def size_value(self, s: int, t: int) -> Fraction:
         return Fraction(s, t)
 
-    def norm(self, v: DenseVector, which: str = "linf") -> Union[Fraction, float]:
-        if which == "linf":
-            return max((abs(x) for x in v), default=Fraction(0))
-        if which == "l1":
-            return sum((abs(x) for x in v), Fraction(0))
-        if which == "l2":
-            return math.sqrt(float(sum(x * x for x in v)))
-        raise ValueError(f"unknown norm {which!r}")
+    def norm(self, v: DenseVector) -> Fraction:
+        """The sup norm, the one the certified scans measure."""
+        return max((abs(x) for x in v), default=Fraction(0))
 
     def is_zero(self, v: DenseVector) -> bool:
         return not any(v)
@@ -284,12 +279,12 @@ class RegularRep(ModuleAction):
 
     Vectors are dicts from words to non-zero rationals; translating by g
     moves the mass at h to g*h, which is an exact isometry for every
-    exponent.
+    exponent p: an integer p >= 1 or ``math.inf``.
     """
 
     def __init__(self, splitting: Splitting, p: Union[int, float] = 1):
-        if p < 1:
-            raise ValueError("the exponent must satisfy p >= 1")
+        if p != math.inf and (type(p) is not int or p < 1):
+            raise ValueError("the exponent must be an integer p >= 1 or math.inf")
         self.splitting = splitting
         self.p = p
 
@@ -356,9 +351,7 @@ class RegularRep(ModuleAction):
 
     def sum_size(self, u, side, x, v, w, den) -> Size:
         """Over den, l1 sums the absolute numerators and p = inf takes their
-        maximum; an integer p sums their p-th powers, over den**p.  Any other
-        p gives the float norm itself, over 1, of a total that keeps
-        ``add``'s key order, since a float sum depends on it."""
+        maximum; any other p sums their p-th powers, over den**p."""
         total = dict(u) if u else {}
         if v:
             _add_into(total, self.translate(side, x, v)[0], 1)
@@ -369,22 +362,17 @@ class RegularRep(ModuleAction):
             return sum(map(abs, nums)), den
         if p == math.inf:
             return max(map(abs, nums), default=0), den
-        if type(p) is int:
-            return sum(abs(n) ** p for n in nums), den**p
-        return self.norm({Word(g): Fraction(n, den) for g, n in total.items()}), 1
+        return sum(abs(n) ** p for n in nums), den**p
 
-    def size_value(self, s: Union[int, float], t: int) -> Union[Fraction, float]:
+    def size_value(self, s: int, t: int) -> Union[Fraction, float]:
         p = self.p
         if p == 1 or p == math.inf:
             return Fraction(s, t)
-        if type(p) is int:
-            return float(Fraction(s, t)) ** (1.0 / p)
-        return s
+        return float(Fraction(s, t)) ** (1.0 / p)
 
 
 def _add_into(total: dict[tuple, int], terms: dict[tuple, int], sign: int) -> None:
-    """total += sign * terms on sparse numerators, as ``RegularRep.add``
-    does: a new key goes last and a key that cancels is removed."""
+    """total += sign * terms on sparse numerators, dropping keys that cancel."""
     for g, n in terms.items():
         n = total.get(g, 0) + sign * n
         if n:
@@ -452,7 +440,7 @@ class FactorTableMap(ABC):
         with t > 0; ``size_value(s, t)`` is ``coboundary_size(x, y)``."""
 
     @abstractmethod
-    def size_value(self, s: Union[int, float], t: int) -> Union[Fraction, float]: ...
+    def size_value(self, s: int, t: int) -> Union[Fraction, float]: ...
 
     def _is_trivial(self, v) -> bool:
         return self.equal(v, self.trivial())
@@ -541,48 +529,46 @@ class FactorCocycleMap(FactorTableMap):
         get, side, sum_size = nums.get, self.side, self.action.sum_size
         return lambda x, y, xy: sum_size(get(x), side, x, get(y), get(xy), den)
 
-    def size_value(self, s: Union[int, float], t: int) -> Union[Fraction, float]:
+    def size_value(self, s: int, t: int) -> Union[Fraction, float]:
         return self.action.size_value(s, t)
 
 
 @dataclass(frozen=True)
-class SplitQC:
+class SplitQC(SplitMap):
     """The split quasicocycle built from two factor cocycle maps."""
 
     splitting: Splitting
     action: ModuleAction
     fA: FactorCocycleMap
     fB: FactorCocycleMap
+    codomain = "action"
 
-    def __post_init__(self) -> None:
-        if self.fA.side != A or self.fB.side != B:
-            raise ValueError("factor maps must be tagged with their sides")
-        if self.fA.action is not self.action or self.fB.action is not self.action:
-            raise ValueError("factor maps must share the module action")
-
-    def factor_map(self, side: str) -> FactorCocycleMap:
-        return by_side(side, self.fA, self.fB)
+    @property
+    def factor_maps(self) -> tuple[FactorCocycleMap, FactorCocycleMap]:
+        return self.fA, self.fB
 
     def __call__(self, g: Word) -> Vector:
         return eval_split_qc(self, g)
 
 
-def _letter_sum(m: ModuleAction, g: Word, value) -> Vector:
-    """The prefix-translated sum of value(side, x) over the letters of g, by
+def _letter_sum(m: ModuleAction, g: Word, value: Callable[[Letter], Vector]) -> Vector:
+    """The prefix-translated sum of value(letter) over the letters of g, by
     the cocycle recursion f(x.h) = f(x) + x.f(h) from the right: one
     single-letter action per letter, and none while the suffix sum is zero."""
     total = m.zero()
-    for side, x in reversed(g.letters):
-        head = value(side, x)
+    for letter in reversed(g.letters):
+        head = value(letter)
         if not m.is_zero(total):
-            head = m.add(head, m.act(_one_letter(side, x), total))
+            head = m.add(head, m.act(Word((letter,)), total))
         total = head
     return total
 
 
 def eval_split_qc(f: SplitQC, g: Word) -> Vector:
-    """Prefix-translated sum over the normal-form letters."""
-    return _letter_sum(f.action, g, lambda side, x: f.factor_map(side)(x))
+    """Prefix-translated sum of the letter values from the map's letter
+    memo.  The result may be a table or memo entry itself: vectors are
+    values, and nothing may mutate them."""
+    return _letter_sum(f.action, g, f.letter)
 
 
 def qc_coboundary(f: SplitQC, g: Word, h: Word) -> Vector:
@@ -591,10 +577,7 @@ def qc_coboundary(f: SplitQC, g: Word, h: Word) -> Vector:
     return m.sub(m.add(eval_split_qc(f, g), m.act(g, eval_split_qc(f, h))), eval_split_qc(f, gh))
 
 
-def split_qc_defect(f: SplitQC) -> Union[Fraction, float]:
-    """The larger factor defect; equals the defect of the split map for an
-    isometric action."""
-    return max(f.fA.defect(), f.fB.defect())
+split_qc_defect = SplitMap.defect
 
 
 def inner_cocycle(m: ModuleAction, v: Vector, g: Word) -> Vector:
@@ -605,7 +588,7 @@ def inner_cocycle(m: ModuleAction, v: Vector, g: Word) -> Vector:
 def inner_split_eval(m: ModuleAction, v: Vector, g: Word) -> Vector:
     """Split evaluation of the two factor restrictions of the inner cocycle;
     telescopes to the inner cocycle itself."""
-    return _letter_sum(m, g, lambda side, x: inner_cocycle(m, v, _one_letter(side, x)))
+    return _letter_sum(m, g, lambda letter: inner_cocycle(m, v, Word((letter,))))
 
 
 class GrowthCheckError(RuntimeError):

@@ -21,10 +21,9 @@ from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_windo
 from .words import (
     A,
     B,
-    Letter,
     Splitting,
+    SplitMap,
     Word,
-    by_side,
     cyclically_reduce,
     memo_letter,
     multiply,
@@ -200,48 +199,47 @@ class FactorQM:
 
 
 @dataclass(frozen=True)
-class SplitQM:
+class SplitQM(SplitMap):
     """The split quasimorphism assembled from two factor maps.
 
     Every value goes through ``numerator``, which sums scaled letter values
-    from a memo on the map.  The memo holds one entry per distinct letter
-    evaluated, and a letter is checked against its factor before its value
-    is computed (see ``words.memo_letter``).
+    from the map's letter memo (see ``words.SplitMap``).
     """
 
     splitting: Splitting
     fA: FactorQM
     fB: FactorQM
-    _letters: dict[Letter, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.fA.group != self.splitting.A or self.fB.group != self.splitting.B:
-            raise ValueError("factor maps do not match the splitting")
-
-    def factor_map(self, side: str) -> FactorQM:
-        return by_side(side, self.fA, self.fB)
+    @property
+    def factor_maps(self) -> tuple[FactorQM, FactorQM]:
+        return self.fA, self.fB
 
     @cached_property
     def denominator(self) -> int:
         """The common denominator L of both factor maps."""
         return math.lcm(self.fA.denominator, self.fB.denominator)
 
-    def _letter_numerator(self, side: str, x: int) -> int:
+    def letter_value(self, side: str, x: int) -> int:
         q = self.factor_map(side)
         return q.numerator(x) * (self.denominator // q.denominator)
 
     def numerator(self, g: Word) -> int:
         """L*f(g) as an int, with L the common ``denominator``: the sum of
-        the letters' scaled factor values.  Raises ValueError on a letter
-        outside the factors."""
-        memo = self._letters
+        the letters' scaled factor values, ``SplitMap.letter`` written out
+        for speed.  Raises ValueError on a letter outside the factors."""
+        memo = self.letter_memo
         total = 0
         for letter in g.letters:
-            value = memo.get(letter)
-            if value is None or type(letter[1]) is not int:
-                value = memo_letter(self.splitting, memo, letter, self._letter_numerator)
+            value = memo.get(letter) if type(letter[1]) is int else None
+            if value is None:
+                value = memo_letter(self.splitting, memo, letter, self.letter_value)
             total += value
         return total
+
+    def pair_size(self, g: Word, h: Word, gh: Word) -> tuple[int, int]:
+        """|coboundary(g, h)| as the pair (L*|...|, L)."""
+        num = self.numerator
+        return abs(num(g) + num(h) - num(gh)), self.denominator
 
     def __call__(self, g: Word) -> Fraction:
         return eval_split(self, g)
@@ -257,9 +255,7 @@ def coboundary(f: SplitQM, g: Word, h: Word) -> Fraction:
     return Fraction(f.numerator(g) + f.numerator(h) - f.numerator(gh), f.denominator)
 
 
-def split_defect(f: SplitQM, scale: int = 1) -> Fraction:
-    """Exact defect of the split map: the larger of the two factor defects."""
-    return max(f.fA.defect(scale), f.fB.defect(scale))
+split_defect = SplitMap.defect
 
 
 def default_sampler(
@@ -288,25 +284,26 @@ def junction_pairs(f) -> list[tuple[Word, Word]]:
 
 
 def sampled_defect(
-    f: SplitQM,
+    f: SplitMap,
     sampler: Callable[[], Word],
     count: int,
     extra_pairs: Iterable[tuple[Word, Word]] = (),
 ) -> Fraction:
-    """Max |coboundary| over sampled pairs (never exceeds the exact defect).
+    """The largest ``f.pair_size(g, h, gh) = (s, t)``, that is s / t, over
+    sampled pairs, compared exactly; never exceeds the exact defect.
 
     ``extra_pairs`` lets callers embed known maximizing factor pairs as
     one-letter words (see ``junction_pairs``), which makes the sampled value
     attain the supremum.
     """
-    s, numerator = f.splitting, f.numerator
+    s, size = f.splitting, f.pair_size
     sampled = ((sampler(), sampler()) for _ in range(count))
-    best = 0
+    best_s, best_t = 0, 1
     for g, h in itertools.chain(sampled, extra_pairs):
-        value = abs(numerator(g) + numerator(h) - numerator(multiply(s, g, h)))
-        if value > best:
-            best = value
-    return Fraction(best, f.denominator)
+        value, t = size(g, h, multiply(s, g, h))
+        if value * best_t > best_s * t:
+            best_s, best_t = value, t
+    return Fraction(best_s, best_t)
 
 
 def homogenize_eval(f: SplitQM, g: Word) -> Fraction:

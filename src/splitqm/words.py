@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
 
@@ -45,16 +45,6 @@ def other_side(side: str) -> str:
 T = TypeVar("T")
 
 
-def by_side(side: str, on_a: T, on_b: T) -> T:
-    """``on_a`` for side A and ``on_b`` for side B; any other side is a
-    ValueError, so a letter on an unknown side is never read as B."""
-    if side == A:
-        return on_a
-    if side == B:
-        return on_b
-    raise ValueError(f"unknown side {side!r}")
-
-
 @dataclass(frozen=True)
 class Splitting:
     """An ordered pair of non-trivial factor groups."""
@@ -68,8 +58,6 @@ class Splitting:
                 raise ValueError("factors must be non-trivial")
 
     def factor(self, side: str) -> FactorGroup:
-        # Written out rather than through ``by_side``: this is on the
-        # per-letter path of ``reduce`` and ``random_word``.
         if side == A:
             return self.A
         if side == B:
@@ -128,12 +116,62 @@ def memo_letter(
 ) -> T:
     """The miss path of every per-letter memo: check ``letter`` against its
     factor (ValueError outside the factors), then store and return
-    ``compute(side, x)``.  Callers also take it on a hit whose element is
-    not an exact ``int``, since ``True`` and ``1.0`` hash like ``1``."""
+    ``compute(side, x)``.  Callers look a letter up only when its element
+    is an exact ``int``, and take this path otherwise: ``True`` and ``1.0``
+    hash like ``1``, and an unhashable element cannot be looked up."""
     side, x = letter
     s.factor(side).check(x)
     value = memo[letter] = compute(side, x)
     return value
+
+
+class SplitMap:
+    """The core of every split map on A * B (``SplitQM``, ``SplitQC``,
+    ``SplitQRep``, ``SplitHom``): a frozen dataclass with a ``splitting``
+    field and ``factor_maps``, its maps on A and on B, whose letter values
+    it adds up or multiplies over the normal-form letters of a word.
+
+    ``codomain`` names the attribute that the map and both factor maps must
+    share, if any: the module action or the target group.  ``letter_memo``
+    maps each distinct letter evaluated to its ``letter_value``.
+    """
+
+    codomain: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # A factor quasimorphism carries no side tag; the table maps do.
+        for side, q in zip((A, B), self.factor_maps):
+            if q.group != self.splitting.factor(side) or getattr(q, "side", side) != side:
+                raise ValueError(f"the factor map on side {side} does not match the splitting")
+            if self.codomain and getattr(q, self.codomain) is not getattr(self, self.codomain):
+                raise ValueError(f"factor maps must share the {self.codomain}")
+        object.__setattr__(self, "letter_memo", {})
+
+    def factor_map(self, side: str):
+        on_a, on_b = self.factor_maps
+        if side == A:
+            return on_a
+        if side == B:
+            return on_b
+        raise ValueError(f"unknown side {side!r}")
+
+    def letter_value(self, side: str, x: int):
+        return self.factor_map(side)(x)
+
+    def letter(self, letter: Letter):
+        """``letter_value`` through the memo; ValueError on a letter outside
+        the factors (see ``memo_letter``)."""
+        memo = self.letter_memo
+        value = memo.get(letter) if type(letter[1]) is int else None
+        if value is None:
+            value = memo_letter(self.splitting, memo, letter, self.letter_value)
+        return value
+
+    def defect(self):
+        """The larger factor defect: the split defect (for a quasicocycle,
+        when the action is isometric)."""
+        on_a, on_b = self.factor_maps
+        return max(on_a.defect(), on_b.defect())
 
 
 def validate_word(s: Splitting, g: Word) -> Word:

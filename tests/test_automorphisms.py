@@ -56,7 +56,7 @@ def test_apply_substitutes_generator_images():
     assert apply(e, parse_word(ZXZ, "")) == parse_word(ZXZ, "")
 
 
-@pytest.mark.parametrize("bad", [("C", 1), (A, True), (A, 1.0), (A, 1.5)])
+@pytest.mark.parametrize("bad", [("C", 1), (A, True), (A, 1.0), (A, 1.5), (A, [1])])
 @pytest.mark.parametrize("before", [(), ((A, 1), (B, 1))])
 def test_apply_rejects_letters_outside_the_factors(bad, before):
     # After a valid a, the letter True would hit the memo slot of a.

@@ -19,7 +19,6 @@ from splitqm.qrep import (
     enumerate_factor_homs,
     enumerate_factor_qr_maps,
     eval_qrep,
-    eval_split_hom,
     nontriviality_witness,
     qrep_defect,
     qrep_delta,
@@ -182,13 +181,54 @@ def _rho():
         lambda g: homogenize_eval(_sign_split_map(), Word(g.letters + ((A, 1),))),
         lambda g: eval_split_qc(_staircase_split_map(), g),
         lambda g: eval_qrep(_qrep_fixture()[0], g),
-        lambda g: eval_split_hom(_rho(), g),
+        lambda g: _rho()(g),
     ],
     ids=["eval_split", "homogenize_eval", "eval_split_qc", "eval_qrep", "eval_split_hom"],
 )
 def test_split_evaluators_reject_a_letter_on_an_unknown_side(evaluate):
     with pytest.raises(ValueError, match="unknown side 'C'"):
         evaluate(Word((("C", 1),)))
+
+
+SPLIT_MAPS = {
+    "eval_qrep": (lambda: _qrep_fixture()[0], eval_qrep),
+    "SplitHom.__call__": (_rho, lambda f, g: f(g)),
+    "eval_split_qc": (_staircase_split_map, eval_split_qc),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, [1]])
+@pytest.mark.parametrize("name", SPLIT_MAPS)
+def test_a_warm_letter_memo_rejects_elements_that_are_not_exact_ints(name, bad):
+    make, evaluate = SPLIT_MAPS[name]
+    f = make()
+    evaluate(f, Word(((A, 1), (B, 1))))
+    for word in (Word(((A, bad),)), Word(((A, bad), (B, 1)))):
+        with pytest.raises(ValueError):
+            evaluate(f, word)
+
+
+def _plain_value(f, g):
+    """The split map's value from its factor maps, letter by letter, with
+    no memo: the ordered product for a metric target, the prefix-translated
+    sum for a module."""
+    if isinstance(f, (SplitQRep, SplitHom)):
+        return f.target.product(f.factor_map(side)(x) for side, x in g.letters)
+    m, total = f.action, f.action.zero()
+    for i, (side, x) in enumerate(g.letters):
+        total = m.add(total, m.act(Word(g.letters[:i]), f.factor_map(side)(x)))
+    return total
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**32 - 1))
+def test_memo_evaluation_matches_the_plain_factor_map_evaluation(seed):
+    for name, (make, evaluate) in SPLIT_MAPS.items():
+        f = make()
+        words = [random_word(f.splitting, 6, 4, seed + offset) for offset in range(20)]
+        expected = [_plain_value(f, g) for g in words]
+        for _ in range(2):  # a cold memo, then a warm one
+            assert [evaluate(f, g) for g in words] == expected, name
 
 
 def test_eval_qrep_is_the_ordered_letter_product():
@@ -284,7 +324,7 @@ def test_nontriviality_witness_finds_a_separating_word():
             assert report.distance >= delta
             assert report.word is not None
             observed = target.dist(
-                eval_qrep(mu, report.word), eval_split_hom(rho, report.word)
+                eval_qrep(mu, report.word), rho(report.word)
             )
             assert observed == report.distance
 

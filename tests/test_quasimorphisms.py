@@ -440,7 +440,7 @@ def test_warm_letter_memo_matches_fraction_evaluation(f, seed):
         assert [eval_split(f, g) for g in words] == expected
 
 
-@pytest.mark.parametrize("bad", [True, 1.0])
+@pytest.mark.parametrize("bad", [True, 1.0, [1]])
 @pytest.mark.parametrize(
     "evaluate",
     [
