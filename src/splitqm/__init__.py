@@ -34,6 +34,7 @@ from .words import (
     random_word,
     reduce,
     validate_word,
+    word_sampler,
 )
 from .quasimorphisms import (
     DoublingWitness,

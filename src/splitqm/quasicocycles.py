@@ -197,8 +197,8 @@ class FiniteDimRep(ModuleAction):
                     raise ValueError(
                         f"matrix for a cyclic factor of order {factor.n} must satisfy m^n = 1"
                     )
-        # (side, k) -> (matrix, int rows, d) with matrix == rows / d.
-        self._letters: dict[tuple[str, int], tuple[Matrix, IntMatrix, int]] = {}
+        # (side, k) -> (int rows, d): the letter's matrix is rows / d.
+        self._letters: dict[tuple[str, int], tuple[IntMatrix, int]] = {}
 
     def zero(self) -> DenseVector:
         return tuple(Fraction(0) for _ in range(self.dim))
@@ -216,23 +216,19 @@ class FiniteDimRep(ModuleAction):
         c = _fr(c)
         return tuple(c * a for a in v)
 
-    def _letter(self, side: str, k: int) -> tuple[Matrix, IntMatrix, int]:
-        """The matrix of the letter (side, k) and its integer scaling by the
-        common denominator of its entries, memoized per letter.  Raises
-        ValueError on a letter outside the factors."""
+    def _letter(self, side: str, k: int) -> tuple[IntMatrix, int]:
+        """The matrix of the letter (side, k) scaled to integers by the
+        common denominator d of its entries, and d, memoized per letter.
+        Raises ValueError on a letter outside the factors."""
         entry = self._letters.get((side, k)) if type(k) is int else None
         if entry is None:
             entry = memo_letter(self.splitting, self._letters, (side, k), self._scaled_power)
         return entry
 
-    def _scaled_power(self, side: str, k: int) -> tuple[Matrix, IntMatrix, int]:
+    def _scaled_power(self, side: str, k: int) -> tuple[IntMatrix, int]:
         m = mat_pow(self.mat[side], k)
         d = math.lcm(*(x.denominator for row in m for x in row))
-        return m, tuple(tuple(int(x * d) for x in row) for row in m), d
-
-    def letter_matrix(self, side: str, k: int) -> Matrix:
-        """The matrix of the letter (side, k), memoized per letter."""
-        return self._letter(side, k)[0]
+        return tuple(tuple(int(x * d) for x in row) for row in m), d
 
     def denominator(self, v: DenseVector) -> int:
         return math.lcm(*(x.denominator for x in v))
@@ -242,7 +238,7 @@ class FiniteDimRep(ModuleAction):
 
     def translate(self, side: str, x: int, nums: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """The memoized int rows of the letter times nums, O(d^2)."""
-        _, rows, d = self._letter(side, x)
+        rows, d = self._letter(side, x)
         return tuple(sum(map(operator.mul, row, nums)) for row in rows), d
 
     def act(self, g: Word, v: DenseVector) -> DenseVector:
@@ -395,10 +391,9 @@ class FactorTableMap(ABC):
 
     Subclasses supply the target: ``trivial()`` (the zero vector or the
     identity), ``forced_inverse(inv_x, v)`` (the value at inv_x when its
-    inverse maps to v), ``equal``, ``coboundary_size(x, y)`` (how far the
-    pair is from the cocycle or homomorphism identity), and for the scan
-    ``pair_sizer()`` and ``size_value``, which give that size exactly as a
-    pair (s, t) ordered by s / t.
+    inverse maps to v), ``equal``, and for the scan ``pair_sizer()`` and
+    ``size_value``, which give the size of a pair (how far it is from the
+    cocycle or homomorphism identity) exactly as (s, t), ordered by s / t.
     """
 
     def __init__(self, side: str, group: FactorGroup, values: Mapping):
@@ -432,12 +427,9 @@ class FactorTableMap(ABC):
     def equal(self, u, v) -> bool: ...
 
     @abstractmethod
-    def coboundary_size(self, x: int, y: int) -> Union[Fraction, float]: ...
-
-    @abstractmethod
     def pair_sizer(self) -> Callable[[int, int, int], Size]:
         """A function from (x, y, xy) to the size of the pair (x, y) as (s, t)
-        with t > 0; ``size_value(s, t)`` is ``coboundary_size(x, y)``."""
+        with t > 0; ``size_value(s, t)`` is that size as a number."""
 
     @abstractmethod
     def size_value(self, s: int, t: int) -> Union[Fraction, float]: ...
@@ -504,17 +496,6 @@ class FactorCocycleMap(FactorTableMap):
 
     def equal(self, u: Vector, v: Vector) -> bool:
         return self.action.equal(u, v)
-
-    def coboundary(self, x: int, y: int) -> Vector:
-        """f(x) + x.f(y) - f(xy) on Fractions: the definition the integer
-        scan is tested against."""
-        m = self.action
-        fy = self(y)
-        translated = fy if m.is_zero(fy) else m.act(_one_letter(self.side, x), fy)
-        return m.sub(m.add(self(x), translated), self(self.group.mul(x, y)))
-
-    def coboundary_size(self, x: int, y: int) -> Union[Fraction, float]:
-        return self.action.norm(self.coboundary(x, y))
 
     @cached_property
     def _scaled_table(self) -> tuple[dict[int, Numerators], int]:

@@ -24,12 +24,13 @@ from .words import (
     Splitting,
     SplitMap,
     Word,
+    _join,
     cyclically_reduce,
     memo_letter,
     multiply,
     other_side,
-    random_word,
     validate_word,
+    word_sampler,
 )
 
 __all__ = [
@@ -264,10 +265,8 @@ def default_sampler(
     length_bound: int = 5,
     exponent_bound: int = 4,
 ) -> Callable[[], Word]:
-    def sample() -> Word:
-        return random_word(s, length_bound, exponent_bound, rng)
-
-    return sample
+    """The ``words.word_sampler`` of ``s`` on ``rng``, with these bounds."""
+    return word_sampler(s, length_bound, exponent_bound, rng)
 
 
 def junction_pairs(f) -> list[tuple[Word, Word]]:
@@ -295,12 +294,24 @@ def sampled_defect(
     ``extra_pairs`` lets callers embed known maximizing factor pairs as
     one-letter words (see ``junction_pairs``), which makes the sampled value
     attain the supremum.
+
+    The sampler's words and the ``extra_pairs`` must be normal forms: each
+    pair is multiplied at its junction only (``words._join``), which gives
+    the reduced product of two normal forms.  Their letters are still
+    checked, through the map's letter memo, so a letter outside the factors
+    raises ValueError.
     """
     s, size = f.splitting, f.pair_size
     sampled = ((sampler(), sampler()) for _ in range(count))
     best_s, best_t = 0, 1
     for g, h in itertools.chain(sampled, extra_pairs):
-        value, t = size(g, h, multiply(s, g, h))
+        try:
+            gh = Word(_join(s, g.letters, h.letters))
+        except TypeError:
+            # Only a letter outside the factors fails at the junction;
+            # the full reduce checks every letter and raises ValueError.
+            gh = multiply(s, g, h)
+        value, t = size(g, h, gh)
         if value * best_t > best_s * t:
             best_s, best_t = value, t
     return Fraction(best_s, best_t)

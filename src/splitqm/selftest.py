@@ -31,12 +31,11 @@ from .words import (
     multiply,
     parse_word,
     power,
-    random_word,
+    word_sampler,
 )
 from .quasimorphisms import (
     FactorQM,
     SplitQM,
-    default_sampler,
     doubling_witness,
     eval_split,
     gromov_norm,
@@ -190,7 +189,7 @@ def criterion_1(rng: random.Random) -> str:
     defects = []
     for f in configs:
         exact = split_defect(f)
-        sampler = default_sampler(f.splitting, rng, length_bound=4, exponent_bound=4)
+        sampler = word_sampler(f.splitting, 4, 4, rng)
         sampled = sampled_defect(f, sampler, 10_000, extra_pairs=junction_pairs(f))
         if sampled != exact:
             raise CriterionFailed(f"sampled {sampled} != exact {exact}")
@@ -217,8 +216,9 @@ def criterion_2(rng: random.Random) -> str:
     anchor = parse_word(s, "a b^-2 a^3 b")
     if eval_split(f, anchor) != 2:
         raise CriterionFailed("anchor word is not 2")
+    sampler = word_sampler(s, 8, 6, rng)
     for _ in range(500):
-        g = random_word(s, 8, 6, rng)
+        g = sampler()
         oracle = sum((k > 0) - (k < 0) for _, k in g.letters)
         if eval_split(f, g) != oracle:
             raise CriterionFailed(f"mismatch at {g}")
@@ -251,7 +251,8 @@ def criterion_3(rng: random.Random) -> str:
     checked = 0
     for f in (f_int, f_fin):
         s = f.splitting
-        conjugators = [random_word(s, 3, 3, rng) for _ in range(6)]
+        sampler = word_sampler(s, 3, 3, rng)
+        conjugators = [sampler() for _ in range(6)]
         for g in enumerate_words(s, 4, 3):
             base = homogenize_eval(f, g)
             for n in range(-4, 5):
@@ -296,7 +297,7 @@ def criterion_4(rng: random.Random) -> str:
         report = gromov_norm(f)
         if report.value != split_defect(f) or not report.witness_attains:
             raise CriterionFailed("maximized witness misses 2*split_defect")
-        sampler = default_sampler(f.splitting, rng, length_bound=4, exponent_bound=4)
+        sampler = word_sampler(f.splitting, 4, 4, rng)
         bound = 2 * split_defect(f)
         for _ in range(1000):
             g, h = sampler(), sampler()
@@ -367,6 +368,7 @@ def criterion_6(rng: random.Random) -> str:
         parse_word(s, "b a^2 b"),
         parse_word(s, "a b^-3 a^-1"),
     ]
+    sampler = word_sampler(s, 6, 5, rng)
     for index in range(10):
         fA = _random_integer_qm(s.A, rng)
         fB = _random_integer_qm(s.B, rng)
@@ -377,7 +379,7 @@ def criterion_6(rng: random.Random) -> str:
             if counting.decomposition_residual(f, g) != 0:
                 raise CriterionFailed(f"residual at {g}")
         for _ in range(1000):
-            g = random_word(s, 6, 5, rng)
+            g = sampler()
             if counting.decomposition_residual(f, g) != 0:
                 raise CriterionFailed(f"residual at {g}")
     return "10 configs x (1000 random + 9 boundary) words, residual 0"
@@ -412,8 +414,9 @@ def criterion_7(rng: random.Random) -> str:
         for g in enumerate_words(s, 3, 2 * n):
             if eval_split(good, apply(tau, g)) != eval_split(good, g):
                 raise CriterionFailed(f"invariance fails at n={n}, {g}")
+        sampler = word_sampler(s, 6, 2 * n + 2, rng)
         for _ in range(10_000 // 3):
-            g = random_word(s, 6, 2 * n + 2, rng)
+            g = sampler()
             if eval_split(good, apply(tau, g)) != eval_split(good, g):
                 raise CriterionFailed(f"invariance fails at n={n}, {g}")
         report = check_fixed_point(good, n, (letter_words[k] for k in range(0, 1457, 9)))
@@ -463,10 +466,10 @@ def criterion_8(rng: random.Random) -> str:
     ]
     total = 0
     for f in configs:
-        s = f.splitting
+        sampler = word_sampler(f.splitting, 4, 4, rng)
         for _ in range(50):
-            h = random_word(s, 4, 4, rng)
-            samples = [random_word(s, 4, 4, rng) for _ in range(70)]
+            h = sampler()
+            samples = [sampler() for _ in range(70)]
             try:
                 inner_distance_check(f, h, samples)
             except RuntimeError as exc:
@@ -506,9 +509,10 @@ def criterion_9(rng: random.Random, convention: str = "prefix") -> str:
                 got = m.norm(eval_split_qc(f_stair, staircase_word(s, n)))
                 if abs(float(got) - n * float(xi_norm)) > 1e-9:
                     raise CriterionFailed(f"staircase norm growth fails at {n}")
+    sampler = word_sampler(s, 5, 3, rng)
     for m, v in (setups[0], setups[1]):
         for _ in range(250):
-            g = random_word(s, 5, 3, rng)
+            g = sampler()
             if not m.equal(inner_split_eval(m, v, g), inner_cocycle(m, v, g)):
                 raise CriterionFailed(f"inner split evaluation differs at {g}")
     return "ladder p=2 q=3 and staircase exact to depth 6 in dim-3 and regular (p=1,2); inner split on 500 words"
@@ -588,7 +592,7 @@ def criterion_11(rng: random.Random) -> str:
         raise CriterionFailed(f"expected 6 homomorphisms, got {len(rhos)}")
     witness_count = 0
     for mu in mus:
-        sampler = default_sampler(s, rng, length_bound=4, exponent_bound=4)
+        sampler = word_sampler(s, 4, 4, rng)
         exact = qrep_defect(mu)
         sampled = qrep_sampled_defect(mu, sampler, 1000)
         if sampled != exact:
@@ -609,7 +613,7 @@ def criterion_11(rng: random.Random) -> str:
     small = check_no_small_subgroups(circle, F(1, 4))
     if not small.passed:
         raise CriterionFailed("circle said to have small subgroups")
-    sampler = default_sampler(s_int, rng, length_bound=4, exponent_bound=3)
+    sampler = word_sampler(s_int, 4, 3, rng)
     exact = qrep_defect(mu)
     sampled = qrep_sampled_defect(mu, sampler, 1000)
     if sampled != exact:

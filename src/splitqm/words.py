@@ -29,6 +29,7 @@ __all__ = [
     "parse_word",
     "format_word",
     "random_word",
+    "word_sampler",
     "enumerate_words",
 ]
 
@@ -330,12 +331,68 @@ def format_word(s: Splitting, g: Word) -> str:
     return " ".join(_format_letter(s, side, x) for side, x in g.letters)
 
 
-def _random_letter(factor: FactorGroup, side: str, exponent_bound: int, rng: random.Random) -> Letter:
+def _nonzero_elements(factor: FactorGroup, exponent_bound: int) -> list[int]:
+    """The letters' elements on one factor: the non-identity elements of a
+    finite factor, or the exponents in [-exponent_bound, exponent_bound]
+    without 0, in increasing order."""
     if isinstance(factor, IntegerGroup):
-        k = rng.randint(1, exponent_bound)
-        return side, k if rng.random() < 0.5 else -k
-    choices = [x for x in factor.elements() if not factor.is_identity(x)]
-    return side, rng.choice(choices)
+        return [k for k in range(-exponent_bound, exponent_bound + 1) if k]
+    return [x for x in factor.elements() if not factor.is_identity(x)]
+
+
+def _letter_draw(
+    s: Splitting, side: str, exponent_bound: int, rng: random.Random
+) -> Callable[[], Letter]:
+    """One random letter on ``side``.  On the integers the exponent size is
+    ``randrange(exponent_bound) + 1`` and then ``random()`` picks the sign;
+    on a finite factor ``randrange`` picks a non-identity element."""
+    factor = s.factor(side)
+    letters = [(side, x) for x in _nonzero_elements(factor, exponent_bound)]
+    randrange = rng.randrange
+    if not isinstance(factor, IntegerGroup):
+        n = len(letters)
+        return lambda: letters[randrange(n)]
+    # letters holds the exponents -e..-1, 1..e: k + 1 is at e + k, -(k + 1) at e - 1 - k.
+    e, uniform = exponent_bound, rng.random
+
+    def draw() -> Letter:
+        k = randrange(e)
+        return letters[e + k] if uniform() < 0.5 else letters[e - 1 - k]
+
+    return draw
+
+
+def word_sampler(
+    s: Splitting,
+    length_bound: int,
+    exponent_bound: int,
+    rng: random.Random | int,
+) -> Callable[[], Word]:
+    """A seeded source of random normal-form words.
+
+    Each word has ``randrange(length_bound + 1)`` letters and starts on A if
+    ``random() < 0.5``, else on B; its letters alternate sides and come from
+    each side's letter draw (``_letter_draw``), built once here.  Every word
+    is a normal form, and the draws are those ``randint`` and ``choice``
+    make, so a seed gives the same words as it always has.
+    """
+    if length_bound < 1 or exponent_bound < 1:
+        raise ValueError("bounds must be >= 1")
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    on_a = _letter_draw(s, A, exponent_bound, rng)
+    on_b = _letter_draw(s, B, exponent_bound, rng)
+    # A word of n letters starting on A makes the first n draws of from_a.
+    from_a = (on_a, on_b) * ((length_bound + 1) // 2)
+    from_b = (on_b, on_a) * ((length_bound + 1) // 2)
+    randrange, uniform, top = rng.randrange, rng.random, length_bound + 1
+
+    def sample() -> Word:
+        length = randrange(top)
+        draws = from_a if uniform() < 0.5 else from_b
+        return Word(tuple([draw() for draw in draws[:length]]))
+
+    return sample
 
 
 def random_word(
@@ -344,24 +401,8 @@ def random_word(
     exponent_bound: int,
     rng: random.Random | int,
 ) -> Word:
-    """A uniform-ish random reduced word; deterministic for a fixed seed."""
-    if length_bound < 1 or exponent_bound < 1:
-        raise ValueError("bounds must be >= 1")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    length = rng.randint(0, length_bound)
-    side = A if rng.random() < 0.5 else B
-    letters = []
-    for _ in range(length):
-        letters.append(_random_letter(s.factor(side), side, exponent_bound, rng))
-        side = other_side(side)
-    return Word(tuple(letters))
-
-
-def _nonzero_elements(factor: FactorGroup, exponent_bound: int) -> list[int]:
-    if isinstance(factor, IntegerGroup):
-        return [k for k in range(-exponent_bound, exponent_bound + 1) if k]
-    return [x for x in factor.elements() if not factor.is_identity(x)]
+    """One word of a fresh ``word_sampler``; deterministic for a fixed seed."""
+    return word_sampler(s, length_bound, exponent_bound, rng)()
 
 
 def enumerate_words(s: Splitting, max_letters: int, exponent_bound: int) -> Iterator[Word]:

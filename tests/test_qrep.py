@@ -25,8 +25,20 @@ from splitqm.qrep import (
     qrep_sampled_defect,
 )
 from splitqm.quasicocycles import FactorCocycleMap, RegularRep, eval_split_qc, staircase_cocycle
-from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval
-from splitqm.words import A, B, IDENTITY, Splitting, Word, parse_word, random_word, reduce
+from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval, junction_pairs, sampled_defect
+from splitqm.words import (
+    A,
+    B,
+    IDENTITY,
+    Splitting,
+    Word,
+    invert,
+    multiply,
+    parse_word,
+    random_word,
+    reduce,
+    word_sampler,
+)
 
 C2 = CyclicGroup(2)
 C3 = CyclicGroup(3)
@@ -273,6 +285,51 @@ def test_sampled_defect_matches_the_exact_defect(seed):
     sampler = lambda: random_word(mu.splitting, 5, 2, rng)  # noqa: E731
     exact = qrep_defect(mu)
     assert qrep_sampled_defect(mu, sampler, 300) == exact
+
+
+@st.composite
+def split_qreps(draw):
+    """A quasi-representation on C2 * C3 or Z * C6 into the hexagon metric,
+    or on Z * Z into the circle."""
+    kind = draw(st.sampled_from(["hexagon-finite", "hexagon-integer", "circle"]))
+    if kind == "circle":
+        target, s = Circle(), Splitting(IntegerGroup(), IntegerGroup())
+        turns = st.integers(0, 15).map(lambda k: Fraction(k, 16))
+        values = st.dictionaries(st.integers(1, 4), turns, max_size=3)
+        return SplitQRep(
+            s, target, FactorQRMap(A, target, s.A, draw(values)), FactorQRMap(B, target, s.B, draw(values))
+        )
+    target = _hex_metric()
+    if kind == "hexagon-finite":
+        s = Splitting(C2, C3)
+        on_a, on_b = (list(enumerate_factor_qr_maps(side, s.factor(side), target, 1)) for side in (A, B))
+        return SplitQRep(s, target, draw(st.sampled_from(on_a)), draw(st.sampled_from(on_b)))
+    s = Splitting(IntegerGroup(), C6)
+    values = draw(st.dictionaries(st.integers(1, 4), st.integers(0, 5), max_size=3))
+    return SplitQRep(
+        s, target, FactorQRMap(A, target, s.A, values), FactorQRMap(B, target, C6, {1: draw(st.integers(0, 5))})
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(split_qreps(), st.integers(0, 2**32 - 1))
+def test_sampled_defect_joins_pairs_as_multiply_does(mu, seed):
+    # The slow path: every product reduced by multiply.  In every second
+    # pair h starts by undoing a tail of g, so the junction cancels first.
+    s = mu.splitting
+    sampler = word_sampler(s, 5, 4, seed)
+    pairs = []
+    for k in range(40):
+        g, h = sampler(), sampler()
+        if k % 2 and g:
+            h = multiply(s, invert(s, Word(g.letters[k % len(g) :])), h)
+        pairs.append((g, h))
+    slow = [Fraction(*mu.pair_size(g, h, multiply(s, g, h))) for g, h in pairs + junction_pairs(mu)]
+    # One pair at a time, so a wrong product cannot hide below the maximum.
+    singles = [sampled_defect(mu, iter(pair).__next__, 1) for pair in pairs]
+    assert singles == slow[: len(pairs)]
+    words = iter([w for pair in pairs for w in pair]).__next__
+    assert qrep_sampled_defect(mu, words, len(pairs)) == max(slow)
 
 
 def test_factor_hom_forms_and_validation():

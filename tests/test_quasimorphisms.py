@@ -34,6 +34,7 @@ from splitqm.words import (
     parse_word,
     power,
     random_word,
+    word_sampler,
 )
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
@@ -291,6 +292,32 @@ def test_sampled_defect_matches_fraction_evaluation(f, seed):
     assert expected == split_defect(f)
 
 
+def cancelling_pairs(s, seed, count):
+    """``count`` pairs of sampled normal forms; in every second pair h
+    starts by undoing a tail of g, so the junction cancels and then merges."""
+    sampler = word_sampler(s, 5, 4, seed)
+    pairs = []
+    for k in range(count):
+        g, h = sampler(), sampler()
+        if k % 2 and g:
+            h = multiply(s, invert(s, Word(g.letters[k % len(g) :])), h)
+        pairs.append((g, h))
+    return pairs
+
+
+@settings(deadline=None, max_examples=40)
+@given(all_split_qms(), st.integers(0, 2**32 - 1))
+def test_sampled_defect_joins_pairs_as_multiply_does(f, seed):
+    # The slow path: every product reduced by multiply.
+    s = f.splitting
+    pairs = cancelling_pairs(s, seed, 40) + junction_pairs(f)
+    slow = [Fraction(*f.pair_size(g, h, multiply(s, g, h))) for g, h in pairs]
+    # One pair at a time, so a wrong product cannot hide below the maximum.
+    assert [sampled_defect(f, iter(pair).__next__, 1) for pair in pairs] == slow
+    words = iter([w for pair in pairs for w in pair]).__next__
+    assert sampled_defect(f, words, len(pairs)) == max(slow)
+
+
 @settings(deadline=None, max_examples=30)
 @given(split_qms(), st.integers(0, 2**32 - 1))
 def test_split_coboundary_is_bounded_by_the_factor_defects(f, seed):
@@ -440,8 +467,7 @@ def test_warm_letter_memo_matches_fraction_evaluation(f, seed):
         assert [eval_split(f, g) for g in words] == expected
 
 
-@pytest.mark.parametrize("bad", [True, 1.0, [1]])
-@pytest.mark.parametrize(
+MEMO_EVALUATORS = pytest.mark.parametrize(
     "evaluate",
     [
         eval_split,
@@ -451,9 +477,40 @@ def test_warm_letter_memo_matches_fraction_evaluation(f, seed):
     ],
     ids=["eval_split", "SplitQM.__call__", "homogenize_eval", "sampled_defect"],
 )
-def test_a_warm_letter_memo_rejects_elements_that_hash_like_a_valid_one(evaluate, bad):
-    f = SplitQM(ZXZ, FactorQM(ZXZ.A, sign_coeff=1), FactorQM(ZXZ.B, sign_coeff=2))
+
+
+def assert_warm_memo_rejects(evaluate, f, bad):
     evaluate(f, Word(((A, 1), (B, 1))))
     for word in (Word(((A, bad),)), Word(((A, bad), (B, 1)))):
         with pytest.raises(ValueError):
             evaluate(f, word)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, [1]])
+@MEMO_EVALUATORS
+def test_a_warm_letter_memo_rejects_elements_that_hash_like_a_valid_one(evaluate, bad):
+    f = SplitQM(ZXZ, FactorQM(ZXZ.A, sign_coeff=1), FactorQM(ZXZ.B, sign_coeff=2))
+    assert_warm_memo_rejects(evaluate, f, bad)
+
+
+FINITE_MEMO_MAPS = {
+    "Z5xZ6": lambda: SplitQM(
+        C5XC6,
+        FactorQM(C5XC6.A, finite_part={1: Fraction(1), 4: Fraction(-1)}),
+        FactorQM(C5XC6.B, finite_part={1: Fraction(2), 5: Fraction(-2)}),
+    ),
+    "Z3xS3-tables": lambda: SplitQM(
+        TABLES,
+        FactorQM(TABLES.A, finite_part={1: Fraction(1), 2: Fraction(-1)}),
+        FactorQM(TABLES.B, finite_part={1: Fraction(1), 2: Fraction(-1)}),
+    ),
+}
+
+
+# On Z/5, sampled_defect's junction would add [1] + [1] and take it mod 5
+# (TypeError) unless the letters were checked: every case is a ValueError.
+@pytest.mark.parametrize("bad", [True, 1.0, [1], 7], ids=["True", "1.0", "list", "out-of-range"])
+@pytest.mark.parametrize("splitting", FINITE_MEMO_MAPS)
+@MEMO_EVALUATORS
+def test_a_warm_letter_memo_rejects_bad_elements_of_finite_factors(evaluate, splitting, bad):
+    assert_warm_memo_rejects(evaluate, FINITE_MEMO_MAPS[splitting](), bad)

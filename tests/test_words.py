@@ -1,5 +1,7 @@
 """Normal-form word arithmetic: reduction, parsing, and enumeration."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,11 +19,13 @@ from splitqm.words import (
     format_word,
     invert,
     multiply,
+    other_side,
     parse_word,
     power,
     random_word,
     reduce,
     validate_word,
+    word_sampler,
 )
 
 KLEIN_MUL = [
@@ -52,6 +56,7 @@ S3XZ = Splitting(
     IntegerGroup(),
 )
 SPLITTINGS = [ZXZ, C5XC6, MIXED, S3XZ]
+ZXC3 = Splitting(IntegerGroup(), CyclicGroup(3))
 
 
 def _letter_values(s, side, draw):
@@ -300,6 +305,55 @@ def test_random_word_rejects_empty_ranges():
         random_word(ZXZ, 0, 3, 1)
     with pytest.raises(ValueError):
         random_word(ZXZ, 5, 0, 1)
+
+
+def test_word_sampler_rejects_empty_ranges_when_built():
+    for bounds in ((0, 3), (5, 0), (-1, 1)):
+        rng = random.Random(1)
+        with pytest.raises(ValueError):
+            word_sampler(ZXZ, *bounds, rng)
+        assert rng.random() == random.Random(1).random()
+
+
+# The seeded draws of random_word before it became one draw of a
+# word_sampler, kept verbatim as the oracle the sampler must match.
+def _random_letter(factor, side, exponent_bound, rng):
+    if isinstance(factor, IntegerGroup):
+        k = rng.randint(1, exponent_bound)
+        return side, k if rng.random() < 0.5 else -k
+    choices = [x for x in factor.elements() if not factor.is_identity(x)]
+    return side, rng.choice(choices)
+
+
+def oracle_random_word(s, length_bound, exponent_bound, rng):
+    """A uniform-ish random reduced word; deterministic for a fixed seed."""
+    if length_bound < 1 or exponent_bound < 1:
+        raise ValueError("bounds must be >= 1")
+    if isinstance(rng, int):
+        rng = random.Random(rng)
+    length = rng.randint(0, length_bound)
+    side = A if rng.random() < 0.5 else B
+    letters = []
+    for _ in range(length):
+        letters.append(_random_letter(s.factor(side), side, exponent_bound, rng))
+        side = other_side(side)
+    return Word(tuple(letters))
+
+
+@pytest.mark.parametrize("s", [ZXZ, C5XC6, ZXC3, S3XZ], ids=["ZxZ", "Z5xZ6", "ZxZ3", "S3xZ"])
+@pytest.mark.parametrize("bounds", [(1, 1), (1, 5), (4, 1), (4, 4), (5, 3), (8, 6)])
+def test_word_sampler_draws_what_random_word_always_drew(s, bounds):
+    for seed in range(60):
+        old, new, fresh = random.Random(seed), random.Random(seed), random.Random(seed)
+        expected = [oracle_random_word(s, *bounds, old) for _ in range(20)]
+        sampler = word_sampler(s, *bounds, new)
+        assert [sampler() for _ in range(20)] == expected
+        assert [random_word(s, *bounds, fresh) for _ in range(20)] == expected
+        # The stream is consumed draw for draw, so later draws agree too.
+        assert new.random() == old.random() == fresh.random()
+        # An int seed still seeds a fresh generator.
+        assert random_word(s, *bounds, seed) == expected[0]
+        assert word_sampler(s, *bounds, seed)() == expected[0]
 
 
 @pytest.mark.parametrize(
