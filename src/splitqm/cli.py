@@ -29,12 +29,12 @@ from .words import (
     WordSyntaxError,
     format_word,
     parse_word,
+    word_sampler,
 )
 from .quasimorphisms import (
     FactorQM,
     GromovNormReport,
     SplitQM,
-    default_sampler,
     eval_split,
     gromov_norm,
     homogenize_eval,
@@ -368,7 +368,7 @@ def _sampling(args, config: Config, s: Splitting, label: str) -> tuple[Callable[
     count = args.samples if args.samples is not None else config.sampler.samples
     if count < 0:
         raise ConfigError("--samples", f"expected a count >= 0, got {count}")
-    return default_sampler(s, rng, config.sampler.length_bound, config.sampler.exponent_bound), count
+    return word_sampler(s, config.sampler.length_bound, config.sampler.exponent_bound, rng), count
 
 
 def _emit(args, rows: Sequence[tuple[str, str]]) -> None:

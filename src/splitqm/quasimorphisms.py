@@ -265,7 +265,10 @@ def default_sampler(
     length_bound: int = 5,
     exponent_bound: int = 4,
 ) -> Callable[[], Word]:
-    """The ``words.word_sampler`` of ``s`` on ``rng``, with these bounds."""
+    """The ``words.word_sampler`` of ``s`` on ``rng``, with these bounds.
+
+    Kept under this name and argument order for the benchmark harness in
+    ``splitbench/``, which calls it; new code calls ``word_sampler``."""
     return word_sampler(s, length_bound, exponent_bound, rng)
 
 

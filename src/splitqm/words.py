@@ -347,19 +347,18 @@ def _letter_draw(
     ``randrange(exponent_bound) + 1`` and then ``random()`` picks the sign;
     on a finite factor ``randrange`` picks a non-identity element."""
     factor = s.factor(side)
-    letters = [(side, x) for x in _nonzero_elements(factor, exponent_bound)]
     randrange = rng.randrange
-    if not isinstance(factor, IntegerGroup):
-        n = len(letters)
-        return lambda: letters[randrange(n)]
-    # letters holds the exponents -e..-1, 1..e: k + 1 is at e + k, -(k + 1) at e - 1 - k.
-    e, uniform = exponent_bound, rng.random
+    if isinstance(factor, IntegerGroup):
+        e, uniform = exponent_bound, rng.random
 
-    def draw() -> Letter:
-        k = randrange(e)
-        return letters[e + k] if uniform() < 0.5 else letters[e - 1 - k]
+        def draw() -> Letter:
+            k = randrange(e) + 1
+            return (side, k) if uniform() < 0.5 else (side, -k)
 
-    return draw
+        return draw
+    letters = [(side, x) for x in _nonzero_elements(factor, exponent_bound)]
+    n = len(letters)
+    return lambda: letters[randrange(n)]
 
 
 def word_sampler(

@@ -25,20 +25,19 @@ from splitqm.qrep import (
     qrep_sampled_defect,
 )
 from splitqm.quasicocycles import FactorCocycleMap, RegularRep, eval_split_qc, staircase_cocycle
-from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval, junction_pairs, sampled_defect
+from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval
 from splitqm.words import (
     A,
     B,
     IDENTITY,
     Splitting,
     Word,
-    invert,
-    multiply,
     parse_word,
     random_word,
     reduce,
-    word_sampler,
 )
+
+from sampled_pairs import check_joins_as_multiply_does
 
 C2 = CyclicGroup(2)
 C3 = CyclicGroup(3)
@@ -314,22 +313,7 @@ def split_qreps(draw):
 @settings(deadline=None, max_examples=40)
 @given(split_qreps(), st.integers(0, 2**32 - 1))
 def test_sampled_defect_joins_pairs_as_multiply_does(mu, seed):
-    # The slow path: every product reduced by multiply.  In every second
-    # pair h starts by undoing a tail of g, so the junction cancels first.
-    s = mu.splitting
-    sampler = word_sampler(s, 5, 4, seed)
-    pairs = []
-    for k in range(40):
-        g, h = sampler(), sampler()
-        if k % 2 and g:
-            h = multiply(s, invert(s, Word(g.letters[k % len(g) :])), h)
-        pairs.append((g, h))
-    slow = [Fraction(*mu.pair_size(g, h, multiply(s, g, h))) for g, h in pairs + junction_pairs(mu)]
-    # One pair at a time, so a wrong product cannot hide below the maximum.
-    singles = [sampled_defect(mu, iter(pair).__next__, 1) for pair in pairs]
-    assert singles == slow[: len(pairs)]
-    words = iter([w for pair in pairs for w in pair]).__next__
-    assert qrep_sampled_defect(mu, words, len(pairs)) == max(slow)
+    check_joins_as_multiply_does(mu, seed, qrep_sampled_defect)
 
 
 def test_factor_hom_forms_and_validation():

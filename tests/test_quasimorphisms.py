@@ -34,8 +34,9 @@ from splitqm.words import (
     parse_word,
     power,
     random_word,
-    word_sampler,
 )
+
+from sampled_pairs import check_joins_as_multiply_does
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
 C5XC6 = Splitting(CyclicGroup(5), CyclicGroup(6))
@@ -292,30 +293,10 @@ def test_sampled_defect_matches_fraction_evaluation(f, seed):
     assert expected == split_defect(f)
 
 
-def cancelling_pairs(s, seed, count):
-    """``count`` pairs of sampled normal forms; in every second pair h
-    starts by undoing a tail of g, so the junction cancels and then merges."""
-    sampler = word_sampler(s, 5, 4, seed)
-    pairs = []
-    for k in range(count):
-        g, h = sampler(), sampler()
-        if k % 2 and g:
-            h = multiply(s, invert(s, Word(g.letters[k % len(g) :])), h)
-        pairs.append((g, h))
-    return pairs
-
-
 @settings(deadline=None, max_examples=40)
 @given(all_split_qms(), st.integers(0, 2**32 - 1))
 def test_sampled_defect_joins_pairs_as_multiply_does(f, seed):
-    # The slow path: every product reduced by multiply.
-    s = f.splitting
-    pairs = cancelling_pairs(s, seed, 40) + junction_pairs(f)
-    slow = [Fraction(*f.pair_size(g, h, multiply(s, g, h))) for g, h in pairs]
-    # One pair at a time, so a wrong product cannot hide below the maximum.
-    assert [sampled_defect(f, iter(pair).__next__, 1) for pair in pairs] == slow
-    words = iter([w for pair in pairs for w in pair]).__next__
-    assert sampled_defect(f, words, len(pairs)) == max(slow)
+    check_joins_as_multiply_does(f, seed)
 
 
 @settings(deadline=None, max_examples=30)

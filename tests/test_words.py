@@ -307,6 +307,13 @@ def test_random_word_rejects_empty_ranges():
         random_word(ZXZ, 5, 0, 1)
 
 
+def test_word_sampler_draws_huge_exponents_without_listing_them():
+    sampler = word_sampler(ZXZ, 4, 10**9, 1)
+    for _ in range(20):
+        assert all(1 <= abs(k) <= 10**9 for _, k in sampler())
+    assert all(1 <= abs(k) <= 10**9 for _, k in random_word(ZXZ, 5, 10**9, 2))
+
+
 def test_word_sampler_rejects_empty_ranges_when_built():
     for bounds in ((0, 3), (5, 0), (-1, 1)):
         rng = random.Random(1)
