@@ -23,7 +23,6 @@ from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
 from .words import (
     A,
     B,
-    IDENTITY,
     Splitting,
     Word,
     WordSyntaxError,
@@ -171,6 +170,14 @@ def _factor_qm(obj, group: FactorGroup, path: str) -> FactorQM:
         raise ConfigError(path, str(exc)) from None
 
 
+def _build_splitting(obj) -> Splitting:
+    desc = _expect(obj, dict, "splitting", "an object with A and B")
+    for side in (A, B):
+        if side not in desc:
+            raise ConfigError(f"splitting.{side}", "missing factor descriptor")
+    return Splitting(_factor_group(desc[A], "splitting.A"), _factor_group(desc[B], "splitting.B"))
+
+
 @dataclass
 class Sampler:
     seed: int = DEFAULT_SEED
@@ -181,9 +188,15 @@ class Sampler:
 
 @dataclass
 class Config:
+    """A loaded config: each section built once, None where it is absent.
+    ``raw`` is the JSON object the config was read from."""
+
     splitting: Optional[Splitting] = None
     maps: dict = field(default_factory=dict)
     sampler: Sampler = field(default_factory=Sampler)
+    action: Optional[tuple[ModuleAction, object]] = None
+    qrep: Optional[QRepSetup] = None
+    defect_space: Optional[DefectSpaceSetup] = None
     raw: dict = field(default_factory=dict)
 
 
@@ -201,13 +214,7 @@ def load_config(path: str) -> Config:
         raise ConfigError("schema", f"expected schema version {SCHEMA_VERSION}, got {schema!r}")
     config = Config(raw=raw)
     if "splitting" in raw:
-        desc = _expect(raw["splitting"], dict, "splitting", "an object with A and B")
-        for side in (A, B):
-            if side not in desc:
-                raise ConfigError(f"splitting.{side}", "missing factor descriptor")
-        config.splitting = Splitting(
-            _factor_group(desc[A], "splitting.A"), _factor_group(desc[B], "splitting.B")
-        )
+        config.splitting = _build_splitting(raw["splitting"])
     for name, obj in _expect(raw.get("maps", {}), dict, "maps", "an object of named maps").items():
         if config.splitting is None:
             raise ConfigError("maps", "maps need a splitting")
@@ -218,35 +225,33 @@ def load_config(path: str) -> Config:
             _factor_qm(obj.get(B, {}), config.splitting.B, f"maps.{name}.B"),
         )
     sampler_obj = _expect(raw.get("sampler", {}), dict, "sampler", "an object")
-    sampler = Sampler()
     for key, least in (("seed", None), ("samples", 0), ("length_bound", 1), ("exponent_bound", 1)):
         if key in sampler_obj:
             value = _expect(sampler_obj[key], int, f"sampler.{key}", "an integer")
             if least is not None and value < least:
                 raise ConfigError(f"sampler.{key}", f"expected an integer >= {least}, got {value}")
-            setattr(sampler, key, value)
-    config.sampler = sampler
-    # Validate optional per-subcommand sections eagerly so a bad config is
-    # rejected on load no matter which driver runs.
+            setattr(config.sampler, key, value)
+    # Every section is built on load, so a bad config is rejected no matter
+    # which driver runs, and each driver reads the built section.
     if "action" in raw:
-        _build_action(config)
+        config.action = _build_action(raw["action"], config.splitting)
     if "qrep" in raw:
-        _build_qrep(config)
+        config.qrep = _build_qrep(raw["qrep"], config.splitting)
     if "defect_space" in raw:
-        _build_defect_space(config)
+        config.defect_space = _build_defect_space(raw["defect_space"])
     return config
 
 
-def _build_action(config: Config) -> tuple[ModuleAction, object]:
-    obj = _expect(config.raw.get("action", {}), dict, "action", "an action descriptor")
-    if config.splitting is None:
+def _build_action(obj, splitting: Optional[Splitting]) -> tuple[ModuleAction, object]:
+    obj = _expect(obj, dict, "action", "an action descriptor")
+    if splitting is None:
         raise ConfigError("action", "actions need a splitting")
     kind = obj.get("kind")
     try:
         if kind == "finite_dim":
             rows_a = _expect(obj.get("mat_a"), list, "action.mat_a", "a matrix")
             rows_b = _expect(obj.get("mat_b"), list, "action.mat_b", "a matrix")
-            m = FiniteDimRep(config.splitting, rows_a, rows_b)
+            m = FiniteDimRep(splitting, rows_a, rows_b)
             coords = _expect(
                 obj.get("vector", [1] + [0] * (len(rows_a) - 1)), list, "action.vector", "a list of coordinates"
             )
@@ -255,14 +260,14 @@ def _build_action(config: Config) -> tuple[ModuleAction, object]:
             p = obj.get("p", 1)
             if p != "inf":
                 _expect(p, int, "action.p", 'an integer or "inf"')
-            m = RegularRep(config.splitting, float("inf") if p == "inf" else p)
+            m = RegularRep(splitting, float("inf") if p == "inf" else p)
             entries = {}
             pairs = _expect(obj.get("vector", [["", 1]]), list, "action.vector", "a list of [word, value] pairs")
             for index, pair in enumerate(pairs):
                 pair = _expect(pair, list, f"action.vector[{index}]", "a [word, value] pair")
                 if len(pair) != 2:
                     raise ConfigError(f"action.vector[{index}]", "expected a [word, value] pair")
-                word = parse_word(config.splitting, _expect(pair[0], str, f"action.vector[{index}][0]", "word text"))
+                word = parse_word(splitting, _expect(pair[0], str, f"action.vector[{index}][0]", "word text"))
                 entries[word] = _rational(pair[1], f"action.vector[{index}][1]")
             return m, m.vector(entries)
     except ConfigError:
@@ -298,10 +303,9 @@ class QRepSetup:
     max_norm: Optional[Fraction]
 
 
-def _build_qrep(config: Config) -> QRepSetup:
-    obj = _expect(config.raw.get("qrep", {}), dict, "qrep", "a qrep section")
+def _build_qrep(obj, splitting: Optional[Splitting]) -> QRepSetup:
+    obj = _expect(obj, dict, "qrep", "a qrep section")
     target = _metric_target(obj.get("target"), "qrep.target")
-    splitting = config.splitting
     if splitting is None:
         raise ConfigError("qrep", "the qrep section needs a splitting")
     mu_obj = _expect(obj.get("mu", {}), dict, "qrep.mu", "an object with sides A and B")
@@ -342,8 +346,8 @@ class DefectSpaceSetup:
     choices: tuple[Fraction, ...]
 
 
-def _build_defect_space(config: Config) -> DefectSpaceSetup:
-    obj = _expect(config.raw.get("defect_space", {}), dict, "defect_space", "a defect_space section")
+def _build_defect_space(obj) -> DefectSpaceSetup:
+    obj = _expect(obj, dict, "defect_space", "a defect_space section")
     carrier = _factor_group(obj.get("carrier", {"type": "cyclic", "n": 6}), "defect_space.carrier")
     if not carrier.is_finite:
         raise ConfigError("defect_space.carrier", "vector enumeration needs a finite carrier")
@@ -352,6 +356,20 @@ def _build_defect_space(config: Config) -> DefectSpaceSetup:
     )
     choices = tuple(_rational(c, f"defect_space.choices[{i}]") for i, c in enumerate(raw_choices))
     return DefectSpaceSetup(carrier, choices)
+
+
+# The sections a driver builds where its config has none: the regular
+# representation of Z * Z on the identity's indicator (``p`` and ``vector``
+# default to 1 and [["", 1]]), and the splitting and qrep sections of
+# configs/finite_qrep.json.
+DEFAULT_SPLITTING = {"A": {"type": "integer"}, "B": {"type": "integer"}}
+DEFAULT_ACTION = {"kind": "regular"}
+DEFAULT_QREP_SPLITTING = {"A": {"type": "cyclic", "n": 2}, "B": {"type": "cyclic", "n": 3}}
+DEFAULT_QREP = {
+    "target": {"kind": "finite_metric", "group": {"type": "cyclic", "n": 6},
+               "lengths": ["0", "1/2", "1", "1", "1", "1/2"]},
+    "mu": {"A": [], "B": [[1, 1], [2, 5]]}, "eps": "1", "max_norm": "1/2",
+}
 
 
 # -- drivers -----------------------------------------------------------------
@@ -369,6 +387,16 @@ def _sampling(args, config: Config, s: Splitting, label: str) -> tuple[Callable[
     if count < 0:
         raise ConfigError("--samples", f"expected a count >= 0, got {count}")
     return word_sampler(s, config.sampler.length_bound, config.sampler.exponent_bound, rng), count
+
+
+def _sampled_check(args, config: Config, f: SplitQM, label: str, most: Optional[int] = None):
+    """(pair count, sampled defect, split defect) of f: the sampled pairs are
+    drawn on the child seed of ``label``, at most ``most`` of them, and
+    include the junction pairs."""
+    sampler, count = _sampling(args, config, f.splitting, label)
+    if most is not None:
+        count = min(count, most)
+    return count, sampled_defect(f, sampler, count, extra_pairs=junction_pairs(f)), split_defect(f)
 
 
 def _emit(args, rows: Sequence[tuple[str, str]]) -> None:
@@ -418,9 +446,7 @@ def _doubling_witness_status(report: GromovNormReport) -> int:
 def cmd_defect(args) -> int:
     config = load_config(args.config)
     f = _named_map(config, args.map)
-    sampler, count = _sampling(args, config, f.splitting, "defect")
-    exact = split_defect(f)
-    sampled = sampled_defect(f, sampler, count, extra_pairs=junction_pairs(f))
+    count, sampled, exact = _sampled_check(args, config, f, "defect")
     report = gromov_norm(f)
     rows = [
         ("factor defect A", str(f.fA.defect())),
@@ -474,15 +500,9 @@ def cmd_tau_check(args) -> int:
 
 
 def cmd_qc_growth(args) -> int:
-    config = load_config(args.config) if args.config else Config(splitting=_default_zxz())
-    if "action" in config.raw:
-        m, v = _build_action(config)
-    else:
-        if config.splitting is None:
-            config.splitting = _default_zxz()
-        m = RegularRep(config.splitting, 1)
-        v = m.indicator(IDENTITY)
-    depth = args.depth if args.depth is not None else 6
+    config = load_config(args.config) if args.config else Config()
+    m, v = config.action or _build_action(DEFAULT_ACTION, config.splitting or _build_splitting(DEFAULT_SPLITTING))
+    depth = args.depth
     s = m.splitting
     _, ladder_f = power_ladder_cocycle(m, 2, v, depth=depth, check_prime=3)
     _, stair_f = staircase_cocycle(m, v, depth=depth)
@@ -501,13 +521,9 @@ def cmd_qc_growth(args) -> int:
     return 0
 
 
-def _default_zxz() -> Splitting:
-    return Splitting(IntegerGroup(), IntegerGroup())
-
-
 def cmd_defect_space(args) -> int:
     config = load_config(args.config) if args.config else Config()
-    setup = _build_defect_space(config)
+    setup = config.defect_space or _build_defect_space({})
     checked = 0
     max_defect = Fraction(0)
     worst_slack: Optional[Fraction] = None
@@ -538,26 +554,7 @@ def cmd_defect_space(args) -> int:
 
 def cmd_qrep(args) -> int:
     config = load_config(args.config) if args.config else Config()
-    if "qrep" in config.raw:
-        setup = _build_qrep(config)
-    else:
-        target = FiniteMetric.from_length_function(
-            CyclicGroup(6),
-            [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1), Fraction(1), Fraction(1, 2)],
-        )
-        s = Splitting(CyclicGroup(2), CyclicGroup(3))
-        setup = QRepSetup(
-            s,
-            target,
-            SplitQRep(
-                s,
-                target,
-                FactorQRMap(A, target, s.A, {}),
-                FactorQRMap(B, target, s.B, {1: 1, 2: 5}),
-            ),
-            eps=Fraction(1),
-            max_norm=Fraction(1, 2),
-        )
+    setup = config.qrep or _build_qrep(DEFAULT_QREP, _build_splitting(DEFAULT_QREP_SPLITTING))
     sampler, count = _sampling(args, config, setup.splitting, "qrep")
     small = check_no_small_subgroups(setup.target, setup.eps)
     exact = qrep_defect(setup.mu)
@@ -571,21 +568,15 @@ def cmd_qrep(args) -> int:
         (f"sampled defect ({count} pairs)", str(sampled)),
     ]
     failures = 0
-    searches = 0
     if isinstance(setup.target, FiniteMetric):
         homs = [
-            (hA, hB)
+            SplitHom(setup.splitting, setup.target, hA, hB)
             for hA in enumerate_factor_homs(A, setup.splitting.A, setup.target)
             for hB in enumerate_factor_homs(B, setup.splitting.B, setup.target)
         ]
-        for hA, hB in homs:
-            rho = SplitHom(setup.splitting, setup.target, hA, hB)
-            report = nontriviality_witness(setup.mu, rho, setup.eps)
-            searches += 1
-            if not report.succeeded:
-                failures += 1
+        failures = sum(not nontriviality_witness(setup.mu, rho, setup.eps).succeeded for rho in homs)
         rows.append(("homomorphisms checked", str(len(homs))))
-        rows.append(("witness searches succeeded", f"{searches - failures}/{searches}"))
+        rows.append(("witness searches succeeded", f"{len(homs) - failures}/{len(homs)}"))
         if setup.max_norm is not None:
             admissible = sum(
                 1
@@ -625,8 +616,7 @@ def cmd_rademacher(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    config = load_config(args.config) if args.config else None
-    seed = args.seed if args.seed is not None else (config.sampler.seed if config else DEFAULT_SEED)
+    config = load_config(args.config) if args.config else Config()
     only = None
     if args.only:
         try:
@@ -638,17 +628,13 @@ def cmd_selftest(args) -> int:
             raise ConfigError("--only", f"no criterion numbered {', '.join(map(str, unknown))}")
     convention = "literal" if args.debug_literal_convention else "prefix"
     failures = 0
-    for result in run_all(seed, only, convention):
+    for result in run_all(_seed_for(args, config), only, convention):
         print(format_result(result), flush=True)
         if not result.passed:
             failures += 1
-    if config is not None and config.maps:
+    if config.maps:
         for name, f in sorted(config.maps.items()):
-            sampler, _ = _sampling(args, config, f.splitting, f"selftest:{name}")
-            exact = split_defect(f)
-            sampled = sampled_defect(
-                f, sampler, min(config.sampler.samples, 2000), extra_pairs=junction_pairs(f)
-            )
+            _, sampled, exact = _sampled_check(args, config, f, f"selftest:{name}", most=2000)
             ok = sampled == exact
             status = "PASS" if ok else "FAIL"
             print(f"[cfg] {status} map '{name}': sampled defect {sampled}, split defect {exact}")
@@ -659,49 +645,53 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+# Every argument a subcommand can take; each subcommand names the ones its
+# driver reads, so any other is a usage error.
+ARGUMENTS = {
+    "--config": dict(help="path to the JSON config"),
+    "--seed": dict(type=int, help="master seed (overrides the config)"),
+    "--samples": dict(type=int, help="sample count (overrides the config)"),
+    "--depth": dict(type=int, default=6, help="growth depth"),
+    "--format": dict(choices=("table", "json"), default="table"),
+    "--only": dict(help="comma-separated criterion numbers to run"),
+    "--debug-literal-convention": dict(
+        action="store_true",
+        help="corrupt the ladder translation convention (negative control; criterion 9 must FAIL)",
+    ),
+    "map": dict(help="map name from the config"),
+    "word": dict(help="word text, e.g. 'a b^-2 a^3 b'"),
+    "exponent": dict(type=int, help="twist exponent n"),
+}
+SAMPLED = "--config --seed --samples --format"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitqm",
         description="Split quasimorphisms on free products: exact defects, twists, "
         "cocycle growth, and quasi-representation reports.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to the JSON config")
-    common.add_argument("--seed", type=int, help="master seed (overrides the config)")
-    common.add_argument("--samples", type=int, help="sample count (overrides the config)")
-    common.add_argument("--depth", type=int, help="growth/search depth")
-    common.add_argument("--format", choices=("table", "json"), default="table")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func: Callable, help_text: str, config_required: bool = False):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func, config_required=config_required)
-        return p
+    def add(name: str, func: Callable, help_text: str, arguments: str) -> None:
+        p = sub.add_parser(name, help=help_text)
+        names = arguments.split()
+        # A named map lives in a config, so a subcommand taking one needs it.
+        p.set_defaults(func=func, config_required="map" in names)
+        for argument in names:
+            p.add_argument(argument, **ARGUMENTS[argument])
 
-    p = add("eval", cmd_eval, "evaluate a named map on a word", config_required=True)
-    p.add_argument("map", help="map name from the config")
-    p.add_argument("word", help="word text, e.g. 'a b^-2 a^3 b'")
-    p = add("homogenize", cmd_homogenize, "homogenized value of a named map on a word", config_required=True)
-    p.add_argument("map")
-    p.add_argument("word")
-    p = add("defect", cmd_defect, "exact, sampled, and norm report for a named map", config_required=True)
-    p.add_argument("map")
-    p = add("decompose", cmd_decompose, "block-decomposition residuals on sampled words", config_required=True)
-    p.add_argument("map")
-    p = add("tau-check", cmd_tau_check, "twist fixed-point report for a named map", config_required=True)
-    p.add_argument("map")
-    p.add_argument("exponent", type=int, help="twist exponent n")
-    add("qc-growth", cmd_qc_growth, "ladder and staircase cocycle growth report")
-    add("defect-space", cmd_defect_space, "alternating-vector norm and order-bound report")
-    add("qrep", cmd_qrep, "quasi-representation defect and witness report")
-    add("rademacher", cmd_rademacher, "the canonical split map on Z/2 * Z/3")
-    p = add("selftest", cmd_selftest, "run the acceptance criteria")
-    p.add_argument("--only", help="comma-separated criterion numbers to run")
-    p.add_argument(
-        "--debug-literal-convention",
-        action="store_true",
-        help="corrupt the ladder translation convention (negative control; criterion 9 must FAIL)",
-    )
+    add("eval", cmd_eval, "evaluate a named map on a word", "--config map word")
+    add("homogenize", cmd_homogenize, "homogenized value of a named map on a word", "--config map word")
+    add("defect", cmd_defect, "exact, sampled, and norm report for a named map", f"{SAMPLED} map")
+    add("decompose", cmd_decompose, "block-decomposition residuals on sampled words", f"{SAMPLED} map")
+    add("tau-check", cmd_tau_check, "twist fixed-point report for a named map", f"{SAMPLED} map exponent")
+    add("qc-growth", cmd_qc_growth, "ladder and staircase cocycle growth report", "--config --depth --format")
+    add("defect-space", cmd_defect_space, "alternating-vector norm and order-bound report", "--config --format")
+    add("qrep", cmd_qrep, "quasi-representation defect and witness report", SAMPLED)
+    add("rademacher", cmd_rademacher, "the canonical split map on Z/2 * Z/3", "--format")
+    add("selftest", cmd_selftest, "run the acceptance criteria",
+        "--config --seed --samples --only --debug-literal-convention")
     return parser
 
 

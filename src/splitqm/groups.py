@@ -21,6 +21,7 @@ __all__ = [
     "IntegerGroup",
     "CyclicGroup",
     "FiniteTableGroup",
+    "designated_generator",
 ]
 
 # Returned by order() for elements of infinite order; compares correctly
@@ -258,3 +259,11 @@ class FiniteTableGroup(FactorGroup):
 
     def __str__(self) -> str:
         return f"TableGroup({len(self.table)})"
+
+
+def designated_generator(factor: FactorGroup) -> int:
+    """1 on the integers and on Z/n; on a table factor, its first
+    non-identity element."""
+    if isinstance(factor, (IntegerGroup, CyclicGroup)):
+        return 1
+    return next(x for x in factor.elements() if not factor.is_identity(x))

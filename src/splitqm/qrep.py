@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr
+from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr, designated_generator
 from .quasicocycles import FactorTableMap
 from .quasimorphisms import junction_pairs, sampled_defect
 from .words import A, B, IDENTITY, Splitting, SplitMap, Word
@@ -268,12 +268,6 @@ def qrep_delta(mu: SplitQRep) -> Fraction:
     return max(mu.muA.sup_norm(), mu.muB.sup_norm())
 
 
-def _designated_generator(factor: FactorGroup) -> int:
-    if isinstance(factor, (IntegerGroup, CyclicGroup)):
-        return 1
-    return next(x for x in factor.elements() if not factor.is_identity(x))
-
-
 @dataclass(frozen=True)
 class FactorHom:
     """A homomorphism from one factor into the target, given by the image of
@@ -398,7 +392,7 @@ def _witness_candidates(mu: SplitQRep, depth: int) -> Iterator[Word]:
     for side in (A, B):
         factor = s.factor(side)
         base = set(mu.factor_map(side).support)
-        base.add(_designated_generator(factor))
+        base.add(designated_generator(factor))
         for x in sorted(base):
             if factor.is_identity(x):
                 continue
@@ -407,8 +401,8 @@ def _witness_candidates(mu: SplitQRep, depth: int) -> Iterator[Word]:
                 if factor.is_identity(power):
                     break
                 yield from emit(Word(((side, power),)))
-    gen_a = _designated_generator(s.A)
-    gen_b = _designated_generator(s.B)
+    gen_a = designated_generator(s.A)
+    gen_b = designated_generator(s.B)
     for y in (gen_b, s.B.inv(gen_b)):
         if s.B.is_identity(y):
             continue

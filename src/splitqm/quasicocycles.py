@@ -488,6 +488,9 @@ class FactorCocycleMap(FactorTableMap):
         values = {x: action.vector(v) for x, v in values.items()}
         super().__init__(side, action.splitting.factor(side), values)
 
+    def __call__(self, x: int) -> Vector:
+        return _fresh(super().__call__(x))
+
     def trivial(self) -> Vector:
         return self.action.zero()
 
@@ -545,11 +548,16 @@ def _letter_sum(m: ModuleAction, g: Word, value: Callable[[Letter], Vector]) -> 
     return total
 
 
+def _fresh(v: Vector) -> Vector:
+    """v, or a copy of it if it is a sparse vector: the vectors the public
+    evaluations return may be changed without changing a table or memo."""
+    return dict(v) if type(v) is dict else v
+
+
 def eval_split_qc(f: SplitQC, g: Word) -> Vector:
     """Prefix-translated sum of the letter values from the map's letter
-    memo.  The result may be a table or memo entry itself: vectors are
-    values, and nothing may mutate them."""
-    return _letter_sum(f.action, g, f.letter)
+    memo, as a fresh vector."""
+    return _fresh(_letter_sum(f.action, g, f.letter))
 
 
 def qc_coboundary(f: SplitQC, g: Word, h: Word) -> Vector:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_window
+from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_window, designated_generator
 from .words import (
     A,
     B,
@@ -413,12 +413,6 @@ def _aux_same_side(factor: FactorGroup) -> Optional[int]:
     return None
 
 
-def _aux_other_side(factor: FactorGroup) -> int:
-    if isinstance(factor, IntegerGroup):
-        return 1
-    return next(x for x in factor.elements() if not factor.is_identity(x))
-
-
 def _witness_on_pair(f: SplitQM, side: str, x1: int, x2: int) -> DoublingWitness:
     """The doubling witness over a junction pair with non-zero coboundary."""
     q = f.factor_map(side)
@@ -427,7 +421,7 @@ def _witness_on_pair(f: SplitQM, side: str, x1: int, x2: int) -> DoublingWitness
         # Every element squares to the identity, which forces an alternating
         # map to vanish; a positive gap is impossible here.
         raise RuntimeError("positive factor defect on a factor of exponent two")
-    aux_other = _aux_other_side(f.splitting.factor(other_side(side)))
+    aux_other = designated_generator(f.splitting.factor(other_side(side)))
     if q.coboundary(x1, x2) < 0:
         # Flip to the inverse pair so the reported gap is positive.
         x1, x2 = q.group.inv(x2), q.group.inv(x1)

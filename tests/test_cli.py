@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,100 @@ def test_maximising_pair_beyond_the_sampler_is_not_a_violation(tmp_path, capsys)
     assert "sampled defect (300 pairs): 2" in out
     assert cli.main(["selftest", "--only", "13", "--config", path]) == 0
     assert "[cfg] PASS map 'far': sampled defect 2, split defect 2" in capsys.readouterr().out
+
+
+def test_selftest_samples_option_sets_the_config_map_pair_count(config_path, monkeypatch, capsys):
+    counts = []
+    real = cli.sampled_defect
+
+    def spy(f, sampler, count, **kwargs):
+        counts.append(count)
+        return real(f, sampler, count, **kwargs)
+
+    monkeypatch.setattr(cli, "sampled_defect", spy)
+    for extra, expected in (([], 300), (["--samples", "5"], 5), (["--samples", "5000"], 2000)):
+        counts.clear()
+        assert cli.main(["selftest", "--only", "13", "--config", config_path, *extra]) == 0
+        assert counts == [expected, expected]  # one check per config map
+    assert "[cfg] PASS map 'weights'" in capsys.readouterr().out
+
+
+# The common options each subcommand's driver reads; every other one is a
+# usage error.
+READS = {
+    "eval": {"--config"},
+    "homogenize": {"--config"},
+    "defect": {"--config", "--seed", "--samples", "--format"},
+    "decompose": {"--config", "--seed", "--samples", "--format"},
+    "tau-check": {"--config", "--seed", "--samples", "--format"},
+    "qrep": {"--config", "--seed", "--samples", "--format"},
+    "qc-growth": {"--config", "--depth", "--format"},
+    "defect-space": {"--config", "--format"},
+    "rademacher": {"--format"},
+    "selftest": {"--config", "--seed", "--samples"},
+}
+OPTION_VALUES = {"--config": None, "--seed": "3", "--samples": "5", "--depth": "2", "--format": "json"}
+# The positional arguments of the subcommands that name a map from the config.
+MAP_ARGUMENTS = {
+    "eval": ["weights", "a"],
+    "homogenize": ["weights", "a"],
+    "defect": ["weights"],
+    "decompose": ["weights"],
+    "tau-check": ["weights", "3"],
+}
+
+
+def test_subcommands_read_27_common_option_slots():
+    assert sum(map(len, READS.values())) == 27
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c in READS for o in OPTION_VALUES])
+def test_each_subcommand_takes_only_the_options_it_reads(config_path, capsys, command, option):
+    argv = [command, *MAP_ARGUMENTS.get(command, [])]
+    if command in MAP_ARGUMENTS and option != "--config":
+        argv += ["--config", config_path]
+    if command == "selftest":
+        argv += ["--only", "13"]
+    argv += [option, OPTION_VALUES[option] or config_path]
+    if option in READS[command]:
+        assert cli.main(argv) == 0
+    else:
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, golden, sections",
+    [
+        (["qc-growth", "--config", "configs/showcase.json"], "qc-growth-showcase", ["action", "defect_space"]),
+        (["defect-space", "--config", "configs/showcase.json"], "defect-space", ["action", "defect_space"]),
+        (["qrep", "--config", "configs/finite_qrep.json"], "qrep-finite_qrep", ["qrep"]),
+    ],
+)
+def test_drivers_read_the_sections_load_config_built(monkeypatch, capsys, argv, golden, sections):
+    root = Path(__file__).resolve().parents[1]
+    argv = [str(root / a) if a.startswith("configs/") else a for a in argv]
+    builds = Counter()
+    for name in ("_build_splitting", "_build_action", "_build_qrep", "_build_defect_space"):
+        def counted(*args, _real=getattr(cli, name), _name=name[len("_build_"):]):
+            builds[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    real_load = cli.load_config
+
+    def load_without_raw(path):
+        config = real_load(path)
+        config.raw = {}  # the drivers read the built sections only
+        return config
+
+    monkeypatch.setattr(cli, "load_config", load_without_raw)
+    assert cli.main(argv) == 0
+    assert builds == Counter(["splitting", *sections])
+    expected = (root / "tests" / "golden" / f"{golden}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected.split("\n", 1)[1]
 
 
 def _src_env():

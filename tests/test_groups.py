@@ -8,6 +8,7 @@ from splitqm.groups import (
     FiniteTableGroup,
     INFINITE,
     IntegerGroup,
+    designated_generator,
 )
 
 KLEIN_MUL = [
@@ -138,3 +139,12 @@ def test_cyclic_is_quotient_of_integers(n, a, b):
         assert order == n // math.gcd(a % n, n)
     else:
         assert order == 1
+
+
+def test_designated_generator():
+    assert designated_generator(IntegerGroup()) == 1
+    assert designated_generator(CyclicGroup(5)) == 1
+    assert designated_generator(FiniteTableGroup.from_mul(4, lambda x, y: KLEIN_MUL[x][y])) == 1
+    # The first element of the table that is not the identity.
+    z3 = FiniteTableGroup.from_mul(3, lambda x, y: (x + y + 1) % 3, identity=2)
+    assert designated_generator(z3) == 0

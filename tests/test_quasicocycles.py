@@ -372,6 +372,19 @@ def test_staircase_grows_linearly(depth):
         assert eval_split_qc(f, staircase_word(ZXZ, n)) == rep.scale(Fraction(n), xi)
 
 
+def test_mutating_a_returned_vector_leaves_the_map_unchanged():
+    rep = RegularRep(ZXZ, 1)
+    _, f = staircase_cocycle(rep, rep.indicator(IDENTITY), 2)
+    a, b = Word(((A, 1),)), Word(((B, 1),))
+    table = {x: dict(v) for x, v in f.fA.table.items()}
+    for value in (lambda: eval_split_qc(f, a), lambda: f.fA(1), lambda: eval_split_qc(f, b), lambda: f.fB(1)):
+        before = value()
+        value()[IDENTITY] = Fraction(5)
+        assert value() == before
+    assert f.fA.table == table
+    assert eval_split_qc(f, a) == {IDENTITY: 1}
+
+
 def test_staircase_on_a_matrix_action():
     rep = _matrix_rep()
     xi = rep.vector([1, 0])
