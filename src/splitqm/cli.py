@@ -15,9 +15,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
 from .words import (
@@ -108,21 +109,69 @@ def _expect(value, kind, path: str, what: str):
     return value
 
 
+Reader = Callable[[object, str], object]  # (JSON value, its path) -> the value read
+
+
+@contextmanager
+def _at(path: str) -> Iterator[None]:
+    """Report a builder's ValueError, TypeError or IndexError as a
+    ConfigError at ``path``; a ConfigError keeps its own path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _items(value, path: str, what: str, read: Reader) -> list:
+    """Each item of the JSON list ``value`` (``what``), read at its own path."""
+    return [read(item, f"{path}[{i}]") for i, item in enumerate(_expect(value, list, path, what))]
+
+
+def _pairs(value, path: str, what: str, key: Reader, read: Reader) -> list[tuple[str, object, object]]:
+    """(path, key, value) for each [key, value] pair of the JSON list ``value``,
+    ``what`` naming the key; the key and value are read at their own paths."""
+    def pair(entry, at: str) -> tuple[str, object, object]:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ConfigError(at, f"expected a [{what}, value] pair, got {entry!r}")
+        return at, key(entry[0], f"{at}[0]"), read(entry[1], f"{at}[1]")
+    return _items(value, path, f"a list of [{what}, value] pairs", pair)
+
+
+def _matrix(value, path: str, read: Reader) -> tuple[tuple, ...]:
+    """The square JSON matrix ``value``, each entry read at its own path."""
+    rows = _items(value, path, "a square matrix", lambda row, at: _items(row, at, "a matrix row", read))
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ConfigError(f"{path}[{i}]", f"expected {len(rows)} entries in a square matrix, got {len(row)}")
+    return tuple(map(tuple, rows))
+
+
+def _index(value, path: str) -> int:
+    return _expect(value, int, path, "an element index")
+
+
+def _element(group: FactorGroup) -> Reader:
+    """The reader of an element of ``group``."""
+    def read(value, path: str) -> int:
+        with _at(path):
+            return group.check(value)
+    return read
+
+
 def _factor_group(obj, path: str) -> FactorGroup:
     obj = _expect(obj, dict, path, "a factor descriptor object")
     kind = obj.get("type")
-    try:
+    with _at(path):
         if kind == "integer":
             return IntegerGroup()
         if kind == "cyclic":
             return CyclicGroup(_expect(obj.get("n"), int, f"{path}.n", "an integer"))
         if kind == "table":
-            rows = _expect(obj.get("mul"), list, f"{path}.mul", "a multiplication table")
-            return FiniteTableGroup.from_mul(
-                len(rows), lambda x, y: rows[x][y], identity=obj.get("identity", 0)
-            )
-    except (ValueError, TypeError, IndexError) as exc:
-        raise ConfigError(path, str(exc)) from None
+            table = _matrix(obj.get("mul"), f"{path}.mul", _index)
+            identity = _index(obj.get("identity", 0), f"{path}.identity")
+            return FiniteTableGroup.from_mul(len(table), lambda x, y: table[x][y], identity=identity)
     raise ConfigError(f"{path}.type", f"unknown factor type {kind!r}")
 
 
@@ -133,41 +182,26 @@ def _factor_qm(obj, group: FactorGroup, path: str) -> FactorQM:
         if key not in known:
             raise ConfigError(f"{path}.{key}", "unknown factor map field")
     support = {}
-    for index, entry in enumerate(obj.get("support", [])):
-        entry = _expect(entry, list, f"{path}.support[{index}]", "an [element, value] pair")
-        if len(entry) != 2:
-            raise ConfigError(f"{path}.support[{index}]", "expected an [element, value] pair")
-        x = _expect(entry[0], int, f"{path}.support[{index}][0]", "a factor element")
-        value = _rational(entry[1], f"{path}.support[{index}][1]")
+    for at, x, value in _pairs(obj.get("support", []), f"{path}.support", "element", _element(group), _rational):
         # Alternation fills in the value at the inverse; explicit entries
         # for both elements of a pair must agree with it.
-        try:
-            inv_x = group.inv(group.check(x))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.support[{index}][0]", str(exc)) from None
-        for key, val in ((x, value), (inv_x, -value)):
+        for key, val in ((x, value), (group.inv(x), -value)):
             if key in support and support[key] != val:
-                raise ConfigError(
-                    f"{path}.support[{index}]", f"conflicting value at element {key}"
-                )
+                raise ConfigError(at, f"conflicting value at element {key}")
             support[key] = val
-    residues = tuple(
-        _rational(r, f"{path}.residues[{index}]") for index, r in enumerate(obj.get("residues", []))
-    )
+    residues = _items(obj.get("residues", []), f"{path}.residues", "a list of rationals", _rational)
     period = obj.get("period")
     if period is not None:
         _expect(period, int, f"{path}.period", "an integer")
-    try:
+    with _at(path):
         return FactorQM(
             group,
             slope=_rational(obj.get("slope", 0), f"{path}.slope"),
             finite_part=support,
             period=period,
-            residues=residues,
+            residues=tuple(residues),
             sign_coeff=_rational(obj.get("sign", 0), f"{path}.sign"),
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from None
 
 
 def _build_splitting(obj) -> Splitting:
@@ -175,7 +209,8 @@ def _build_splitting(obj) -> Splitting:
     for side in (A, B):
         if side not in desc:
             raise ConfigError(f"splitting.{side}", "missing factor descriptor")
-    return Splitting(_factor_group(desc[A], "splitting.A"), _factor_group(desc[B], "splitting.B"))
+    with _at("splitting"):
+        return Splitting(_factor_group(desc[A], "splitting.A"), _factor_group(desc[B], "splitting.B"))
 
 
 @dataclass
@@ -247,57 +282,42 @@ def _build_action(obj, splitting: Optional[Splitting]) -> tuple[ModuleAction, ob
     if splitting is None:
         raise ConfigError("action", "actions need a splitting")
     kind = obj.get("kind")
-    try:
+    with _at("action"):
         if kind == "finite_dim":
-            rows_a = _expect(obj.get("mat_a"), list, "action.mat_a", "a matrix")
-            rows_b = _expect(obj.get("mat_b"), list, "action.mat_b", "a matrix")
-            m = FiniteDimRep(splitting, rows_a, rows_b)
-            coords = _expect(
-                obj.get("vector", [1] + [0] * (len(rows_a) - 1)), list, "action.vector", "a list of coordinates"
-            )
-            return m, m.vector([_rational(c, "action.vector") for c in coords])
+            mat_a = _matrix(obj.get("mat_a"), "action.mat_a", _rational)
+            m = FiniteDimRep(splitting, mat_a, _matrix(obj.get("mat_b"), "action.mat_b", _rational))
+            coords = obj.get("vector", [1] + [0] * (len(mat_a) - 1))
+            return m, m.vector(_items(coords, "action.vector", "a list of coordinates", _rational))
         if kind == "regular":
             p = obj.get("p", 1)
             if p != "inf":
                 _expect(p, int, "action.p", 'an integer or "inf"')
             m = RegularRep(splitting, float("inf") if p == "inf" else p)
-            entries = {}
-            pairs = _expect(obj.get("vector", [["", 1]]), list, "action.vector", "a list of [word, value] pairs")
-            for index, pair in enumerate(pairs):
-                pair = _expect(pair, list, f"action.vector[{index}]", "a [word, value] pair")
-                if len(pair) != 2:
-                    raise ConfigError(f"action.vector[{index}]", "expected a [word, value] pair")
-                word = parse_word(splitting, _expect(pair[0], str, f"action.vector[{index}][0]", "word text"))
-                entries[word] = _rational(pair[1], f"action.vector[{index}][1]")
-            return m, m.vector(entries)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("action", str(exc)) from None
+
+            def word(text, at: str) -> Word:
+                with _at(at):
+                    return parse_word(splitting, _expect(text, str, at, "word text"))
+
+            entries = _pairs(obj.get("vector", [["", 1]]), "action.vector", "word", word, _rational)
+            return m, m.vector({g: value for _, g, value in entries})
     raise ConfigError("action.kind", f"unknown action kind {kind!r}")
 
 
 def _metric_target(obj, path: str) -> MetricGroup:
     obj = _expect(obj, dict, path, "a target descriptor")
     kind = obj.get("kind")
-    try:
+    with _at(path):
         if kind == "circle":
             return Circle()
         if kind == "finite_metric":
             group = _factor_group(obj.get("group"), f"{path}.group")
-            lengths = _expect(obj.get("lengths"), list, f"{path}.lengths", "a length table")
-            return FiniteMetric.from_length_function(
-                group, [_rational(v, f"{path}.lengths[{i}]") for i, v in enumerate(lengths)]
-            )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from None
+            lengths = _items(obj.get("lengths"), f"{path}.lengths", "a length table", _rational)
+            return FiniteMetric.from_length_function(group, lengths)
     raise ConfigError(f"{path}.kind", f"unknown target kind {kind!r}")
 
 
 @dataclass
 class QRepSetup:
-    splitting: Splitting
-    target: MetricGroup
     mu: SplitQRep
     eps: Fraction
     max_norm: Optional[Fraction]
@@ -309,35 +329,18 @@ def _build_qrep(obj, splitting: Optional[Splitting]) -> QRepSetup:
     if splitting is None:
         raise ConfigError("qrep", "the qrep section needs a splitting")
     mu_obj = _expect(obj.get("mu", {}), dict, "qrep.mu", "an object with sides A and B")
-    values = {}
+    circle = isinstance(target, Circle)
+    value = (lambda v, at: target.turn(_rational(v, at))) if circle else _element(target.group)
+    maps = []
     for side in (A, B):
-        side_values = {}
-        pairs = _expect(mu_obj.get(side, []), list, f"qrep.mu.{side}", "a list of [element, value] pairs")
-        for index, pair in enumerate(pairs):
-            pair = _expect(pair, list, f"qrep.mu.{side}[{index}]", "an [element, value] pair")
-            if len(pair) != 2:
-                raise ConfigError(f"qrep.mu.{side}[{index}]", "expected an [element, value] pair")
-            x = _expect(pair[0], int, f"qrep.mu.{side}[{index}][0]", "a factor element")
-            if isinstance(target, Circle):
-                side_values[x] = target.turn(_rational(pair[1], f"qrep.mu.{side}[{index}][1]"))
-            else:
-                side_values[x] = _expect(pair[1], int, f"qrep.mu.{side}[{index}][1]", "a target element")
-        values[side] = side_values
-    try:
-        mu = SplitQRep(
-            splitting,
-            target,
-            FactorQRMap(A, target, splitting.A, values[A]),
-            FactorQRMap(B, target, splitting.B, values[B]),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("qrep.mu", str(exc)) from None
-    if isinstance(target, Circle):
-        eps = _rational(obj.get("eps_turns", "1/4"), "qrep.eps_turns")
-    else:
-        eps = _rational(obj.get("eps", 1), "qrep.eps")
+        group = splitting.factor(side)
+        pairs = _pairs(mu_obj.get(side, []), f"qrep.mu.{side}", "element", _element(group), value)
+        with _at(f"qrep.mu.{side}"):
+            maps.append(FactorQRMap(side, target, group, {x: y for _, x, y in pairs}))
+    eps_key, eps_default = ("eps_turns", "1/4") if circle else ("eps", 1)
+    eps = _rational(obj.get(eps_key, eps_default), f"qrep.{eps_key}")
     max_norm = _rational(obj["max_norm"], "qrep.max_norm") if "max_norm" in obj else None
-    return QRepSetup(splitting, target, mu, eps, max_norm)
+    return QRepSetup(SplitQRep(splitting, target, *maps), eps, max_norm)
 
 
 @dataclass
@@ -351,11 +354,10 @@ def _build_defect_space(obj) -> DefectSpaceSetup:
     carrier = _factor_group(obj.get("carrier", {"type": "cyclic", "n": 6}), "defect_space.carrier")
     if not carrier.is_finite:
         raise ConfigError("defect_space.carrier", "vector enumeration needs a finite carrier")
-    raw_choices = _expect(
-        obj.get("choices", ["-1", "-1/2", "1/2", "1"]), list, "defect_space.choices", "a list of rationals"
+    choices = _items(
+        obj.get("choices", ["-1", "-1/2", "1/2", "1"]), "defect_space.choices", "a list of rationals", _rational
     )
-    choices = tuple(_rational(c, f"defect_space.choices[{i}]") for i, c in enumerate(raw_choices))
-    return DefectSpaceSetup(carrier, choices)
+    return DefectSpaceSetup(carrier, tuple(choices))
 
 
 # The sections a driver builds where its config has none: the regular
@@ -555,33 +557,34 @@ def cmd_defect_space(args) -> int:
 def cmd_qrep(args) -> int:
     config = load_config(args.config) if args.config else Config()
     setup = config.qrep or _build_qrep(DEFAULT_QREP, _build_splitting(DEFAULT_QREP_SPLITTING))
-    sampler, count = _sampling(args, config, setup.splitting, "qrep")
-    small = check_no_small_subgroups(setup.target, setup.eps)
-    exact = qrep_defect(setup.mu)
-    sampled = qrep_sampled_defect(setup.mu, sampler, count)
+    mu, s, target = setup.mu, setup.mu.splitting, setup.mu.target
+    sampler, count = _sampling(args, config, s, "qrep")
+    small = check_no_small_subgroups(target, setup.eps)
+    exact = qrep_defect(mu)
+    sampled = qrep_sampled_defect(mu, sampler, count)
     rows = [
-        ("target", type(setup.target).__name__),
+        ("target", type(target).__name__),
         ("eps", str(setup.eps)),
         ("no eps-small subgroups", f"{'yes' if small.passed else 'NO'} (certified)"),
-        ("delta (sup norm)", str(qrep_delta(setup.mu))),
+        ("delta (sup norm)", str(qrep_delta(mu))),
         ("defect", str(exact)),
         (f"sampled defect ({count} pairs)", str(sampled)),
     ]
     failures = 0
-    if isinstance(setup.target, FiniteMetric):
+    if isinstance(target, FiniteMetric):
         homs = [
-            SplitHom(setup.splitting, setup.target, hA, hB)
-            for hA in enumerate_factor_homs(A, setup.splitting.A, setup.target)
-            for hB in enumerate_factor_homs(B, setup.splitting.B, setup.target)
+            SplitHom(s, target, hA, hB)
+            for hA in enumerate_factor_homs(A, s.A, target)
+            for hB in enumerate_factor_homs(B, s.B, target)
         ]
-        failures = sum(not nontriviality_witness(setup.mu, rho, setup.eps).succeeded for rho in homs)
+        failures = sum(not nontriviality_witness(mu, rho, setup.eps).succeeded for rho in homs)
         rows.append(("homomorphisms checked", str(len(homs))))
         rows.append(("witness searches succeeded", f"{len(homs) - failures}/{len(homs)}"))
         if setup.max_norm is not None:
             admissible = sum(
                 1
-                for mu_a in enumerate_factor_qr_maps(A, setup.splitting.A, setup.target, setup.max_norm)
-                for mu_b in enumerate_factor_qr_maps(B, setup.splitting.B, setup.target, setup.max_norm)
+                for mu_a in enumerate_factor_qr_maps(A, s.A, target, setup.max_norm)
+                for mu_b in enumerate_factor_qr_maps(B, s.B, target, setup.max_norm)
             )
             rows.append((f"admissible maps within {setup.max_norm}", str(admissible)))
     _emit(args, rows)
@@ -632,16 +635,16 @@ def cmd_selftest(args) -> int:
         print(format_result(result), flush=True)
         if not result.passed:
             failures += 1
-    if config.maps:
-        for name, f in sorted(config.maps.items()):
-            _, sampled, exact = _sampled_check(args, config, f, f"selftest:{name}", most=2000)
-            ok = sampled == exact
-            status = "PASS" if ok else "FAIL"
-            print(f"[cfg] {status} map '{name}': sampled defect {sampled}, split defect {exact}")
-            if not ok:
-                failures += 1
-    else:
-        print("[cfg] SKIP config map checks (no config supplied)")
+    if not config.maps:
+        reason = "the config has no maps" if args.config else "no config supplied"
+        print(f"[cfg] SKIP config map checks ({reason})")
+    for name, f in sorted(config.maps.items()):
+        _, sampled, exact = _sampled_check(args, config, f, f"selftest:{name}", most=2000)
+        ok = sampled == exact
+        status = "PASS" if ok else "FAIL"
+        print(f"[cfg] {status} map '{name}': sampled defect {sampled}, split defect {exact}")
+        if not ok:
+            failures += 1
     return 1 if failures else 0
 
 
@@ -711,7 +714,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _run(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # argparse sets an unknown option aside and gives its value to a
+        # positional, so a later argument is left over too: name the options.
+        options = [arg for arg in extra if arg.startswith("-")]
+        parser.error(f"unrecognized arguments: {' '.join(options or extra)}")
     if getattr(args, "config_required", False) and not args.config:
         parser.error(f"{args.command} requires --config")
     try:

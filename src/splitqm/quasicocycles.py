@@ -377,10 +377,6 @@ def _add_into(total: dict[tuple, int], terms: dict[tuple, int], sign: int) -> No
             del total[g]
 
 
-def _one_letter(side: str, x: int) -> Word:
-    return Word(((side, x),))
-
-
 class FactorTableMap(ABC):
     """A finitely supported alternating map on one factor, kept as a table.
 
@@ -495,7 +491,7 @@ class FactorCocycleMap(FactorTableMap):
         return self.action.zero()
 
     def forced_inverse(self, inv_x: int, value: Vector) -> Vector:
-        return self.action.neg(self.action.act(_one_letter(self.side, inv_x), value))
+        return self.action.neg(self.action.act(Word(((self.side, inv_x),)), value))
 
     def equal(self, u: Vector, v: Vector) -> bool:
         return self.action.equal(u, v)
@@ -595,6 +591,36 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _growth_cocycle(
+    m: ModuleAction, v: Vector, word: Callable[[int], Word], depth: int, name: str, literal: bool = False
+) -> tuple[FactorCocycleMap, SplitQC]:
+    """The factor cocycle whose value at each A letter of word(depth) is the
+    prefix before that letter, inverted and applied to v, with its split map.
+    ``literal`` moves the prefix's last letter to its front instead.
+
+    Raises GrowthCheckError unless the split map is n * v on word(n) for
+    every n <= depth.
+    """
+    s = m.splitting
+    if not isinstance(s.A, IntegerGroup):
+        raise ValueError(f"the {name} construction lives over an integer first factor")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    letters = word(depth).letters
+    values = {}
+    for i, (side, x) in enumerate(letters):
+        if side == A:
+            prefix = Word(letters[:i])  # a normal form, as word(depth) is one
+            if literal:  # its last letter moved to the front, where it may merge
+                prefix = multiply(s, Word(letters[i - 1 : i]), Word(letters[: i - 1]))
+            values[x] = m.act(invert(s, prefix), v)
+    f = SplitQC(s, m, FactorCocycleMap(A, m, values), FactorCocycleMap(B, m, {}))
+    for n in range(depth + 1):
+        if not m.equal(eval_split_qc(f, word(n)), m.scale(Fraction(n), v)):
+            raise GrowthCheckError(f"{name} evaluation at depth {n} is not {n} times the seed vector")
+    return f.fA, f
+
+
 def ladder_word(s: Splitting, p: int, n: int) -> Word:
     """b a^p b a^(p^2) ... b a^(p^n); the empty word for n = 0."""
     letters = []
@@ -622,43 +648,18 @@ def power_ladder_cocycle(
 
     Raises GrowthCheckError when the identities fail at any depth.
     """
-    s = m.splitting
-    if not isinstance(s.A, IntegerGroup):
-        raise ValueError("the ladder construction lives over an integer first factor")
     if not _is_prime(p):
         raise ValueError("the ladder base must be prime")
     if convention not in ("prefix", "literal"):
         raise ValueError(f"unknown convention {convention!r}")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    b = _one_letter(B, 1)
-    values = {}
-    for i in range(1, depth + 1):
-        prefix = ladder_word(s, p, i - 1)
-        if convention == "prefix":
-            translator = invert(s, multiply(s, prefix, b))
-        else:
-            translator = invert(s, multiply(s, b, prefix))
-        values[p**i] = m.act(translator, v)
-    fA = FactorCocycleMap(A, m, values)
-    fB = FactorCocycleMap(B, m, {})
-    f = SplitQC(s, m, fA, fB)
-    for n in range(depth + 1):
-        expected = m.scale(Fraction(n), v)
-        got = eval_split_qc(f, ladder_word(s, p, n))
-        if not m.equal(got, expected):
-            raise GrowthCheckError(
-                f"ladder evaluation at depth {n} is not {n} times the seed vector"
-            )
+    s = m.splitting
+    fA, f = _growth_cocycle(m, v, lambda n: ladder_word(s, p, n), depth, "ladder", convention == "literal")
     if check_prime is not None:
         if not _is_prime(check_prime) or check_prime == p:
             raise ValueError("the control base must be a different prime")
         for n in range(depth + 1):
-            got = eval_split_qc(f, ladder_word(s, check_prime, n))
-            if not m.is_zero(got):
-                raise GrowthCheckError(
-                    f"ladder evaluation for the control prime is non-zero at depth {n}"
-                )
+            if not m.is_zero(eval_split_qc(f, ladder_word(s, check_prime, n))):
+                raise GrowthCheckError(f"ladder evaluation for the control prime is non-zero at depth {n}")
     return fA, f
 
 
@@ -681,23 +682,4 @@ def staircase_cocycle(
     The value at a is xi itself; at a^n (n >= 2) it is the staircase prefix
     (staircase(n-1) * b) inverted and applied to xi.
     """
-    s = m.splitting
-    if not isinstance(s.A, IntegerGroup):
-        raise ValueError("the staircase construction lives over an integer first factor")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    b = _one_letter(B, 1)
-    values: dict[int, Vector] = {1: xi}
-    for n in range(2, depth + 1):
-        translator = invert(s, multiply(s, staircase_word(s, n - 1), b))
-        values[n] = m.act(translator, xi)
-    fA = FactorCocycleMap(A, m, values)
-    fB = FactorCocycleMap(B, m, {})
-    f = SplitQC(s, m, fA, fB)
-    for n in range(depth + 1):
-        expected = m.scale(Fraction(n), xi)
-        if not m.equal(eval_split_qc(f, staircase_word(s, n)), expected):
-            raise GrowthCheckError(
-                f"staircase evaluation at depth {n} is not {n} times the seed vector"
-            )
-    return fA, f
+    return _growth_cocycle(m, xi, lambda n: staircase_word(m.splitting, n), depth, "staircase")

@@ -135,7 +135,7 @@ def _zxz() -> Splitting:
     return Splitting(IntegerGroup(), IntegerGroup())
 
 
-def _random_integer_qm(group: IntegerGroup, rng: random.Random, with_slope: bool = False) -> FactorQM:
+def _random_integer_qm(group: IntegerGroup, rng: random.Random) -> FactorQM:
     finite: dict[int, Fraction] = {}
     for _ in range(rng.randint(0, 3)):
         k = rng.randint(1, 4)
@@ -150,10 +150,7 @@ def _random_integer_qm(group: IntegerGroup, rng: random.Random, with_slope: bool
             table[j], table[p - j] = value, -value
         period, residues = p, tuple(table)
     sign = rng.choice(_VALUES) if rng.random() < 0.5 else F(0)
-    slope = rng.choice((F(1, 2), F(-1), F(2))) if with_slope and rng.random() < 0.4 else F(0)
-    return FactorQM(
-        group, slope=slope, finite_part=finite, period=period, residues=residues, sign_coeff=sign
-    )
+    return FactorQM(group, finite_part=finite, period=period, residues=residues, sign_coeff=sign)
 
 
 def _random_finite_qm(group: CyclicGroup, rng: random.Random) -> FactorQM:

@@ -29,6 +29,9 @@ BASE_CONFIG = {
     },
     "sampler": {"seed": 7, "samples": 300, "length_bound": 5, "exponent_bound": 4},
 }
+FINITE_DIM_ACTION = {
+    "kind": "finite_dim", "mat_a": [[1, 1], [0, 1]], "mat_b": [[0, 1], [1, 0]], "vector": ["1", "0"],
+}
 
 
 @pytest.fixture
@@ -172,6 +175,12 @@ def test_selftest_subset_without_config(capsys):
     ]
 
 
+def test_selftest_says_when_the_config_has_no_maps(capsys):
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "finite_qrep.json")
+    assert cli.main(["selftest", "--config", config, "--only", "13"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "[cfg] SKIP config map checks (the config has no maps)"
+
+
 @pytest.mark.parametrize("only", ["14", "0,99", "2,14"])
 def test_selftest_rejects_unknown_criterion_numbers(only, capsys):
     assert cli.main(["selftest", "--only", only]) == 2
@@ -278,6 +287,15 @@ def test_each_subcommand_takes_only_the_options_it_reads(config_path, capsys, co
             cli.main(argv)
         assert info.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_usage_error_names_only_the_unknown_option(config_path, capsys):
+    # argparse sets --format aside and reads its value "json" as the map name,
+    # so "a" is left over too.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["eval", "--config", config_path, "--format", "json", "sign", "a"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: unrecognized arguments: --format")
 
 
 @pytest.mark.parametrize(
@@ -438,6 +456,28 @@ def test_broken_table_factor_is_a_config_error(tmp_path, capsys):
             "action.vector",
         ),
         (lambda c: c.update({"action": {"kind": "regular", "p": True}}), "action.p"),
+        (
+            lambda c: c.update({"action": {"kind": "regular", "vector": [["a q", 1]]}}),
+            "action.vector[0][0]: cannot parse token 'q'",
+        ),
+        (lambda c: c["maps"]["weights"]["A"].update({"support": 5}), "maps.weights.A.support: expected a list"),
+        (lambda c: c["maps"]["sign"]["A"].update({"residues": 5}), "maps.sign.A.residues: expected a list"),
+        (
+            lambda c: c.update({"action": dict(FINITE_DIM_ACTION, mat_a=[[0.1, 0], [0, 10]])}),
+            "action.mat_a[0][0]: expected an integer or a 'p/q' string, got 0.1",
+        ),
+        (
+            lambda c: c.update({"action": dict(FINITE_DIM_ACTION, mat_a=["10", "01"])}),
+            "action.mat_a[0]: expected a matrix row",
+        ),
+        (
+            lambda c: c["splitting"].update({"A": {"type": "table", "mul": S3_MUL, "identity": "0"}}),
+            "splitting.A.identity: expected an element index",
+        ),
+        (
+            lambda c: c["splitting"]["A"].update({"type": "table", "mul": [list(map(float, r)) for r in S3_MUL]}),
+            "splitting.A.mul[0][0]: expected an element index",
+        ),
     ],
 )
 def test_config_errors_carry_their_json_path(tmp_path, capsys, mutate, fragment):
@@ -448,6 +488,45 @@ def test_config_errors_carry_their_json_path(tmp_path, capsys, mutate, fragment)
     err = capsys.readouterr().err
     assert "config error" in err
     assert fragment in err
+
+
+FUZZ_VALUES = (5, None, "x", 0.1, [], {}, [5], [[1]], [[0.5]], True)
+FINITE_DIM_CONFIG = {"schema": 1, "splitting": BASE_CONFIG["splitting"], "action": FINITE_DIM_ACTION}
+TABLE_CONFIG = {
+    "schema": 1,
+    "splitting": {"A": {"type": "table", "mul": S3_MUL, "identity": 0}, "B": {"type": "cyclic", "n": 3}},
+    "maps": {"weights": {"A": {"support": [[1, "1"]]}, "B": {"support": [[1, "1/2"]]}}},
+}
+
+
+def _fields(node, path=()):
+    """The path of every field below ``node``, a JSON object or list."""
+    keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield path + (key,)
+        yield from _fields(node[key], path + (key,))
+
+
+@pytest.mark.parametrize("name", ["showcase", "finite_qrep", "finite_dim", "table"])
+def test_any_malformed_field_is_a_config_error(tmp_path, name):
+    root = Path(__file__).resolve().parents[1]
+    configs = {"finite_dim": FINITE_DIM_CONFIG, "table": TABLE_CONFIG}
+    base = configs.get(name) or json.loads((root / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+    crashes = []
+    for path in _fields(base):
+        for value in FUZZ_VALUES:
+            payload = json.loads(json.dumps(base))
+            node = payload
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                cli.load_config(_write(tmp_path, payload))
+            except cli.ConfigError:
+                pass
+            except Exception as exc:  # anything else is a crash on bad input
+                crashes.append((path, value, repr(exc)))
+    assert crashes == []
 
 
 def test_invalid_json_is_a_config_error(tmp_path, capsys):
