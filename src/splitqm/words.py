@@ -343,22 +343,35 @@ def _nonzero_elements(factor: FactorGroup, exponent_bound: int) -> list[int]:
 def _letter_draw(
     s: Splitting, side: str, exponent_bound: int, rng: random.Random
 ) -> Callable[[], Letter]:
-    """One random letter on ``side``.  On the integers the exponent size is
-    ``randrange(exponent_bound) + 1`` and then ``random()`` picks the sign;
-    on a finite factor ``randrange`` picks a non-identity element."""
+    """One random letter on ``side``.  An index below n is drawn as
+    ``randrange(n)`` draws it: ``getrandbits(n.bit_length())`` until the
+    result is below n.  On the integers the exponent size is such an index
+    below ``exponent_bound``, plus 1, and then ``random()`` picks the sign; on
+    a finite factor such an index picks a non-identity letter."""
     factor = s.factor(side)
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     if isinstance(factor, IntegerGroup):
         e, uniform = exponent_bound, rng.random
+        k = e.bit_length()
 
         def draw() -> Letter:
-            k = randrange(e) + 1
-            return (side, k) if uniform() < 0.5 else (side, -k)
+            r = getrandbits(k)
+            while r >= e:
+                r = getrandbits(k)
+            return (side, r + 1) if uniform() < 0.5 else (side, -r - 1)
 
         return draw
     letters = [(side, x) for x in _nonzero_elements(factor, exponent_bound)]
     n = len(letters)
-    return lambda: letters[randrange(n)]
+    k = n.bit_length()
+
+    def draw() -> Letter:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return letters[r]
+
+    return draw
 
 
 def word_sampler(
@@ -372,8 +385,11 @@ def word_sampler(
     Each word has ``randrange(length_bound + 1)`` letters and starts on A if
     ``random() < 0.5``, else on B; its letters alternate sides and come from
     each side's letter draw (``_letter_draw``), built once here.  Every word
-    is a normal form, and the draws are those ``randint`` and ``choice``
-    make, so a seed gives the same words as it always has.
+    is a normal form.  Each index is drawn as ``randrange`` draws it, by
+    rejection on ``getrandbits`` (CPython's ``_randbelow_with_getrandbits``),
+    so a seed gives the same words as ``randint`` and ``choice`` always gave.
+    A ``Random`` subclass that supplies ``random()`` but not ``getrandbits``
+    is not stream-compatible: its own ``randrange`` draws from ``random()``.
     """
     if length_bound < 1 or exponent_bound < 1:
         raise ValueError("bounds must be >= 1")
@@ -384,10 +400,13 @@ def word_sampler(
     # A word of n letters starting on A makes the first n draws of from_a.
     from_a = (on_a, on_b) * ((length_bound + 1) // 2)
     from_b = (on_b, on_a) * ((length_bound + 1) // 2)
-    randrange, uniform, top = rng.randrange, rng.random, length_bound + 1
+    getrandbits, uniform, top = rng.getrandbits, rng.random, length_bound + 1
+    k = top.bit_length()
 
     def sample() -> Word:
-        length = randrange(top)
+        length = getrandbits(k)
+        while length >= top:
+            length = getrandbits(k)
         draws = from_a if uniform() < 0.5 else from_b
         return Word(tuple([draw() for draw in draws[:length]]))
 

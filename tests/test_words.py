@@ -347,8 +347,23 @@ def oracle_random_word(s, length_bound, exponent_bound, rng):
     return Word(tuple(letters))
 
 
-@pytest.mark.parametrize("s", [ZXZ, C5XC6, ZXC3, S3XZ], ids=["ZxZ", "Z5xZ6", "ZxZ3", "S3xZ"])
-@pytest.mark.parametrize("bounds", [(1, 1), (1, 5), (4, 1), (4, 4), (5, 3), (8, 6)])
+# Z/2 has a single non-identity letter: its index is a getrandbits(1) draw
+# that rejects half the time.
+Z2XZ = Splitting(CyclicGroup(2), IntegerGroup())
+# Bounds where getrandbits' rejection rate changes: exponent bounds on either
+# side of a power of two (2**31 + 1 needs 32 bits and rejects almost half the
+# draws), and length bounds 3 and 7, whose length draw below 4 or 8 rejects
+# nothing.
+SAMPLER_BOUNDS = [
+    (1, 1), (1, 5), (4, 1), (4, 4), (5, 3), (8, 6),
+    (3, 2), (7, 3), (3, 7), (7, 8), (3, 9), (7, 2**31 + 1),
+]
+
+
+@pytest.mark.parametrize(
+    "s", [ZXZ, C5XC6, ZXC3, S3XZ, Z2XZ], ids=["ZxZ", "Z5xZ6", "ZxZ3", "S3xZ", "Z2xZ"]
+)
+@pytest.mark.parametrize("bounds", SAMPLER_BOUNDS)
 def test_word_sampler_draws_what_random_word_always_drew(s, bounds):
     for seed in range(60):
         old, new, fresh = random.Random(seed), random.Random(seed), random.Random(seed)
@@ -361,6 +376,35 @@ def test_word_sampler_draws_what_random_word_always_drew(s, bounds):
         # An int seed still seeds a fresh generator.
         assert random_word(s, *bounds, seed) == expected[0]
         assert word_sampler(s, *bounds, seed)() == expected[0]
+
+
+class RecordingRandom(random.Random):
+    """A Random that logs each ``getrandbits(k)`` and ``random()`` call."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)
+
+    def random(self):
+        self.calls.append("random")
+        return super().random()
+
+
+@pytest.mark.parametrize("s", [ZXZ, C5XC6, Z2XZ], ids=["ZxZ", "Z5xZ6", "Z2xZ"])
+@pytest.mark.parametrize("bounds", [(3, 2), (4, 4), (7, 2**31 + 1)])
+def test_word_sampler_makes_the_oracles_getrandbits_calls(s, bounds):
+    for seed in range(20):
+        old, new = RecordingRandom(seed), RecordingRandom(seed)
+        expected = [oracle_random_word(s, *bounds, old) for _ in range(20)]
+        sampler = word_sampler(s, *bounds, new)
+        assert [sampler() for _ in range(20)] == expected
+        # Same calls with the same k, draw for draw, and the log saw them.
+        assert new.calls == old.calls
+        assert any(k != "random" for k in new.calls)
 
 
 @pytest.mark.parametrize(
