@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr, designated_generator
 from .quasicocycles import FactorTableMap
 from .quasimorphisms import junction_pairs, sampled_defect
-from .words import A, B, IDENTITY, Splitting, SplitMap, Word
+from .words import A, B, IDENTITY, Letter, Splitting, SplitMap, Word
 
 __all__ = [
     "MetricGroup",
@@ -212,11 +212,7 @@ class FactorQRMap(FactorTableMap):
         return target.dist(self(self.group.mul(x, y)), target.mul(self(x), self(y)))
 
     def pair_sizer(self) -> Callable[[int, int, int], tuple[int, int]]:
-        def size(x: int, y: int, xy: int) -> tuple[int, int]:
-            d = self.coboundary_size(x, y)
-            return d.numerator, d.denominator
-
-        return size
+        return lambda x, y, xy: self.coboundary_size(x, y).as_integer_ratio()
 
     def size_value(self, s: int, t: int) -> Fraction:
         return Fraction(s, t)
@@ -238,11 +234,9 @@ class SplitQRep(SplitMap):
     def factor_maps(self) -> tuple[FactorQRMap, FactorQRMap]:
         return self.muA, self.muB
 
-    def pair_size(self, g: Word, h: Word, gh: Word) -> tuple[int, int]:
-        """d(mu(gh), mu(g)mu(h)) as its numerator and denominator."""
-        target = self.target
-        d = target.dist(eval_qrep(self, gh), target.mul(eval_qrep(self, g), eval_qrep(self, h)))
-        return d.numerator, d.denominator
+    def merge(self, u: Letter, v: Letter, w: Letter) -> tuple[int, int]:
+        """By bi-invariance, d(mu(gh), mu(g)mu(h)) is d(mu(xy), mu(x)mu(y))."""
+        return self.factor_map(u[0]).coboundary_size(u[1], v[1]).as_integer_ratio()
 
     def __call__(self, g: Word):
         return eval_qrep(self, g)

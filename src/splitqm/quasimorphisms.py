@@ -21,10 +21,10 @@ from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_windo
 from .words import (
     A,
     B,
+    Letter,
     Splitting,
     SplitMap,
     Word,
-    _join,
     cyclically_reduce,
     memo_letter,
     multiply,
@@ -237,10 +237,10 @@ class SplitQM(SplitMap):
             total += value
         return total
 
-    def pair_size(self, g: Word, h: Word, gh: Word) -> tuple[int, int]:
-        """|coboundary(g, h)| as the pair (L*|...|, L)."""
-        num = self.numerator
-        return abs(num(g) + num(h) - num(gh)), self.denominator
+    def merge(self, u: Letter, v: Letter, w: Letter) -> tuple[int, int]:
+        """L*(q(x) + q(y) - q(xy)) over L, for u and v merging into w."""
+        memo = self.letter_memo
+        return memo[u] + memo[v] - self.letter(w), self.denominator
 
     def __call__(self, g: Word) -> Fraction:
         return eval_split(self, g)
@@ -252,8 +252,8 @@ def eval_split(f: SplitQM, g: Word) -> Fraction:
 
 
 def coboundary(f: SplitQM, g: Word, h: Word) -> Fraction:
-    gh = multiply(f.splitting, g, h)
-    return Fraction(f.numerator(g) + f.numerator(h) - f.numerator(gh), f.denominator)
+    """f(g) + f(h) - f(gh) at the junction; ValueError unless both are normal forms."""
+    return Fraction(*f.junction(validate_word(f.splitting, g), validate_word(f.splitting, h)))
 
 
 split_defect = SplitMap.defect
@@ -291,32 +291,20 @@ def sampled_defect(
     count: int,
     extra_pairs: Iterable[tuple[Word, Word]] = (),
 ) -> Fraction:
-    """The largest ``f.pair_size(g, h, gh) = (s, t)``, that is s / t, over
-    sampled pairs, compared exactly; never exceeds the exact defect.
-
-    ``extra_pairs`` lets callers embed known maximizing factor pairs as
-    one-letter words (see ``junction_pairs``), which makes the sampled value
-    attain the supremum.
-
-    The sampler's words and the ``extra_pairs`` must be normal forms: each
-    pair is multiplied at its junction only (``words._join``), which gives
-    the reduced product of two normal forms.  Their letters are still
-    checked, through the map's letter memo, so a letter outside the factors
-    raises ValueError.
-    """
-    s, size = f.splitting, f.pair_size
+    """The largest |s| / t over sampled pairs, where (s, t) is the pair's
+    coboundary read at its junction (``SplitMap.junction``), compared exactly;
+    never exceeds the exact defect.  ``extra_pairs`` embeds known maximizing
+    factor pairs as one-letter words (see ``junction_pairs``), so the value
+    can attain the supremum.  The sampler's words and the ``extra_pairs`` must
+    be normal forms; their letters are still checked through the letter memo,
+    so a letter outside the factors raises ValueError."""
+    junction = f.junction
     sampled = ((sampler(), sampler()) for _ in range(count))
     best_s, best_t = 0, 1
     for g, h in itertools.chain(sampled, extra_pairs):
-        try:
-            gh = Word(_join(s, g.letters, h.letters))
-        except TypeError:
-            # Only a letter outside the factors fails at the junction;
-            # the full reduce checks every letter and raises ValueError.
-            gh = multiply(s, g, h)
-        value, t = size(g, h, gh)
-        if value * best_t > best_s * t:
-            best_s, best_t = value, t
+        value, t = junction(g, h)
+        if abs(value) * best_t > best_s * t:
+            best_s, best_t = abs(value), t
     return Fraction(best_s, best_t)
 
 

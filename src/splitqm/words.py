@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
 
@@ -167,6 +167,24 @@ class SplitMap:
         if value is None:
             value = memo_letter(self.splitting, memo, letter, self.letter_value)
         return value
+
+    def junction(self, g: Word, h: Word) -> tuple[int, int]:
+        """The coboundary of normal forms g and h as (s, t), that is s / t, read
+        where they meet.  Every letter is checked through the memo first.  Letter
+        pairs that cancel add nothing, as factor maps are alternating; the first
+        merge, of u and v into w, gives the family's ``merge(u, v, w)``, and none
+        gives (0, 1).  Sides alternate: if the first pair shares a side, all do."""
+        memo, left, right = self.letter_memo, g.letters, h.letters
+        for letter in left + right:
+            if type(letter[1]) is not int or letter not in memo:
+                self.letter(letter)
+        if left and right and left[-1][0] == right[0][0]:
+            for u, v in zip(reversed(left), right):
+                factor = self.splitting.factor(u[0])
+                x = factor.mul(u[1], v[1])
+                if not factor.is_identity(x):
+                    return self.merge(u, v, (u[0], x))
+        return 0, 1
 
     def defect(self):
         """The larger factor defect: the split defect (for a quasicocycle,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitqm.groups import CyclicGroup, IntegerGroup
+from splitqm.groups import CyclicGroup, FiniteTableGroup, IntegerGroup
 from splitqm.qrep import (
     Circle,
     FactorHom,
@@ -37,7 +37,7 @@ from splitqm.words import (
     reduce,
 )
 
-from sampled_pairs import check_joins_as_multiply_does
+from sampled_pairs import check_joins_as_multiply_does, whole_word_size
 
 C2 = CyclicGroup(2)
 C3 = CyclicGroup(3)
@@ -206,12 +206,21 @@ SPLIT_MAPS = {
     "SplitHom.__call__": (_rho, lambda f, g: f(g)),
     "eval_split_qc": (_staircase_split_map, eval_split_qc),
 }
+# Paired with itself, (A, bad) (B, 1) meets at a B|A junction, so the
+# junction walk never reads the bad letter: the letter check must.
+LETTER_CHECKS = {
+    **SPLIT_MAPS,
+    "qrep_sampled_defect": (
+        lambda: _qrep_fixture()[0],
+        lambda f, g: qrep_sampled_defect(f, lambda: g, 1),
+    ),
+}
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, [1]])
-@pytest.mark.parametrize("name", SPLIT_MAPS)
+@pytest.mark.parametrize("name", LETTER_CHECKS)
 def test_a_warm_letter_memo_rejects_elements_that_are_not_exact_ints(name, bad):
-    make, evaluate = SPLIT_MAPS[name]
+    make, evaluate = LETTER_CHECKS[name]
     f = make()
     evaluate(f, Word(((A, 1), (B, 1))))
     for word in (Word(((A, bad),)), Word(((A, bad), (B, 1)))):
@@ -313,6 +322,62 @@ def split_qreps(draw):
 @settings(deadline=None, max_examples=40)
 @given(split_qreps(), st.integers(0, 2**32 - 1))
 def test_sampled_defect_joins_pairs_as_multiply_does(mu, seed):
+    check_joins_as_multiply_does(mu, seed, qrep_sampled_defect)
+
+
+S3_MUL = [
+    # 0 = e, 1 = (123), 2 = (132), 3 = (12), 4 = (13), 5 = (23)
+    [0, 1, 2, 3, 4, 5],
+    [1, 2, 0, 5, 3, 4],
+    [2, 0, 1, 4, 5, 3],
+    [3, 4, 5, 0, 1, 2],
+    [4, 5, 3, 2, 0, 1],
+    [5, 3, 4, 1, 2, 0],
+]
+S3 = FiniteTableGroup.from_mul(6, lambda x, y: S3_MUL[x][y])
+S3_METRICS = {
+    "discrete": FiniteMetric.from_length_function(S3, [0, 1, 1, 1, 1, 1]),
+    # Transpositions have length 1 and 3-cycles length 2: a class function.
+    "transpositions": FiniteMetric.from_length_function(S3, [0, 2, 2, 1, 1, 1]),
+}
+
+
+@st.composite
+def s3_qreps(draw):
+    """A quasi-representation on C2 * C3 or Z * C3 into S3 with a
+    bi-invariant metric: a non-abelian target, where the junction rule
+    rests on bi-invariance alone."""
+    target = S3_METRICS[draw(st.sampled_from(sorted(S3_METRICS)))]
+    if draw(st.booleans()):
+        s = Splitting(C2, C3)
+        on_a = list(enumerate_factor_qr_maps(A, C2, target, 2))
+        muA = draw(st.sampled_from(on_a))
+    else:
+        s = Splitting(IntegerGroup(), C3)
+        # An image for every exponent the sampler draws, so that merged
+        # letters often meet non-commuting images.
+        images = draw(st.lists(st.integers(0, 5), min_size=4, max_size=4))
+        muA = FactorQRMap(A, target, s.A, dict(zip(range(1, 5), images)))
+    on_b = list(enumerate_factor_qr_maps(B, C3, target, 2))
+    return SplitQRep(s, target, muA, draw(st.sampled_from(on_b)))
+
+
+def test_s3_junction_reads_the_images_in_word_order():
+    # mu(a) mu(a^2) = (12)(123) = (13) = mu(a^3), but (123)(12) = (23).
+    s = Splitting(IntegerGroup(), C3)
+    for target in S3_METRICS.values():
+        muA = FactorQRMap(A, target, s.A, {1: 3, 2: 1, 3: 4})
+        mu = SplitQRep(s, target, muA, FactorQRMap(B, target, C3, {}))
+        assert target.mul(1, 3) != target.mul(3, 1)
+        g, h = parse_word(s, "a"), parse_word(s, "a^2")
+        assert whole_word_size(mu, g, h) == 0 < whole_word_size(mu, h, g)
+        for pair in ((g, h), (h, g)):
+            assert Fraction(*mu.junction(*pair)) == whole_word_size(mu, *pair)
+
+
+@settings(deadline=None, max_examples=40)
+@given(s3_qreps(), st.integers(0, 2**32 - 1))
+def test_sampled_defect_joins_pairs_as_multiply_does_into_s3(mu, seed):
     check_joins_as_multiply_does(mu, seed, qrep_sampled_defect)
 
 

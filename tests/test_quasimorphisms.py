@@ -26,6 +26,7 @@ from splitqm.quasimorphisms import (
 from splitqm.words import (
     A,
     B,
+    IDENTITY,
     Splitting,
     Word,
     conjugate,
@@ -330,6 +331,7 @@ def test_coboundary_is_the_junction_value(f, seed, cut):
     # h starts by undoing a tail of g, so the junction cancels before it merges.
     h = multiply(s, invert(s, Word(g.letters[cut:])), random_word(s, 4, 4, seed + 1))
     assert coboundary(f, g, h) == junction_walk_value(f, g, h)
+    assert coboundary(f, g, h) == f(g) + f(h) - f(multiply(s, g, h))
 
 
 def test_eval_split_adds_coprime_denominators_exactly():
@@ -350,6 +352,25 @@ def test_eval_split_rejects_letters_outside_the_factors(letter):
     f = SplitQM(C5XC6, FactorQM(C5XC6.A), FactorQM(C5XC6.B, finite_part={1: 1, 5: -1}))
     with pytest.raises(ValueError):
         eval_split(f, Word((letter,)))
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        (Word(((A, 1), (A, 1))), IDENTITY),
+        (IDENTITY, Word(((A, 1), (A, 1)))),
+        (Word(((A, 1),)), Word(((B, 0),))),
+        (Word(((A, 1), (B, 2), (B, -2))), Word(((A, -1),))),
+    ],
+    ids=["same-side-left", "same-side-right", "identity-letter", "unreduced-tail"],
+)
+def test_coboundary_rejects_words_that_are_not_normal_forms(g, h):
+    # A whole-word sum gave 2 on a a, whose normal form a^2 gives 0; the
+    # junction rule is no better on raw words, so both inputs are checked.
+    f = SplitQM(ZXZ, FactorQM(ZXZ.A, finite_part={1: 1, -1: -1}), FactorQM(ZXZ.B))
+    assert coboundary(f, parse_word(ZXZ, "a^2"), IDENTITY) == 0
+    with pytest.raises(ValueError):
+        coboundary(f, g, h)
 
 
 def test_single_letter_pairs_reproduce_factor_coboundaries():
@@ -455,8 +476,9 @@ MEMO_EVALUATORS = pytest.mark.parametrize(
         lambda f, g: f(g),
         homogenize_eval,
         lambda f, g: sampled_defect(f, lambda: g, 1),
+        lambda f, g: coboundary(f, g, g),
     ],
-    ids=["eval_split", "SplitQM.__call__", "homogenize_eval", "sampled_defect"],
+    ids=["eval_split", "SplitQM.__call__", "homogenize_eval", "sampled_defect", "coboundary"],
 )
 
 
