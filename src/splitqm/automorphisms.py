@@ -22,8 +22,10 @@ from .words import (
     Letter,
     Splitting,
     Word,
+    _power,
     conjugate,
     invert,
+    join_into,
     memo_letter,
     power,
     reduce,
@@ -49,7 +51,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Endo:
-    """An endomorphism of Z * Z given by the images of the two generators."""
+    """An endomorphism of Z * Z given by the images of the two generators.
+
+    ``letter_memo`` maps each distinct letter applied to its image."""
 
     splitting: Splitting
     image_a: Word
@@ -59,28 +63,28 @@ class Endo:
         self.splitting.require_zxz("an endomorphism")
         validate_word(self.splitting, self.image_a)
         validate_word(self.splitting, self.image_b)
+        object.__setattr__(self, "letter_memo", {})
 
     def __call__(self, g: Word) -> Word:
         return apply(self, g)
 
+    def image(self, side: str, k: int) -> tuple[Letter, ...]:
+        """The image of (side, k): a power of a generator image checked at construction."""
+        return _power(self.splitting, self.image_a if side == A else self.image_b, k).letters
+
 
 def apply(e: Endo, g: Word) -> Word:
-    """Substitute generator images letter by letter, then reduce once; each
-    distinct letter is checked against its factor and its image power is
-    computed once.  Raises ValueError on a letter outside the factors."""
-    s = e.splitting
-    images: dict[Letter, tuple[Letter, ...]] = {}
-    letters: list[Letter] = []
-
-    def image_of(side: str, k: int) -> tuple[Letter, ...]:
-        return power(s, e.image_a if side == A else e.image_b, k).letters
-
+    """Fold the images of the letters of g onto one normal form, joining
+    each at the junction.  Each distinct letter is checked against its
+    factor and its image computed once, in the letter memo of ``e``.
+    Raises ValueError on a letter outside the factors."""
+    s, memo, out = e.splitting, e.letter_memo, []
     for letter in g.letters:
-        image = images.get(letter) if type(letter[1]) is int else None
+        image = memo.get(letter) if type(letter[1]) is int else None
         if image is None:
-            image = memo_letter(s, images, letter, image_of)
-        letters.extend(image)
-    return reduce(s, letters)
+            image = memo_letter(s, memo, letter, e.image)
+        join_into(s, out, image)
+    return Word(tuple(out))
 
 
 def identity_endo(s: Splitting) -> Endo:
@@ -123,7 +127,7 @@ def pullback_qm(
     """
     s = e.splitting
     for w in list(verification_sample) + [g]:
-        if apply(e, apply(e_inverse, w)) != w:
+        if apply(e, apply(e_inverse, w)) != reduce(s, w.letters):
             raise ValueError("supplied endomorphism inverse fails verification")
     return eval_split(f, apply(e_inverse, g))
 

@@ -316,8 +316,10 @@ class RegularRep(ModuleAction):
         return {g: c * value for g, value in v.items()}
 
     def act(self, g: Word, v: SparseVector) -> SparseVector:
+        """Reduce g once, checking its letters, and join it onto each key."""
         s = self.splitting
-        return {multiply(s, g, h): value for h, value in v.items()}
+        g = reduce(s, g.letters).letters
+        return {Word(_join(s, g, h.letters)): value for h, value in v.items()}
 
     def norm(self, v: SparseVector) -> Union[Fraction, float]:
         if self.p == 1:
@@ -612,7 +614,7 @@ def _growth_cocycle(
         if side == A:
             prefix = Word(letters[:i])  # a normal form, as word(depth) is one
             if literal:  # its last letter moved to the front, where it may merge
-                prefix = multiply(s, Word(letters[i - 1 : i]), Word(letters[: i - 1]))
+                prefix = Word(_join(s, letters[i - 1 : i], letters[: i - 1]))
             values[x] = m.act(invert(s, prefix), v)
     f = SplitQC(s, m, FactorCocycleMap(A, m, values), FactorCocycleMap(B, m, {}))
     for n in range(depth + 1):

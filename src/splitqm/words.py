@@ -211,22 +211,30 @@ def multiply(s: Splitting, g: Word, h: Word) -> Word:
     return reduce(s, g.letters + h.letters)
 
 
-def _join(s: Splitting, g: tuple[Letter, ...], h: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """Product of two normal-form letter tuples.
+def join_into(s: Splitting, out: list[Letter], h: tuple[Letter, ...]) -> None:
+    """Multiply the normal form ``out`` by the normal form ``h``, in place.
 
-    Only the junction can cancel or merge: pop matching letters from the end
-    of ``g`` and the start of ``h`` while they cancel, and stop at the first
-    merge that leaves a non-identity letter.
+    Only the junction can cancel or merge: pop letters off the end of ``out``
+    while they cancel the start of ``h``, merge at the first pair that does
+    not cancel, and extend with the rest of ``h``.  No letter is checked.
     """
-    j, i = len(g), 0
-    while j and i < len(h) and g[j - 1][0] == h[i][0]:
-        side = h[i][0]
+    i = 0
+    while out and i < len(h) and out[-1][0] == h[i][0]:
+        side, x = out.pop()
         factor = s.factor(side)
-        x = factor.mul(g[j - 1][1], h[i][1])
+        x = factor.mul(x, h[i][1])
+        i += 1
         if not factor.is_identity(x):
-            return g[: j - 1] + ((side, x),) + h[i + 1 :]
-        j, i = j - 1, i + 1
-    return g[:j] + h[i:]
+            out.append((side, x))
+            break
+    out.extend(h[i:])
+
+
+def _join(s: Splitting, g: tuple[Letter, ...], h: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Product of two normal-form letter tuples, by ``join_into``."""
+    out = list(g)
+    join_into(s, out, h)
+    return tuple(out)
 
 
 def invert(s: Splitting, g: Word) -> Word:
@@ -234,9 +242,8 @@ def invert(s: Splitting, g: Word) -> Word:
     return Word(letters)
 
 
-def power(s: Splitting, g: Word, n: int) -> Word:
-    """g^n: reduce g once, then square and multiply joining at junctions."""
-    g = reduce(s, g.letters)
+def _power(s: Splitting, g: Word, n: int) -> Word:
+    """g^n for a normal form g: square and multiply, joining at junctions."""
     if n < 0:
         g, n = invert(s, g), -n
     acc, sq = (), g.letters
@@ -249,10 +256,18 @@ def power(s: Splitting, g: Word, n: int) -> Word:
     return Word(acc)
 
 
+def power(s: Splitting, g: Word, n: int) -> Word:
+    """g^n: reduce g once, then ``_power``."""
+    return _power(s, reduce(s, g.letters), n)
+
+
 def conjugate(s: Splitting, h: Word, g: Word) -> Word:
-    """h g h^-1."""
+    """h g h^-1: reduce h and g once each, then join at both junctions."""
     h = reduce(s, h.letters)
-    return reduce(s, h.letters + g.letters + invert(s, h).letters)
+    out = list(h.letters)
+    join_into(s, out, reduce(s, g.letters).letters)
+    join_into(s, out, invert(s, h).letters)
+    return Word(tuple(out))
 
 
 def cyclically_reduce(s: Splitting, g: Word) -> tuple[Word, Word]:

@@ -59,9 +59,15 @@ def test_apply_substitutes_generator_images():
 @pytest.mark.parametrize("bad", [("C", 1), (A, True), (A, 1.0), (A, 1.5), (A, [1])])
 @pytest.mark.parametrize("before", [(), ((A, 1), (B, 1))])
 def test_apply_rejects_letters_outside_the_factors(bad, before):
-    # After a valid a, the letter True would hit the memo slot of a.
+    # After a valid a, the letter True would hit the memo slot of a, on a
+    # fresh Endo and on one whose letter memo an earlier call warmed.
+    e = twist(ZXZ, 2)
     with pytest.raises(ValueError):
-        apply(twist(ZXZ, 2), Word(before + (bad,)))
+        apply(e, Word(before + (bad,)))
+    assert apply(e, Word(((A, 1), (B, 1)))) == parse_word(ZXZ, "a^3 b")
+    with pytest.raises(ValueError):
+        apply(e, Word(before + (bad,)))
+    assert e == twist(ZXZ, 2) and hash(e) == hash(twist(ZXZ, 2))
 
 
 def multiply_fold_apply(e, g):
@@ -128,6 +134,16 @@ def test_pullback_verifies_the_supplied_inverse():
     sample = [parse_word(ZXZ, "a b"), parse_word(ZXZ, "b^-1 a^3")]
     value = pullback_qm(f, twist(ZXZ, 2), twist(ZXZ, -2), g, sample)
     assert value == eval_split(f, apply(twist(ZXZ, -2), g))
+    with pytest.raises(ValueError):
+        pullback_qm(f, twist(ZXZ, 2), twist(ZXZ, 2), g, sample)
+
+
+def test_pullback_verifies_raw_words_against_their_normal_forms():
+    f = weight_qm({1: Fraction(1)})
+    g = Word(((A, 1), (A, -1), (B, 1)))
+    sample = [Word(((B, 2), (A, 0), (B, -1), (A, 3), (A, -1)))]
+    value = pullback_qm(f, twist(ZXZ, 2), twist(ZXZ, -2), g, sample)
+    assert value == pullback_qm(f, twist(ZXZ, 2), twist(ZXZ, -2), parse_word(ZXZ, "b")) == 1
     with pytest.raises(ValueError):
         pullback_qm(f, twist(ZXZ, 2), twist(ZXZ, 2), g, sample)
 

@@ -31,7 +31,9 @@ from splitqm.quasicocycles import (
     staircase_word,
 )
 from splitqm.quasimorphisms import default_sampler, junction_pairs
-from splitqm.words import A, B, IDENTITY, Splitting, Word, multiply, parse_word, random_word, reduce
+from splitqm.words import (
+    A, B, IDENTITY, Splitting, Word, invert, multiply, parse_word, random_word, reduce,
+)
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
 
@@ -167,14 +169,31 @@ def test_matrix_norms():
     assert rep.norm(v) == 4
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_regular_rep_translation_is_an_isometry(seed):
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.sampled_from([A, B]), st.integers(-3, 3)), max_size=6),
+)
+def test_regular_rep_translation_is_an_isometry(seed, raw):
+    """Translation by a normal form and by a raw word, with an identity
+    letter and a cancelling pair, against the full-reduce product; the key
+    at g^-1 moves to the identity."""
     rep = RegularRep(ZXZ, 1)
     g = random_word(ZXZ, 4, 3, seed)
     h = random_word(ZXZ, 4, 3, seed + 1)
-    v = rep.add(rep.indicator(h), rep.indicator(IDENTITY, Fraction(-1, 3)))
-    assert rep.act(g, v) == {multiply(ZXZ, g, w): c for w, c in v.items()}
-    assert rep.norm(rep.act(g, v)) == rep.norm(v)
+    raw_g = Word(tuple(raw) + ((A, 0), (B, 2), (B, -2)) + g.letters)
+    v = rep.vector({h: 1, IDENTITY: Fraction(-1, 3), invert(ZXZ, reduce(ZXZ, raw_g.letters)): 2})
+    for word in (g, raw_g):
+        assert rep.act(word, v) == {multiply(ZXZ, word, w): c for w, c in v.items()}
+        assert rep.norm(rep.act(word, v)) == rep.norm(v)
+
+
+@pytest.mark.parametrize("bad", [(B, True), (A, 1.0), ("C", 1), (A, 1.5)])
+def test_regular_action_rejects_letters_outside_the_factors(bad):
+    rep = RegularRep(ZXZ, 1)
+    v = rep.indicator(parse_word(ZXZ, "a b"))
+    for g in (Word((bad,)), Word(((A, 1), bad, (B, 1)))):
+        with pytest.raises(ValueError):
+            rep.act(g, v)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -13,11 +13,13 @@ from splitqm.words import (
     Splitting,
     Word,
     WordSyntaxError,
+    _join,
     conjugate,
     cyclically_reduce,
     enumerate_words,
     format_word,
     invert,
+    join_into,
     multiply,
     other_side,
     parse_word,
@@ -187,6 +189,22 @@ def test_junction_merges_keep_the_order_of_non_commuting_letters():
             for n in (-3, -2, 2, 3):
                 assert power(S3XZ, g, n) == full_reduce_power(S3XZ, g, n)
             assert cyclically_reduce(S3XZ, g) == full_reduce_cyclically_reduce(S3XZ, g)
+
+
+@settings(max_examples=300)
+@given(splitting_and_words(count=2), st.integers(0, 10))
+def test_join_of_normal_forms_is_their_full_reduction(case, cut):
+    """The one junction rule against the full reduction, on every splitting:
+    on S3 x Z a merge must keep the order of its letters.  Putting the
+    inverse of a suffix of g in front of h makes the junction cancel pairs
+    before it merges or stops."""
+    s, g, h = case
+    tail = Word(g.letters[min(cut, len(g)):])
+    for right in (h, multiply(s, invert(s, tail), h)):
+        expected = reduce(s, g.letters + right.letters)
+        out = list(g.letters)
+        join_into(s, out, right.letters)
+        assert Word(tuple(out)) == Word(_join(s, g.letters, right.letters)) == expected
 
 
 def raises_value_error(fn, *args):
