@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
+from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup, set_alternating
 from .words import (
     A,
     B,
@@ -47,7 +47,6 @@ from .counting import decomposition_residual
 from .automorphisms import check_fixed_point
 from .quasicocycles import (
     FiniteDimRep,
-    GrowthCheckError,
     ModuleAction,
     RegularRep,
     eval_split_qc,
@@ -185,10 +184,8 @@ def _factor_qm(obj, group: FactorGroup, path: str) -> FactorQM:
     for at, x, value in _pairs(obj.get("support", []), f"{path}.support", "element", _element(group), _rational):
         # Alternation fills in the value at the inverse; explicit entries
         # for both elements of a pair must agree with it.
-        for key, val in ((x, value), (group.inv(x), -value)):
-            if key in support and support[key] != val:
-                raise ConfigError(at, f"conflicting value at element {key}")
-            support[key] = val
+        with _at(at):
+            set_alternating(support, group, x, value)
     residues = _items(obj.get("residues", []), f"{path}.residues", "a list of rationals", _rational)
     period = obj.get("period")
     if period is not None:
@@ -436,13 +433,10 @@ def _doubling_witness_row(report: GromovNormReport) -> tuple[str, str]:
     return ("doubling witness", f"gap {report.witness.gap} ({attained})")
 
 
-def _doubling_witness_status(report: GromovNormReport) -> int:
-    """Exit status 1, reported on stderr, when the witness of a positive
-    norm misses twice the norm."""
+def _check_doubling_witness(report: GromovNormReport) -> None:
+    """RuntimeError when the witness of a positive norm misses twice the norm."""
     if report.value and not report.witness_attains:
-        print("identity violation: doubling witness misses twice the norm", file=sys.stderr)
-        return 1
-    return 0
+        raise RuntimeError("doubling witness misses twice the norm")
 
 
 def cmd_defect(args) -> int:
@@ -460,9 +454,9 @@ def cmd_defect(args) -> int:
     ]
     _emit(args, rows)
     if sampled != exact:
-        print(f"identity violation: sampled defect {sampled} != split defect {exact}", file=sys.stderr)
-        return 1
-    return _doubling_witness_status(report)
+        raise RuntimeError(f"sampled defect {sampled} != split defect {exact}")
+    _check_doubling_witness(report)
+    return 0
 
 
 def cmd_decompose(args) -> int:
@@ -589,14 +583,11 @@ def cmd_qrep(args) -> int:
             rows.append((f"admissible maps within {setup.max_norm}", str(admissible)))
     _emit(args, rows)
     if not small.passed:
-        print("identity violation: target admits an eps-small subgroup", file=sys.stderr)
-        return 1
+        raise RuntimeError("target admits an eps-small subgroup")
     if failures:
-        print(f"identity violation: {failures} witness searches exhausted", file=sys.stderr)
-        return 1
+        raise RuntimeError(f"{failures} witness searches exhausted")
     if sampled != exact:
-        print(f"identity violation: sampled defect {sampled} != defect {exact}", file=sys.stderr)
-        return 1
+        raise RuntimeError(f"sampled defect {sampled} != defect {exact}")
     return 0
 
 
@@ -615,7 +606,8 @@ def cmd_rademacher(args) -> int:
         ("order bound slack on Z/3", str(bound_report.worst_slack)),
     ]
     _emit(args, rows)
-    return _doubling_witness_status(report)
+    _check_doubling_witness(report)
+    return 0
 
 
 def cmd_selftest(args) -> int:
@@ -724,16 +716,13 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         parser.error(f"{args.command} requires --config")
     try:
         return args.func(args)
-    except GrowthCheckError as exc:
-        print(f"identity violation: {exc}", file=sys.stderr)
-        return 1
     except WordSyntaxError as exc:
         print(f"word error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # a driver's failed identity, GrowthCheckError among them
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -13,11 +13,12 @@ to subgroups, quotients, and short exact sequences of finite carriers.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .groups import INFINITE, FactorGroup, _fr
+from .groups import INFINITE, FactorGroup, _fr, check_homomorphism, inverse_pairs
 from .quasimorphisms import FactorQM
 
 __all__ = [
@@ -145,15 +146,9 @@ class GroupHom:
         if not (self.domain.is_finite and self.codomain.is_finite):
             raise ValueError("explicit homomorphisms need finite carriers")
         mapping = dict(self.mapping)
-        if sorted(mapping) != sorted(self.domain.elements()):
-            raise ValueError("mapping must cover the whole domain")
         for y in mapping.values():
             self.codomain.check(y)
-        for x1, x2 in itertools.product(self.domain.elements(), repeat=2):
-            left = mapping[self.domain.mul(x1, x2)]
-            right = self.codomain.mul(mapping[x1], mapping[x2])
-            if left != right:
-                raise ValueError(f"not a homomorphism at ({x1}, {x2})")
+        check_homomorphism(self.domain, mapping, self.codomain.mul, operator.eq)
         object.__setattr__(self, "mapping", mapping)
 
     def __call__(self, x: int) -> int:
@@ -258,16 +253,7 @@ def alternating_vectors(
     if not carrier.is_finite:
         raise ValueError("exhaustive enumeration needs a finite carrier")
     choices = tuple(_fr(c) for c in choices)
-    representatives = []
-    seen = set()
-    for x in carrier.elements():
-        if carrier.is_identity(x) or x in seen:
-            continue
-        inv_x = carrier.inv(x)
-        seen.add(x)
-        seen.add(inv_x)
-        if inv_x != x:
-            representatives.append(x)
+    representatives = inverse_pairs(carrier)[1]
     for assignment in itertools.product(choices, repeat=len(representatives)):
         values = {}
         for x, v in zip(representatives, assignment):

@@ -8,11 +8,12 @@ residue, or a table index), so every element is hashable and immutable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "INFINITE",
@@ -22,6 +23,10 @@ __all__ = [
     "CyclicGroup",
     "FiniteTableGroup",
     "designated_generator",
+    "power_by_squaring",
+    "inverse_pairs",
+    "check_homomorphism",
+    "set_alternating",
 ]
 
 # Returned by order() for elements of infinite order; compares correctly
@@ -102,16 +107,7 @@ class FactorGroup(ABC):
 
     def power(self, x: int, n: int) -> int:
         """x^n for any integer n, by repeated squaring."""
-        self.check(x)
-        if n < 0:
-            x, n = self.inv(x), -n
-        acc = self.identity
-        while n:
-            if n & 1:
-                acc = self.mul(acc, x)
-            x = self.mul(x, x)
-            n >>= 1
-        return acc
+        return power_by_squaring(self.mul, self.inv, self.identity, self.check(x), n)
 
 
 @dataclass(frozen=True)
@@ -259,6 +255,57 @@ class FiniteTableGroup(FactorGroup):
 
     def __str__(self) -> str:
         return f"TableGroup({len(self.table)})"
+
+
+def power_by_squaring(mul: Callable, inv: Callable, identity, x, n: int):
+    """x^n for any integer n by square and multiply, in any group given by
+    ``mul``, ``inv`` and ``identity``: x is inverted when n < 0, and the
+    square after the last bit is skipped."""
+    if n < 0:
+        x, n = inv(x), -n
+    acc = identity
+    while n:
+        if n & 1:
+            acc = mul(acc, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return acc
+
+
+def inverse_pairs(group: FactorGroup) -> tuple[list[int], list[int]]:
+    """(involutions, representatives) of a finite group, both in element
+    order and without the identity: every other element is a representative
+    or the inverse of an earlier one."""
+    involutions, representatives, seen = [], [], set()
+    for x in group.elements():
+        if group.is_identity(x) or x in seen:
+            continue
+        inv_x = group.inv(x)
+        seen.add(inv_x)
+        (involutions if inv_x == x else representatives).append(x)
+    return involutions, representatives
+
+
+def check_homomorphism(domain: FactorGroup, mapping: Mapping, mul: Callable, equal: Callable) -> None:
+    """Raise ValueError unless ``mapping`` covers the finite ``domain`` and
+    ``equal(mapping[xy], mul(mapping[x], mapping[y]))`` for every x and y."""
+    elements = list(domain.elements())
+    if set(mapping) != set(elements):
+        raise ValueError("the map must cover the whole domain")
+    for x, y in itertools.product(elements, repeat=2):
+        if not equal(mapping[domain.mul(x, y)], mul(mapping[x], mapping[y])):
+            raise ValueError(f"not a homomorphism at ({x}, {y})")
+
+
+def set_alternating(table: dict, group: FactorGroup, x: int, value) -> None:
+    """Set x -> value and x^-1 -> -value in ``table``, raising ValueError
+    where either clashes with a value already there; so an involution, the
+    identity included, takes only 0."""
+    for key, v in ((x, value), (group.inv(x), -value)):
+        if key in table and table[key] != v:
+            raise ValueError(f"conflicting value at element {key}")
+        table[key] = v
 
 
 def designated_generator(factor: FactorGroup) -> int:

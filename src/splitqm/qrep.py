@@ -10,16 +10,18 @@ target's distance is an exact ``Fraction``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr, designated_generator
+from .groups import (CyclicGroup, FactorGroup, IntegerGroup, _fr, check_homomorphism, designated_generator,
+                     inverse_pairs, power_by_squaring)
 from .quasicocycles import FactorTableMap
 from .quasimorphisms import junction_pairs, sampled_defect
-from .words import A, B, IDENTITY, Letter, Splitting, SplitMap, Word
+from .words import A, B, IDENTITY, Splitting, SplitMap, Word
 
 __all__ = [
     "MetricGroup",
@@ -59,21 +61,10 @@ class MetricGroup(ABC):
     def dist(self, x, y) -> Fraction: ...
 
     def power(self, x, n: int):
-        if n < 0:
-            x, n = self.inv(x), -n
-        acc = self.identity
-        while n:
-            if n & 1:
-                acc = self.mul(acc, x)
-            x = self.mul(x, x)
-            n >>= 1
-        return acc
+        return power_by_squaring(self.mul, self.inv, self.identity, x, n)
 
     def product(self, elements: Iterable):
-        acc = self.identity
-        for x in elements:
-            acc = self.mul(acc, x)
-        return acc
+        return functools.reduce(self.mul, elements, self.identity)
 
     def equal(self, x, y) -> bool:
         return self.dist(x, y) == 0
@@ -234,10 +225,6 @@ class SplitQRep(SplitMap):
     def factor_maps(self) -> tuple[FactorQRMap, FactorQRMap]:
         return self.muA, self.muB
 
-    def merge(self, u: Letter, v: Letter, w: Letter) -> tuple[int, int]:
-        """By bi-invariance, d(mu(gh), mu(g)mu(h)) is d(mu(xy), mu(x)mu(y))."""
-        return self.factor_map(u[0]).coboundary_size(u[1], v[1]).as_integer_ratio()
-
     def __call__(self, g: Word):
         return eval_qrep(self, g)
 
@@ -285,13 +272,7 @@ class FactorHom:
                 raise ValueError("table groups need an explicit table")
         else:
             table = dict(self.table)
-            if sorted(table) != sorted(self.group.elements()):
-                raise ValueError("table must cover the whole factor")
-            for x, y in itertools.product(self.group.elements(), repeat=2):
-                left = table[self.group.mul(x, y)]
-                right = self.target.mul(table[x], table[y])
-                if not self.target.equal(left, right):
-                    raise ValueError(f"table is not a homomorphism at ({x}, {y})")
+            check_homomorphism(self.group, table, self.target.mul, self.target.equal)
             object.__setattr__(self, "table", table)
 
     def __call__(self, x: int):
@@ -338,18 +319,7 @@ def enumerate_factor_qr_maps(
     max_norm = _fr(max_norm)
     e = target.identity
     ball = [v for v in target.elements() if target.dist(v, e) <= max_norm]
-    representatives = []
-    involutions = []
-    seen = set()
-    for x in group.elements():
-        if group.is_identity(x) or x in seen:
-            continue
-        inv_x = group.inv(x)
-        seen.update({x, inv_x})
-        if inv_x == x:
-            involutions.append(x)
-        else:
-            representatives.append(x)
+    involutions, representatives = inverse_pairs(group)
     involution_choices = [v for v in ball if target.mul(v, v) == e]
     spaces = [involution_choices] * len(involutions) + [ball] * len(representatives)
     for assignment in itertools.product(*spaces):

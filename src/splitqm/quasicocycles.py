@@ -19,7 +19,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup, _fr, certified_window
+from .groups import (CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup, _fr, certified_window,
+                     power_by_squaring)
 from .words import A, B, Letter, Splitting, SplitMap, Word, _join, invert, memo_letter, multiply, reduce
 
 __all__ = [
@@ -99,15 +100,7 @@ def mat_inv(m: Matrix) -> Matrix:
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:
-    if k < 0:
-        m, k = mat_inv(m), -k
-    acc = identity_matrix(len(m))
-    while k:
-        if k & 1:
-            acc = mat_mul(acc, m)
-        m = mat_mul(m, m)
-        k >>= 1
-    return acc
+    return power_by_squaring(mat_mul, mat_inv, identity_matrix(len(m)), m, k)
 
 
 class ModuleAction(ABC):
@@ -177,7 +170,10 @@ class FiniteDimRep(ModuleAction):
 
     Integer factors may use any invertible matrix; a cyclic factor of order n
     requires its matrix to have order dividing n.  Table-group factors are
-    not supported, since they carry no designated generator.
+    not supported, since they carry no designated generator.  The defect
+    rule and the junction size (``SplitMap.merge``) assume the action is an
+    isometry of the sup norm, as for signed permutation matrices; nothing
+    checks that.
     """
 
     def __init__(self, splitting: Splitting, mat_a: Sequence[Sequence], mat_b: Sequence[Sequence]):
@@ -528,6 +524,9 @@ class SplitQC(SplitMap):
     @property
     def factor_maps(self) -> tuple[FactorCocycleMap, FactorCocycleMap]:
         return self.fA, self.fB
+
+    def size_value(self, s: int, t: int) -> Union[Fraction, float]:
+        return self.action.size_value(s, t)
 
     def __call__(self, g: Word) -> Vector:
         return eval_split_qc(self, g)

@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .groups import CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_window, designated_generator
+from .groups import (CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_window, designated_generator,
+                     set_alternating)
 from .words import (
     A,
     B,
@@ -290,14 +291,15 @@ def sampled_defect(
     sampler: Callable[[], Word],
     count: int,
     extra_pairs: Iterable[tuple[Word, Word]] = (),
-) -> Fraction:
+) -> Fraction | float:
     """The largest |s| / t over sampled pairs, where (s, t) is the pair's
-    coboundary read at its junction (``SplitMap.junction``), compared exactly;
-    never exceeds the exact defect.  ``extra_pairs`` embeds known maximizing
-    factor pairs as one-letter words (see ``junction_pairs``), so the value
-    can attain the supremum.  The sampler's words and the ``extra_pairs`` must
-    be normal forms; their letters are still checked through the letter memo,
-    so a letter outside the factors raises ValueError."""
+    coboundary read at its junction (``SplitMap.junction``), compared exactly
+    and returned as ``f.size_value``; never exceeds the exact defect.
+    ``extra_pairs`` embeds known maximizing factor pairs as one-letter words
+    (see ``junction_pairs``), so the value can attain the supremum.  The
+    sampler's words and the ``extra_pairs`` must be normal forms; their
+    letters are still checked through the letter memo, so a letter outside
+    the factors raises ValueError."""
     junction = f.junction
     sampled = ((sampler(), sampler()) for _ in range(count))
     best_s, best_t = 0, 1
@@ -305,7 +307,7 @@ def sampled_defect(
         value, t = junction(g, h)
         if abs(value) * best_t > best_s * t:
             best_s, best_t = abs(value), t
-    return Fraction(best_s, best_t)
+    return f.size_value(best_s, best_t) if best_s else Fraction(0)
 
 
 def homogenize_eval(f: SplitQM, g: Word) -> Fraction:
@@ -474,18 +476,10 @@ def weight_qm(s_table: Mapping[int, Fraction]) -> SplitQM:
     Keys may be given on positive exponents only; the alternating extension
     is filled in automatically.
     """
+    split = Splitting(IntegerGroup(), IntegerGroup())
     table: dict[int, Fraction] = {}
     for k, value in s_table.items():
-        value = _fr(value)
-        if k == 0:
-            if value:
-                raise ValueError("weight table must vanish at exponent 0")
-            continue
-        for key, val in ((k, value), (-k, -value)):
-            if key in table and table[key] != val:
-                raise ValueError(f"weight table breaks alternation at {key}")
-            table[key] = val
-    split = Splitting(IntegerGroup(), IntegerGroup())
+        set_alternating(table, split.A, k, _fr(value))
     fA = FactorQM(split.A, finite_part=table)
     fB = FactorQM(split.B, finite_part=table)
     return SplitQM(split, fA, fB)

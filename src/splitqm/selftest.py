@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, Iterator, Optional
 
-from .groups import CyclicGroup, IntegerGroup
+from .groups import CyclicGroup, IntegerGroup, inverse_pairs
 from .words import (
     A,
     B,
@@ -155,15 +155,10 @@ def _random_integer_qm(group: IntegerGroup, rng: random.Random) -> FactorQM:
 
 def _random_finite_qm(group: CyclicGroup, rng: random.Random) -> FactorQM:
     values: dict[int, Fraction] = {}
-    seen: set[int] = set()
-    for x in group.elements():
-        inv_x = group.inv(x)
-        if group.is_identity(x) or x in seen or inv_x == x:
-            continue
-        seen.update({x, inv_x})
+    for x in inverse_pairs(group)[1]:
         if rng.random() < 0.75:
             value = rng.choice(_VALUES)
-            values[x], values[inv_x] = value, -value
+            values[x], values[group.inv(x)] = value, -value
     return FactorQM(group, finite_part=values)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
@@ -172,8 +173,8 @@ class SplitMap:
         """The coboundary of normal forms g and h as (s, t), that is s / t, read
         where they meet.  Every letter is checked through the memo first.  Letter
         pairs that cancel add nothing, as factor maps are alternating; the first
-        merge, of u and v into w, gives the family's ``merge(u, v, w)``, and none
-        gives (0, 1).  Sides alternate: if the first pair shares a side, all do."""
+        merge, of u and v into w, gives ``merge(u, v, w)``, and none gives
+        (0, 1).  Sides alternate: if the first pair shares a side, all do."""
         memo, left, right = self.letter_memo, g.letters, h.letters
         for letter in left + right:
             if type(letter[1]) is not int or letter not in memo:
@@ -185,6 +186,16 @@ class SplitMap:
                 if not factor.is_identity(x):
                     return self.merge(u, v, (u[0], x))
         return 0, 1
+
+    def merge(self, u: Letter, v: Letter, w: Letter) -> tuple[int, int]:
+        """The factor map's ``pair_sizer`` on the letters u and v merging into w:
+        the size of the whole pair when the target is a bi-invariant metric or
+        an isometric action, as ``split_qc_defect`` assumes."""
+        return self.factor_map(u[0]).pair_sizer()(u[1], v[1], w[1])
+
+    def size_value(self, s: int, t: int):
+        """The size that ``junction`` gives as (s, t), as a number."""
+        return Fraction(s, t)
 
     def defect(self):
         """The larger factor defect: the split defect (for a quasicocycle,
@@ -244,6 +255,7 @@ def invert(s: Splitting, g: Word) -> Word:
 
 def _power(s: Splitting, g: Word, n: int) -> Word:
     """g^n for a normal form g: square and multiply, joining at junctions."""
+    # Not groups.power_by_squaring: a partial of _join as its mul slowed long-words.
     if n < 0:
         g, n = invert(s, g), -n
     acc, sq = (), g.letters

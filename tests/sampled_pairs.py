@@ -1,15 +1,19 @@
 """The slow path for ``sampled_defect``: every pair's product reduced by
 ``multiply`` and sized from the three whole words, shared by the split
-quasimorphism and quasi-representation tests."""
+quasimorphism, quasicocycle and quasi-representation tests."""
 
 from splitqm.qrep import SplitQRep, eval_qrep
+from splitqm.quasicocycles import SplitQC, qc_coboundary
 from splitqm.quasimorphisms import junction_pairs, sampled_defect
 from splitqm.words import Word, invert, multiply, word_sampler
 
 
 def whole_word_size(f, g, h):
-    """|f(g) + f(h) - f(gh)| for a split quasimorphism, d(mu(g)mu(h), mu(gh))
+    """|f(g) + f(h) - f(gh)| for a split quasimorphism, the norm of
+    f(g) + g.f(h) - f(gh) for a split quasicocycle, d(mu(g)mu(h), mu(gh))
     for a quasi-representation, with gh reduced by ``multiply``."""
+    if isinstance(f, SplitQC):
+        return f.action.norm(qc_coboundary(f, g, h))
     gh = multiply(f.splitting, g, h)
     if isinstance(f, SplitQRep):
         t = f.target

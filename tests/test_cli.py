@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from splitqm import cli
+from splitqm import cli, qrep
 
 S3_MUL = [
     [0, 1, 2, 3, 4, 5],
@@ -394,6 +394,24 @@ def test_circle_qrep_config_with_a_small_subgroup_fails(tmp_path, capsys):
     assert report["eps"] == "1/2"
     assert report["no eps-small subgroups"] == "NO (certified)"
     assert "identity violation: target admits an eps-small subgroup" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, row, err",
+    [
+        (["defect", "weights"], "sampled defect (300 pairs): 0", "sampled defect 0 != split defect 3"),
+        (["qrep"], "sampled defect (2000 pairs): 0", "sampled defect 0 != defect 1"),
+    ],
+)
+def test_sampled_defect_mismatch_is_an_identity_violation(config_path, monkeypatch, capsys, argv, row, err):
+    # The rows come first, then the violation on stderr with exit code 1.
+    monkeypatch.setattr(cli, "sampled_defect", lambda *args, **kwargs: 0)
+    monkeypatch.setattr(qrep, "sampled_defect", lambda *args, **kwargs: 0)
+    config = ["--config", config_path] if argv[0] == "defect" else []
+    assert cli.main([argv[0], *config, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert row in captured.out.splitlines()
+    assert captured.err == f"identity violation: {err}\n"
 
 
 def test_table_factor_config(tmp_path, capsys):

@@ -9,6 +9,7 @@ from splitqm.groups import (
     INFINITE,
     IntegerGroup,
     designated_generator,
+    inverse_pairs,
 )
 
 KLEIN_MUL = [
@@ -148,3 +149,23 @@ def test_designated_generator():
     # The first element of the table that is not the identity.
     z3 = FiniteTableGroup.from_mul(3, lambda x, y: (x + y + 1) % 3, identity=2)
     assert designated_generator(z3) == 0
+
+
+@pytest.mark.parametrize(
+    "group",
+    [CyclicGroup(n) for n in range(2, 13)]
+    + [
+        FiniteTableGroup.from_mul(4, lambda x, y: KLEIN_MUL[x][y]),
+        # Z/6 with the residue r at index (r + 3) % 6: the identity is 3 and
+        # the one involution is 0.
+        FiniteTableGroup.from_mul(6, lambda x, y: (x + y - 3) % 6, identity=3),
+    ],
+    ids=str,
+)
+def test_inverse_pairs_partition_the_group(group):
+    involutions, representatives = inverse_pairs(group)
+    inverses = [group.inv(x) for x in representatives]
+    assert sorted([group.identity, *involutions, *representatives, *inverses]) == list(group.elements())
+    assert involutions == sorted(involutions) and representatives == sorted(representatives)
+    assert all(group.inv(x) == x for x in involutions)
+    assert all(x < y for x, y in zip(representatives, inverses))

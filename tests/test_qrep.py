@@ -96,6 +96,23 @@ def test_circle_arithmetic_is_exact():
     assert not circle.equal(Fraction(0), Fraction(1, 10**9))
 
 
+class _SquaringCircle(MetricGroup):
+    """The circle with ``MetricGroup``'s own power and product."""
+
+    identity = Fraction(0)
+    mul, inv, dist = Circle.mul, Circle.inv, Circle.dist
+
+
+def test_default_power_and_product_match_the_circle():
+    circle, squaring = Circle(), _SquaringCircle()
+    for x in (Fraction(0), Fraction(1, 2), Fraction(2, 7), Fraction(5, 6)):
+        for n in range(-9, 10):
+            assert squaring.power(x, n) == circle.power(x, n)
+    turns = [Fraction(1, 3), Fraction(3, 4), Fraction(5, 12)]
+    assert squaring.product(turns) == Fraction(1, 2)
+    assert squaring.product([]) == squaring.identity
+
+
 def test_factor_qr_map_forces_inverses():
     target = _hex_metric()
     mu = FactorQRMap(B, target, C3, {1: 1})

@@ -30,10 +30,12 @@ from splitqm.quasicocycles import (
     staircase_cocycle,
     staircase_word,
 )
-from splitqm.quasimorphisms import default_sampler, junction_pairs
+from splitqm.quasimorphisms import default_sampler, junction_pairs, sampled_defect
 from splitqm.words import (
     A, B, IDENTITY, Splitting, Word, invert, multiply, parse_word, random_word, reduce,
 )
+
+from sampled_pairs import check_joins_as_multiply_does
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
 
@@ -119,6 +121,11 @@ def test_matrix_helpers():
     assert mat_pow(m, 0) == identity_matrix(2)
     assert mat_pow(m, 3) == mat_mul(m, mat_mul(m, m))
     assert mat_pow(m, -2) == mat_inv(mat_mul(m, m))
+    for k in range(-4, 7):
+        expected = identity_matrix(2)
+        for _ in range(abs(k)):
+            expected = mat_mul(expected, m if k >= 0 else mat_inv(m))
+        assert mat_pow(m, k) == expected
     with pytest.raises(ValueError):
         mat_inv(((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))))
 
@@ -326,6 +333,27 @@ def test_sampled_split_coboundaries_attain_the_split_defect(make, depth):
     pairs = [(sampler(), sampler()) for _ in range(300)] + junction_pairs(f)
     worst = max(rep.norm(qc_coboundary(f, g, h)) for g, h in pairs)
     assert worst == split_qc_defect(f) > 0
+
+
+@pytest.mark.parametrize(
+    "make, worst",
+    [
+        (lambda: RegularRep(ZXZ, 1), 3),
+        (lambda: RegularRep(ZXZ, 2), math.sqrt(3)),
+        (lambda: RegularRep(ZXZ, math.inf), 1),
+        (_permutation_rep, 5),
+    ],
+    ids=["regular-l1", "regular-l2", "regular-linf", "permutation"],
+)
+def test_staircase_pairs_join_as_multiply_does(make, worst):
+    # Sized at the junction from the factor pair, a split quasicocycle pair
+    # has the norm of its whole-word coboundary, as the action is isometric.
+    rep = make()
+    xi = rep.vector((1, -2, 0)) if isinstance(rep, FiniteDimRep) else rep.indicator(parse_word(ZXZ, "b"))
+    _, f = staircase_cocycle(rep, xi, 3)
+    for seed in (5, 6):
+        check_joins_as_multiply_does(f, seed)
+    assert sampled_defect(f, iter(()).__next__, 0, junction_pairs(f)) == split_qc_defect(f) == worst
 
 
 @given(st.integers(0, 2**32 - 1))
