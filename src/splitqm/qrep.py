@@ -21,7 +21,7 @@ from .groups import (CyclicGroup, FactorGroup, IntegerGroup, _fr, check_homomorp
                      inverse_pairs, power_by_squaring)
 from .quasicocycles import FactorTableMap
 from .quasimorphisms import junction_pairs, sampled_defect
-from .words import A, B, IDENTITY, Splitting, SplitMap, Word
+from .words import A, B, IDENTITY, Letter, Splitting, SplitMap, Word
 
 __all__ = [
     "MetricGroup",
@@ -296,6 +296,10 @@ class SplitHom(SplitMap):
     def factor_maps(self) -> tuple[FactorHom, FactorHom]:
         return self.hA, self.hB
 
+    def merge(self, u: Letter, v: Letter, w: Letter) -> tuple[int, int]:
+        """Every pair of a homomorphism has size 0."""
+        return 0, 1
+
     def __call__(self, g: Word):
         return eval_qrep(self, g)
 
@@ -323,10 +327,7 @@ def enumerate_factor_qr_maps(
     involution_choices = [v for v in ball if target.mul(v, v) == e]
     spaces = [involution_choices] * len(involutions) + [ball] * len(representatives)
     for assignment in itertools.product(*spaces):
-        values = {}
-        for x, v in zip(involutions + representatives, assignment):
-            values[x] = v
-        yield FactorQRMap(side, target, group, values)
+        yield FactorQRMap(side, target, group, dict(zip(involutions + representatives, assignment)))
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,10 @@ class ModuleAction(ABC):
         """den * v as ints; den must be a multiple of ``denominator(v)``."""
 
     @abstractmethod
+    def from_numerators(self, nums: Numerators, den: int) -> Vector:
+        """The vector nums / den: the inverse of ``numerators``."""
+
+    @abstractmethod
     def translate(self, side: str, x: int, nums: Numerators) -> tuple[Numerators, int]:
         """The letter (side, x) applied to int numerators over some den:
         (numerators of the image, d) with the image over den * d."""
@@ -232,6 +236,9 @@ class FiniteDimRep(ModuleAction):
     def numerators(self, v: DenseVector, den: int) -> tuple[int, ...]:
         return tuple(x.numerator * (den // x.denominator) for x in v)
 
+    def from_numerators(self, nums: tuple[int, ...], den: int) -> DenseVector:
+        return tuple(Fraction(n, den) for n in nums)
+
     def translate(self, side: str, x: int, nums: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """The memoized int rows of the letter times nums, O(d^2)."""
         rows, d = self._letter(side, x)
@@ -245,7 +252,7 @@ class FiniteDimRep(ModuleAction):
         for side, k in reversed(g.letters):
             nums, d = self.translate(side, k, nums)
             den *= d
-        return tuple(Fraction(n, den) for n in nums)
+        return self.from_numerators(nums, den)
 
     def sum_size(self, u, side, x, v, w, den) -> Size:
         """The sup norm, as ``norm``; the translation multiplies the
@@ -297,12 +304,7 @@ class RegularRep(ModuleAction):
 
     def add(self, u: SparseVector, v: SparseVector) -> SparseVector:
         out = dict(u)
-        for g, value in v.items():
-            total = out.get(g, Fraction(0)) + value
-            if total:
-                out[g] = total
-            else:
-                out.pop(g, None)
+        _add_into(out, v, 1)
         return out
 
     def scale(self, c: Fraction, v: SparseVector) -> SparseVector:
@@ -332,6 +334,9 @@ class RegularRep(ModuleAction):
 
     def numerators(self, v: SparseVector, den: int) -> dict[tuple, int]:
         return {g.letters: x.numerator * (den // x.denominator) for g, x in v.items()}
+
+    def from_numerators(self, nums: dict[tuple, int], den: int) -> SparseVector:
+        return {Word(g): Fraction(n, den) for g, n in nums.items()}
 
     def translate(self, side: str, x: int, nums: dict[tuple, int]) -> tuple[dict[tuple, int], int]:
         """Join the letter onto each key at the junction: the keys are normal
@@ -365,14 +370,14 @@ class RegularRep(ModuleAction):
         return float(Fraction(s, t)) ** (1.0 / p)
 
 
-def _add_into(total: dict[tuple, int], terms: dict[tuple, int], sign: int) -> None:
-    """total += sign * terms on sparse numerators, dropping keys that cancel."""
+def _add_into(total: dict, terms: dict, sign: int) -> None:
+    """total += sign * terms on sparse vectors or numerators, dropping the keys that cancel."""
     for g, n in terms.items():
         n = total.get(g, 0) + sign * n
         if n:
             total[g] = n
         else:
-            del total[g]
+            total.pop(g, None)
 
 
 class FactorTableMap(ABC):
@@ -483,7 +488,8 @@ class FactorCocycleMap(FactorTableMap):
         super().__init__(side, action.splitting.factor(side), values)
 
     def __call__(self, x: int) -> Vector:
-        return _fresh(super().__call__(x))
+        v = super().__call__(x)  # a sparse value is copied, so changing it leaves the table as it is
+        return dict(v) if type(v) is dict else v
 
     def trivial(self) -> Vector:
         return self.action.zero()
@@ -513,7 +519,8 @@ class FactorCocycleMap(FactorTableMap):
 
 @dataclass(frozen=True)
 class SplitQC(SplitMap):
-    """The split quasicocycle built from two factor cocycle maps."""
+    """The split quasicocycle built from two factor cocycle maps; its letter
+    memo holds each letter's value as int numerators over ``denominator``."""
 
     splitting: Splitting
     action: ModuleAction
@@ -525,6 +532,15 @@ class SplitQC(SplitMap):
     def factor_maps(self) -> tuple[FactorCocycleMap, FactorCocycleMap]:
         return self.fA, self.fB
 
+    @cached_property
+    def denominator(self) -> int:
+        """The common denominator D of both factor maps' scaled tables."""
+        return math.lcm(self.fA._scaled_table[1], self.fB._scaled_table[1])
+
+    def letter_value(self, side: str, x: int) -> Numerators:
+        """The factor value at x over D: the action's zero numerators off the support."""
+        return self.action.numerators(self.factor_map(side)(x), self.denominator)
+
     def size_value(self, s: int, t: int) -> Union[Fraction, float]:
         return self.action.size_value(s, t)
 
@@ -532,29 +548,36 @@ class SplitQC(SplitMap):
         return eval_split_qc(self, g)
 
 
-def _letter_sum(m: ModuleAction, g: Word, value: Callable[[Letter], Vector]) -> Vector:
-    """The prefix-translated sum of value(letter) over the letters of g, by
-    the cocycle recursion f(x.h) = f(x) + x.f(h) from the right: one
-    single-letter action per letter, and none while the suffix sum is zero."""
-    total = m.zero()
-    for letter in reversed(g.letters):
+def _numerator_sum(
+    m: ModuleAction, letters: tuple[Letter, ...], value: Callable[[Letter], Numerators], den: int
+) -> Vector:
+    """The prefix-translated sum of value(letter), numerators over den, by the
+    cocycle recursion f(x.h) = f(x) + x.f(h) from the right, as a new vector.
+    The running sum is over den * k: a letter matrix with denominator d
+    multiplies k by d and the values are scaled by k.  A zero sum is not
+    translated and resets k to 1.  ``value`` checks each letter; a sparse
+    value is added into the translated dict, which is new unless the letter
+    is an identity, whose value is zero, so no value is changed."""
+    sparse = isinstance(m, RegularRep)
+    nonzero, translate = (bool if sparse else any), m.translate
+    total, k = None, 1
+    for letter in reversed(letters):
         head = value(letter)
-        if not m.is_zero(total):
-            head = m.add(head, m.act(Word((letter,)), total))
-        total = head
-    return total
-
-
-def _fresh(v: Vector) -> Vector:
-    """v, or a copy of it if it is a sparse vector: the vectors the public
-    evaluations return may be changed without changing a table or memo."""
-    return dict(v) if type(v) is dict else v
+        if total is None or not nonzero(total):
+            total, k = head, 1
+            continue
+        total, d = translate(letter[0], letter[1], total)
+        if sparse:
+            _add_into(total, head, 1)
+        else:
+            k *= d
+            total = tuple(k * a + b for a, b in zip(head, total))
+    return m.zero() if total is None else m.from_numerators(total, den * k)
 
 
 def eval_split_qc(f: SplitQC, g: Word) -> Vector:
-    """Prefix-translated sum of the letter values from the map's letter
-    memo, as a fresh vector."""
-    return _fresh(_letter_sum(f.action, g, f.letter))
+    """The numerator sum over the map's letter memo, which checks every letter."""
+    return _numerator_sum(f.action, g.letters, f.letter, f.denominator)
 
 
 def qc_coboundary(f: SplitQC, g: Word, h: Word) -> Vector:
@@ -573,8 +596,15 @@ def inner_cocycle(m: ModuleAction, v: Vector, g: Word) -> Vector:
 
 def inner_split_eval(m: ModuleAction, v: Vector, g: Word) -> Vector:
     """Split evaluation of the two factor restrictions of the inner cocycle;
-    telescopes to the inner cocycle itself."""
-    return _letter_sum(m, g, lambda letter: inner_cocycle(m, v, Word((letter,))))
+    telescopes to the inner cocycle itself.  Each distinct letter x is
+    checked and x.v - v computed once, as numerators over one denominator."""
+    values: dict[Letter, Vector] = {}
+    for letter in g.letters:
+        if type(letter[1]) is not int or letter not in values:
+            memo_letter(m.splitting, values, letter, lambda side, x: inner_cocycle(m, v, Word(((side, x),))))
+    den = math.lcm(*map(m.denominator, values.values()))
+    nums = {letter: m.numerators(u, den) for letter, u in values.items()}
+    return _numerator_sum(m, g.letters, nums.__getitem__, den)
 
 
 class GrowthCheckError(RuntimeError):

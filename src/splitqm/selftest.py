@@ -135,6 +135,10 @@ def _zxz() -> Splitting:
     return Splitting(IntegerGroup(), IntegerGroup())
 
 
+def _z5xz6() -> Splitting:
+    return Splitting(CyclicGroup(5), CyclicGroup(6))
+
+
 def _random_integer_qm(group: IntegerGroup, rng: random.Random) -> FactorQM:
     finite: dict[int, Fraction] = {}
     for _ in range(rng.randint(0, 3)):
@@ -162,22 +166,18 @@ def _random_finite_qm(group: CyclicGroup, rng: random.Random) -> FactorQM:
     return FactorQM(group, finite_part=values)
 
 
+def _random_split_qm(s: Splitting, rng: random.Random) -> SplitQM:
+    """Random factor maps on A, then on B: integer ones on Z * Z, finite ones otherwise."""
+    draw = _random_integer_qm if isinstance(s.A, IntegerGroup) else _random_finite_qm
+    return SplitQM(s, draw(s.A, rng), draw(s.B, rng))
+
+
 # -- criterion 1: split defect equals sampled defect ----------------------
 
 
 def criterion_1(rng: random.Random) -> str:
     start = time.perf_counter()
-    configs: list[SplitQM] = []
-    s_int = _zxz()
-    s_fin = Splitting(CyclicGroup(5), CyclicGroup(6))
-    for _ in range(10):
-        configs.append(
-            SplitQM(s_int, _random_integer_qm(s_int.A, rng), _random_integer_qm(s_int.B, rng))
-        )
-    for _ in range(10):
-        configs.append(
-            SplitQM(s_fin, _random_finite_qm(s_fin.A, rng), _random_finite_qm(s_fin.B, rng))
-        )
+    configs = [_random_split_qm(s, rng) for s in [_zxz()] * 10 + [_z5xz6()] * 10]
     defects = []
     for f in configs:
         exact = split_defect(f)
@@ -234,7 +234,7 @@ def criterion_3(rng: random.Random) -> str:
         ),
         FactorQM(s_int.B, finite_part={2: F(3, 2), -2: F(-3, 2)}, sign_coeff=F(-1)),
     )
-    s_fin = Splitting(CyclicGroup(5), CyclicGroup(6))
+    s_fin = _z5xz6()
     f_fin = SplitQM(
         s_fin,
         FactorQM(s_fin.A, finite_part={1: F(1), 4: F(-1), 2: F(1, 2), 3: F(-1, 2)}),
@@ -261,17 +261,12 @@ def criterion_3(rng: random.Random) -> str:
 
 
 def criterion_4(rng: random.Random) -> str:
-    s_int = _zxz()
-    s_fin = Splitting(CyclicGroup(5), CyclicGroup(6))
     configs: list[SplitQM] = []
-    while len(configs) < 5:
-        f = SplitQM(s_int, _random_integer_qm(s_int.A, rng), _random_integer_qm(s_int.B, rng))
-        if split_defect(f) > 0:
-            configs.append(f)
-    while len(configs) < 10:
-        f = SplitQM(s_fin, _random_finite_qm(s_fin.A, rng), _random_finite_qm(s_fin.B, rng))
-        if split_defect(f) > 0:
-            configs.append(f)
+    for s, count in ((_zxz(), 5), (_z5xz6(), 10)):
+        while len(configs) < count:
+            f = _random_split_qm(s, rng)
+            if split_defect(f) > 0:
+                configs.append(f)
     pair_checks = 0
     for f in configs:
         q = f.fA
@@ -349,24 +344,12 @@ def criterion_5(rng: random.Random) -> str:
 
 def criterion_6(rng: random.Random) -> str:
     s = _zxz()
-    boundary = [
-        IDENTITY,
-        parse_word(s, "a"),
-        parse_word(s, "b^-1"),
-        parse_word(s, "a b a^2"),
-        parse_word(s, "a^3 b^2"),
-        parse_word(s, "b a^-2 b^2"),
-        parse_word(s, "b a^2 b^-1"),
-        parse_word(s, "b a^2 b"),
-        parse_word(s, "a b^-3 a^-1"),
-    ]
+    texts = ("a", "b^-1", "a b a^2", "a^3 b^2", "b a^-2 b^2", "b a^2 b^-1", "b a^2 b", "a b^-3 a^-1")
+    boundary = [IDENTITY] + [parse_word(s, text) for text in texts]
     sampler = word_sampler(s, 6, 5, rng)
-    for index in range(10):
-        fA = _random_integer_qm(s.A, rng)
-        fB = _random_integer_qm(s.B, rng)
-        fA = FactorQM(s.A, finite_part=fA.finite_part)
-        fB = FactorQM(s.B, finite_part=fB.finite_part)
-        f = SplitQM(s, fA, fB)
+    for _ in range(10):
+        f = _random_split_qm(s, rng)  # only its finite parts are kept
+        f = SplitQM(s, FactorQM(s.A, finite_part=f.fA.finite_part), FactorQM(s.B, finite_part=f.fB.finite_part))
         for g in boundary:
             if counting.decomposition_residual(f, g) != 0:
                 raise CriterionFailed(f"residual at {g}")
@@ -449,13 +432,7 @@ def criterion_7(rng: random.Random) -> str:
 
 
 def criterion_8(rng: random.Random) -> str:
-    s_int = _zxz()
-    s_fin = Splitting(CyclicGroup(5), CyclicGroup(6))
-    configs = [
-        SplitQM(s_int, _random_integer_qm(s_int.A, rng), _random_integer_qm(s_int.B, rng)),
-        SplitQM(s_fin, _random_finite_qm(s_fin.A, rng), _random_finite_qm(s_fin.B, rng)),
-        rademacher(),
-    ]
+    configs = [_random_split_qm(_zxz(), rng), _random_split_qm(_z5xz6(), rng), rademacher()]
     total = 0
     for f in configs:
         sampler = word_sampler(f.splitting, 4, 4, rng)
@@ -482,13 +459,8 @@ def criterion_9(rng: random.Random, convention: str = "prefix") -> str:
         mat_a=((1, 1, 0), (0, 1, 1), (0, 0, 1)),
         mat_b=((0, 1, 0), (0, 0, 1), (1, 0, 0)),
     )
-    reg1 = RegularRep(s, 1)
-    reg2 = RegularRep(s, 2)
-    setups = [
-        (dim3, dim3.vector((1, 0, 0))),
-        (reg1, reg1.indicator(IDENTITY)),
-        (reg2, reg2.indicator(IDENTITY)),
-    ]
+    regular = [RegularRep(s, 1), RegularRep(s, 2)]
+    setups = [(dim3, dim3.vector((1, 0, 0)))] + [(m, m.indicator(IDENTITY)) for m in regular]
     for m, v in setups:
         try:
             power_ladder_cocycle(m, 2, v, depth=6, check_prime=3, convention=convention)
@@ -640,16 +612,11 @@ def criterion_12(rng: random.Random) -> str:
                 if eval_split(f, g) != n * (s_k + s_sign):
                     raise CriterionFailed(f"value mismatch at k={k}, sign={sign}, n={n}")
     tested = 0
-    for v1 in (-1, 0, 1):
-        for v2 in (-1, 0, 1):
-            for v3 in (-1, 0, 1):
-                for v4 in (-1, 0, 1):
-                    table = {1: F(v1), 2: F(v2), 3: F(v3), 4: F(v4)}
-                    g = weight_qm(table)
-                    zero = all(v == 0 for v in table.values())
-                    if is_trivial(g) != zero:
-                        raise CriterionFailed(f"triviality wrong for {table}")
-                    tested += 1
+    for values in itertools.product((-1, 0, 1), repeat=4):
+        table = {k: F(v) for k, v in enumerate(values, start=1)}
+        if is_trivial(weight_qm(table)) != (not any(values)):
+            raise CriterionFailed(f"triviality wrong for {table}")
+        tested += 1
     return f"junction-power values exact; triviality correct on {tested} tables"
 
 

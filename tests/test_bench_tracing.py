@@ -80,9 +80,13 @@ def test_tracer_counts_single_letter_actions_and_restores_both_act_methods():
     tracer.install()
     try:
         values = [qc.eval_split_qc(f_dense, w), qc.eval_split_qc(f_regular, w)]
+        # Split evaluation translates numerators and calls no act; the inner
+        # cocycle still acts by a whole word.
+        inner = [qc.inner_cocycle(dense, dense.vector([1, 0]), b), qc.inner_cocycle(regular, regular.indicator(b), b)]
     finally:
         tracer.uninstall()
     assert values == [dense.vector([3, 0]), regular.indicator(b, 3)]
+    assert inner == [dense.vector([-1, 1]), {parse_word(s, "b^2"): 1, b: -1}]
     assert tracer.counts["quasicocycles.FiniteDimRep.act"] > 0
     assert tracer.counts["quasicocycles.RegularRep.act"] > 0
     assert tracing.layer_metrics(tracer, 1)["quasicocycles.act.calls"][0] > 0

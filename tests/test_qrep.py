@@ -25,7 +25,7 @@ from splitqm.qrep import (
     qrep_sampled_defect,
 )
 from splitqm.quasicocycles import FactorCocycleMap, RegularRep, eval_split_qc, staircase_cocycle
-from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval
+from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval, sampled_defect
 from splitqm.words import (
     A,
     B,
@@ -35,6 +35,7 @@ from splitqm.words import (
     parse_word,
     random_word,
     reduce,
+    word_sampler,
 )
 
 from sampled_pairs import check_joins_as_multiply_does, whole_word_size
@@ -184,6 +185,20 @@ def test_split_hom_validates_its_parts():
         SplitHom(s, target, FactorHom(A, C3, target, generator_image=2), hB)
     with pytest.raises(ValueError):
         SplitHom(s, _hex_metric(), hA, hB)
+
+
+def test_a_split_hom_sizes_every_pair_zero():
+    # A homomorphism's coboundary vanishes, so each merging pair has size (0, 1).
+    s = Splitting(C2, C3)
+    target = FiniteMetric.from_length_function(C6, [0, 1, 1, 1, 1, 1])
+    h = SplitHom(s, target, FactorHom(A, C2, target, generator_image=3), FactorHom(B, C3, target, generator_image=2))
+    b = parse_word(s, "b")
+    assert h.junction(b, b) == (0, 1)
+    for side, group in ((A, C2), (B, C3)):
+        for x in range(1, group.n):
+            for y in range(1, group.n):
+                assert h.junction(Word(((side, x),)), Word(((side, y),))) == (0, 1)
+    assert sampled_defect(h, word_sampler(s, 4, 4, 1), 50) == 0
 
 
 def _sign_split_map():

@@ -356,9 +356,82 @@ def test_staircase_pairs_join_as_multiply_does(make, worst):
     assert sampled_defect(f, iter(()).__next__, 0, junction_pairs(f)) == split_qc_defect(f) == worst
 
 
+def fraction_letter_sum(m, g, value):
+    """The prefix-translated sum of value(letter) over the letters of g on
+    Fractions, by the cocycle recursion f(x.h) = f(x) + x.f(h) from the
+    right, one single-letter ``act`` per letter: the oracle of the numerator
+    sum."""
+    total = m.zero()
+    for letter in reversed(g.letters):
+        head = value(letter)
+        if not m.is_zero(total):
+            head = m.add(head, m.act(Word((letter,)), total))
+        total = head
+    return total
+
+
+def _oracle_split_qc(rep):
+    """A split quasicocycle with rational values on a, a^3 and b (and their
+    forced inverses), and words whose letters all lie off that support."""
+    if isinstance(rep, RegularRep):
+        ab, b_inv = parse_word(ZXZ, "a b"), parse_word(ZXZ, "b^-1")
+        values_a = {1: rep.indicator(IDENTITY), 3: rep.vector({ab: Fraction(1, 2), b_inv: Fraction(-2, 3)})}
+        values_b = {1: rep.vector({parse_word(ZXZ, "a"): Fraction(1, 3)})}
+    else:
+        pad = (0,) * (rep.dim - 2)
+        values_a = {1: rep.vector((1, Fraction(-1, 3)) + pad), 3: rep.vector((0, 2) + pad)}
+        values_b = {1: rep.vector((Fraction(1, 2), 1) + pad)}
+    f = SplitQC(rep.splitting, rep, FactorCocycleMap(A, rep, values_a), FactorCocycleMap(B, rep, values_b))
+    off = [Word(((A, 2),)), Word(((A, -5),))]
+    if rep.splitting == ZXZ:
+        off.append(parse_word(ZXZ, "a^2 b^3 a^-4 b^-2"))
+    return f, off
+
+
+ORACLE_ACTIONS = {
+    "regular-l1": lambda: RegularRep(ZXZ, 1),
+    "regular-l2": lambda: RegularRep(ZXZ, 2),
+    "regular-linf": lambda: RegularRep(ZXZ, math.inf),
+    "permutation": _permutation_rep,
+    "rational": _rational_rep,
+    "cyclic": _cyclic_rep,
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_ACTIONS)
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_numerator_evaluation_matches_the_fraction_oracle(name, seed):
+    rep = ORACLE_ACTIONS[name]()
+    f, off = _oracle_split_qc(rep)
+    rng = random.Random(seed)
+    words = [random_word(f.splitting, 7, 5, rng) for _ in range(6)] + off
+    expected = [fraction_letter_sum(rep, g, lambda letter: f.factor_map(letter[0])(letter[1])) for g in words]
+    assert all(rep.is_zero(v) for v in expected[-len(off):])
+    for memo in ("cold", "warm"):
+        got = [eval_split_qc(f, g) for g in words]
+        assert got == expected, memo
+    if isinstance(rep, RegularRep):
+        for g, v in zip(words, expected):
+            eval_split_qc(f, g)[IDENTITY] = Fraction(7)
+            assert eval_split_qc(f, g) == v
+
+
+def test_a_zero_running_sum_restarts_over_the_map_denominator():
+    # f(b) = -b.f(a), so the sum over "b a" is zero after b, whose matrix has
+    # denominator 2; on "a^3 b a" only f(a^3) is left, over the map's own D.
+    rep = _rational_rep()
+    fa, fa3 = rep.vector([1, Fraction(-1, 3)]), rep.vector([0, 2])
+    fb = rep.neg(rep.act(Word(((B, 1),)), fa))
+    f = SplitQC(ZXZ, rep, FactorCocycleMap(A, rep, {1: fa, 3: fa3}), FactorCocycleMap(B, rep, {1: fb}))
+    assert eval_split_qc(f, parse_word(ZXZ, "b a")) == rep.zero()
+    g = parse_word(ZXZ, "a^3 b a")
+    assert eval_split_qc(f, g) == fa3 == fraction_letter_sum(rep, g, lambda letter: f.factor_map(letter[0])(letter[1]))
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_inner_split_evaluation_telescopes(seed):
-    for rep in (RegularRep(ZXZ, 1), _matrix_rep()):
+    for rep in (RegularRep(ZXZ, 1), RegularRep(ZXZ, 2), _matrix_rep(), _rational_rep()):
         v = (
             rep.indicator(parse_word(ZXZ, "a"))
             if isinstance(rep, RegularRep)
