@@ -281,6 +281,13 @@ class FactorHom:
             return self.table[x]
         return self.target.power(self.generator_image, x)
 
+    def defect_witness(self) -> tuple[Fraction, int, int]:
+        """A homomorphism's coboundary is 0 everywhere: no scan is needed."""
+        return Fraction(0), self.group.identity, self.group.identity
+
+    def defect(self) -> Fraction:
+        return Fraction(0)
+
 
 @dataclass(frozen=True)
 class SplitHom(SplitMap):

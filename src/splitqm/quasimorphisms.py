@@ -156,7 +156,9 @@ class FactorQM:
 
     def numerator(self, x: int) -> int:
         """L*q(x) as an int, with L the common ``denominator``."""
-        self.group.check(x)
+        return self._numerator(self.group.check(x))
+
+    def _numerator(self, x: int) -> int:
         slope, finite, residues, sign = self._scaled_terms
         value = slope * x + finite.get(x, 0) + sign * ((x > 0) - (x < 0))
         if residues:
@@ -167,33 +169,55 @@ class FactorQM:
 
     def defect_window(self, scale: int = 1) -> int:
         """The certified window on the integers (see ``certified_window``);
-        ``scale`` widens it for cross-checks."""
+        ``scale``, an int >= 1, widens it for cross-checks."""
+        if not isinstance(scale, int) or isinstance(scale, bool) or scale < 1:
+            raise ValueError(f"scale must be an int >= 1, not {scale!r}")
         return certified_window(self.support_radius, self.period_or_one) * scale
 
-    def _pairs(self, scale: int = 1) -> Iterator[tuple[int, int]]:
-        yield from itertools.product(self.group.window(self.defect_window(scale)), repeat=2)
+    def _pairs(self, scale: int = 1) -> Iterator[tuple[int, int, list[int], list[int]]]:
+        """The scan's rows, x in window order and y >= x (see
+        ``defect_witness``): (x, L*q(x), the numerators of the ys and of the
+        x*y), tabulated once with no element check on the window and its
+        products ([-2W, 2W] on Z): a slice on Z, a rotation on Z/n, the row
+        of the table on a table group.  A generator under this name, which
+        the benchmark's tracer hooks to count a scan's pairs."""
+        group = self.group
+        radius = self.defect_window(scale)
+        num = list(map(self._numerator, group.window(2 * radius)))
+        if isinstance(group, IntegerGroup):
+            for x in group.window(radius):
+                at = x + 2 * radius
+                yield x, num[at], num[at:3 * radius + 1], num[at + x:at + radius + 1]
+        elif isinstance(group, CyclicGroup):
+            doubled = num * 2
+            for x in group.window(radius):
+                yield x, num[x], num[x:], doubled[2 * x:x + group.n]
+        else:
+            for x in group.window(radius):
+                yield x, num[x], num[x:], list(map(num.__getitem__, group.table[x][x:]))
 
     def coboundary(self, x: int, y: int) -> Fraction:
         num = self.numerator
         return Fraction(num(x) + num(y) - num(self.group.mul(x, y)), self.denominator)
 
     def defect_witness(self, scale: int = 1) -> tuple[Fraction, int, int]:
-        """(exact defect, first pair attaining it in ``_pairs`` order).
+        """(exact defect, first pair attaining it in x-then-y window order).
 
-        The scan runs on the numerators L*q(x), tabulated once: on every
-        element of a finite factor, on [-2W, 2W] (which holds x + y) for the
-        integers with W the defect window.
+        Each row of ``_pairs`` is reduced in C: the max and min of its
+        L*q(y) - L*q(xy) give its largest |coboundary|, and only a row that
+        strictly beats the best so far is searched for its first y.  Rows
+        start at y = x, since a first maximal pair (x, y) has x <= y: (y, x)
+        on Z, by symmetry, and (y, (xy)^-1) on a finite factor, by
+        alternation, attain the same value a row earlier.
         """
-        group = self.group
-        mul = group.mul if group.is_finite else operator.add
-        num = {x: self.numerator(x) for x in group.window(2 * self.defect_window(scale))}
-        best, best_x, best_y = 0, group.identity, group.identity
-        for x, y in self._pairs(scale):
-            value = num[x] + num[y] - num[mul(x, y)]
-            if value < 0:
-                value = -value
+        best, best_x, best_y = 0, self.group.identity, self.group.identity
+        for x, nx, ys, xys in self._pairs(scale):
+            row = list(map(operator.sub, ys, xys))
+            high, low = max(row), min(row)
+            value = max(nx + high, -nx - low)
             if value > best:
-                best, best_x, best_y = value, x, y
+                index = min(row.index(d) for d in (value - nx, -value - nx) if d in (high, low))
+                best, best_x, best_y = value, x, x + index
         return Fraction(best, self.denominator), best_x, best_y
 
     def defect(self, scale: int = 1) -> Fraction:

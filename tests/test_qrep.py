@@ -25,7 +25,7 @@ from splitqm.qrep import (
     qrep_sampled_defect,
 )
 from splitqm.quasicocycles import FactorCocycleMap, RegularRep, eval_split_qc, staircase_cocycle
-from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval, sampled_defect
+from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval, junction_pairs, sampled_defect
 from splitqm.words import (
     A,
     B,
@@ -199,6 +199,16 @@ def test_a_split_hom_sizes_every_pair_zero():
             for y in range(1, group.n):
                 assert h.junction(Word(((side, x),)), Word(((side, y),))) == (0, 1)
     assert sampled_defect(h, word_sampler(s, 4, 4, 1), 50) == 0
+
+
+def test_a_split_hom_has_defect_zero_and_no_junction_pair():
+    s = Splitting(C2, C3)
+    target = FiniteMetric.from_length_function(C6, [0, 1, 1, 1, 1, 1])
+    h = SplitHom(s, target, FactorHom(A, C2, target, generator_image=3), FactorHom(B, C3, target, generator_image=2))
+    assert h.defect() == qrep_defect(h) == 0
+    assert h.hA.defect_witness() == (0, 0, 0) and h.hB.defect_witness() == (0, 0, 0)
+    assert junction_pairs(h) == []
+    assert qrep_sampled_defect(h, word_sampler(s, 4, 4, 1), 5) == 0
 
 
 def _sign_split_map():

@@ -54,15 +54,47 @@ S3 = FiniteTableGroup.from_mul(
 )
 TABLES = Splitting(FiniteTableGroup.from_mul(3, lambda x, y: (x + y) % 3), S3)
 
+
+def dihedral(n):
+    """D_n of order 2n as a table: element 2r + s is the rotation r followed
+    by s reflections."""
+    def mul(a, b):
+        (r, s), (t, u) = divmod(a, 2), divmod(b, 2)
+        return 2 * ((r + (-t if s else t)) % n) + (s ^ u)
+    return FiniteTableGroup.from_mul(2 * n, mul)
+
+
+def quaternion_mul(a, b):
+    """Q8: element 2u + s is (-1)^s times the unit u of 1, i, j, k."""
+    (u, s), (v, t) = divmod(a, 2), divmod(b, 2)
+    if u == 0 or v == 0:
+        w, sign = u + v, 0
+    elif u == v:
+        w, sign = 0, 1
+    else:
+        w, sign = 6 - u - v, int((v - u) % 3 != 1)
+    return 2 * w + (s ^ t ^ sign)
+
+
+# Non-abelian tables: on the dihedral groups |coboundary| is symmetric, on Q8
+# it is not.  Q8 is relabelled so that its identity is 5.
+DIHEDRAL = [dihedral(n) for n in (3, 4, 5, 6)]
+_Q8_LABELS = (5, 2, 7, 0, 3, 6, 1, 4)
+Q8 = FiniteTableGroup.from_mul(
+    8, lambda x, y: _Q8_LABELS[quaternion_mul(_Q8_LABELS.index(x), _Q8_LABELS.index(y))], identity=5
+)
+
 _VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# Few values, so that the largest |coboundary| is attained at many pairs.
+_TIED_VALUES = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)])
 
 
 @st.composite
-def integer_qms(draw, group=None):
+def integer_qms(draw, group=None, values=_VALUES):
     group = group or ZXZ.A
     finite_part = {}
     for k in draw(st.sets(st.integers(1, 4), max_size=3)):
-        value = draw(_VALUES)
+        value = draw(values)
         if value:
             finite_part[k], finite_part[-k] = value, -value
     period = draw(st.sampled_from([None, 2, 3, 4, 5]))
@@ -70,32 +102,32 @@ def integer_qms(draw, group=None):
     if period is not None:
         residues = [Fraction(0)] * period
         for j in range(1, (period + 1) // 2):
-            residues[j] = draw(_VALUES)
+            residues[j] = draw(values)
             residues[period - j] = -residues[j]
         residues = tuple(residues)
     return FactorQM(
         group,
-        slope=draw(_VALUES) if draw(st.booleans()) else Fraction(0),
+        slope=draw(values) if draw(st.booleans()) else Fraction(0),
         finite_part=finite_part,
         period=period,
         residues=residues,
-        sign_coeff=draw(_VALUES),
+        sign_coeff=draw(values),
     )
 
 
 @st.composite
-def finite_qms(draw, group):
-    values: dict[int, Fraction] = {}
+def finite_qms(draw, group, values=_VALUES):
+    table: dict[int, Fraction] = {}
     for x in group.elements():
-        if group.is_identity(x) or x in values:
+        if group.is_identity(x) or x in table:
             continue
         inverse = group.inv(x)
         if inverse == x:
             continue
-        value = draw(_VALUES)
+        value = draw(values)
         if value:
-            values[x], values[inverse] = value, -value
-    return FactorQM(group, finite_part=values)
+            table[x], table[inverse] = value, -value
+    return FactorQM(group, finite_part=table)
 
 
 @st.composite
@@ -254,6 +286,58 @@ def test_defect_witness_attains_the_defect(q):
 def test_defect_witness_matches_the_fraction_scan(case):
     q, scale = case
     assert q.defect_witness(scale) == fraction_defect_witness(q, scale)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([_VALUES, _TIED_VALUES]).flatmap(
+        lambda values: st.one_of(
+            st.tuples(integer_qms(values=values), st.integers(1, 3)),
+            st.tuples(st.integers(2, 40).flatmap(lambda n: finite_qms(CyclicGroup(n), values)), st.just(1)),
+            st.tuples(st.sampled_from(DIHEDRAL + [Q8]).flatmap(lambda g: finite_qms(g, values)), st.just(1)),
+        )
+    )
+)
+def test_row_scan_matches_the_pair_loop(case):
+    # The rows start at y = x on every factor; the oracle scans all pairs.
+    q, scale = case
+    assert q.defect_witness(scale) == fraction_defect_witness(q, scale)
+
+
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        (FactorQM(ZXZ.A, finite_part={2: 1, -2: -1}, sign_coeff=1), (3, -4, 2)),
+        (FactorQM(CyclicGroup(7), finite_part={3: 1, 4: -1}), (2, 1, 3)),
+        # On Q8 (y, x) does not attain the defect here, yet (y, (xy)^-1) does.
+        (FactorQM(Q8, finite_part={0: -1, 7: 1, 1: -1, 4: 1, 3: -1, 6: 1}), (3, 0, 3)),
+    ],
+)
+def test_defect_witness_is_the_first_of_several_maximal_pairs(q, expected):
+    value, x, y = expected
+    group = q.group
+    maximal = [(a, b) for a, b in fraction_pairs(q) if abs(q.coboundary(a, b)) == value]
+    # The equal pair that puts y first, as in the docstring of defect_witness.
+    mirror = (y, group.inv(group.mul(x, y))) if group.is_finite else (y, x)
+    assert len(maximal) > 2 and mirror in maximal
+    assert ((y, x) in maximal) == (group is not Q8)
+    assert q.defect_witness() == fraction_defect_witness(q) == expected
+
+
+@pytest.mark.parametrize("group", [ZXZ.A, CyclicGroup(2), CyclicGroup(40), dihedral(4), Q8])
+def test_the_zero_map_has_the_identity_pair_as_witness(group):
+    identity = group.identity
+    assert FactorQM(group).defect_witness() == (0, identity, identity)
+    assert FactorQM(group).defect_witness(2) == (0, identity, identity)
+
+
+@pytest.mark.parametrize("scale", [0, -1, True, False, 1.0, 2.5, "2", None])
+def test_defect_scans_reject_a_scale_that_is_not_a_positive_int(scale):
+    for q in (FactorQM(ZXZ.A, finite_part={2: 1, -2: -1}, sign_coeff=1), rademacher().fB):
+        for scan in (q.defect_window, q.defect_witness, q.defect):
+            with pytest.raises(ValueError):
+                scan(scale)
+    assert FactorQM(ZXZ.A, finite_part={2: 1, -2: -1}, sign_coeff=1).defect(1) == 3
 
 
 @given(st.one_of(integer_qms(), finite_qms(C5XC6.B), finite_qms(TABLES.B)))
