@@ -181,8 +181,11 @@ class FactorQRMap(FactorTableMap):
 
     Missing elements map to the target identity, so integer-factor maps are
     the identity off their finite support; alternation forces
-    mu(x^-1) = mu(x)^-1.
+    mu(x^-1) = mu(x)^-1.  The metric is symmetric, so a pair whose only
+    table entry is at y has the size of that value too.
     """
+
+    sizes_y_alone = True
 
     def __init__(self, side: str, target: MetricGroup, group: FactorGroup, values: Mapping):
         self.target = target
@@ -203,7 +206,12 @@ class FactorQRMap(FactorTableMap):
         return target.dist(self(self.group.mul(x, y)), target.mul(self(x), self(y)))
 
     def pair_sizer(self) -> Callable[[int, int, int], tuple[int, int]]:
-        return lambda x, y, xy: self.coboundary_size(x, y).as_integer_ratio()
+        """``coboundary_size`` read straight from the table, unchecked."""
+        target, get, e = self.target, self.table.get, self.target.identity
+        return lambda x, y, xy: target.dist(get(xy, e), target.mul(get(x, e), get(y, e))).as_integer_ratio()
+
+    def value_sizes(self) -> dict[int, tuple[int, int]]:
+        return {x: self.target.norm(v).as_integer_ratio() for x, v in self.table.items()}
 
     def size_value(self, s: int, t: int) -> Fraction:
         return Fraction(s, t)

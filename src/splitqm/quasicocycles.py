@@ -10,7 +10,6 @@ norm is a float, the p-th root of an exact integer sum.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from abc import ABC, abstractmethod
@@ -350,12 +349,18 @@ class RegularRep(ModuleAction):
 
     def sum_size(self, u, side, x, v, w, den) -> Size:
         """Over den, l1 sums the absolute numerators and p = inf takes their
-        maximum; any other p sums their p-th powers, over den**p."""
-        total = dict(u) if u else {}
-        if v:
-            _add_into(total, self.translate(side, x, v)[0], 1)
-        if w:
-            _add_into(total, w, -1)
+        maximum; any other p sums their p-th powers, over den**p.  When v is
+        the only term it is not translated: left translation only moves its
+        keys, so x.v has the size of v.  (A dense action keeps the translation,
+        as nothing checks that its matrices are isometries.)"""
+        if u or w:
+            total = dict(u) if u else {}
+            if v:
+                _add_into(total, self.translate(side, x, v)[0], 1)
+            if w:
+                _add_into(total, w, -1)
+        else:
+            total = v or {}
         p, nums = self.p, total.values()
         if p == 1:
             return sum(map(abs, nums)), den
@@ -385,15 +390,20 @@ class FactorTableMap(ABC):
 
     Values may be given on any set of elements; the inverse of each support
     element receives the value alternation forces, and inconsistent explicit
-    pairs are rejected.  A table is a factor quasimorphism's finite part with
-    period 1, so its defect is certified by ``certified_window``.
+    pairs are rejected, an explicit trivial value included.  A table is a
+    factor quasimorphism's finite part with period 1, so its defect is
+    certified by ``certified_window``.
 
     Subclasses supply the target: ``trivial()`` (the zero vector or the
     identity), ``forced_inverse(inv_x, v)`` (the value at inv_x when its
-    inverse maps to v), ``equal``, and for the scan ``pair_sizer()`` and
-    ``size_value``, which give the size of a pair (how far it is from the
-    cocycle or homomorphism identity) exactly as (s, t), ordered by s / t.
+    inverse maps to v), ``equal`` where ``==`` does not do, and for the scan
+    ``pair_sizer()``, ``value_sizes()`` and ``size_value``, which give the
+    size of a pair (how far it is from the cocycle or homomorphism identity)
+    exactly as (s, t), ordered by s / t.  ``sizes_y_alone`` says whether a
+    pair whose only table entry is at y has the size of that value.
     """
+
+    sizes_y_alone = False
 
     def __init__(self, side: str, group: FactorGroup, values: Mapping):
         self.side = side
@@ -406,14 +416,14 @@ class FactorTableMap(ABC):
             if group.is_identity(x):
                 raise ValueError("the map must be trivial at the identity")
             table[x] = v
+        # A non-trivial value forces a non-trivial one, so every forced value is kept.
         for x in list(table):
             inv_x = group.inv(x)
             forced = self.forced_inverse(inv_x, table[x])
-            if inv_x in table:
-                if not self.equal(table[inv_x], forced):
-                    raise ValueError(f"map breaks alternation at {x}")
-            elif not self._is_trivial(forced):
+            if inv_x not in values:
                 table[inv_x] = forced
+            elif not self.equal(values[inv_x], forced):
+                raise ValueError(f"map breaks alternation at {x}")
         self.table = table
 
     @abstractmethod
@@ -422,13 +432,18 @@ class FactorTableMap(ABC):
     @abstractmethod
     def forced_inverse(self, inv_x: int, value): ...
 
-    @abstractmethod
-    def equal(self, u, v) -> bool: ...
+    def equal(self, u, v) -> bool:
+        return u == v
 
     @abstractmethod
     def pair_sizer(self) -> Callable[[int, int, int], Size]:
         """A function from (x, y, xy) to the size of the pair (x, y) as (s, t)
         with t > 0; ``size_value(s, t)`` is that size as a number."""
+
+    @abstractmethod
+    def value_sizes(self) -> dict[int, Size]:
+        """The size of each table value alone, as (s, t): the size of a pair
+        whose only table entry is at x or at xy."""
 
     @abstractmethod
     def size_value(self, s: int, t: int) -> Union[Fraction, float]: ...
@@ -454,20 +469,47 @@ class FactorTableMap(ABC):
     def defect_witness(self) -> tuple[Union[Fraction, float], int, int]:
         """(defect, first pair attaining it in x-outer, y-inner window order).
 
-        A pair with x, y and xy all off the support has the trivial
-        coboundary, of size 0, so it cannot beat the strict maximum and is
-        skipped.  Sizes (s, t) compare exactly by cross-multiplying, and the
-        defect is built once, from the winning pair."""
+        Row x visits the y in the support T and in x^-1 T, in window order:
+        any other pair has no entry, so a trivial coboundary, or only f(x),
+        and then only its row's first such pair can be a first strict
+        maximum.  A pair whose only entry is at x or at xy (at y too when
+        ``sizes_y_alone``) has the size of that value, from ``value_sizes``;
+        ``pair_sizer`` sizes the rest.  Sizes (s, t) compare exactly by
+        cross-multiplying, and the defect is built once, from the winning
+        pair."""
         group, table = self.group, self.table
-        size = self.pair_sizer()
-        best_s, best_t, best_x, best_y = 0, 1, group.identity, group.identity
-        for x, y in itertools.product(group.window(self.defect_window()), repeat=2):
-            xy = group.mul(x, y)
-            if x not in table and y not in table and xy not in table:
-                continue
-            s, t = size(x, y, xy)
-            if s * best_t > best_s * t:
-                best_s, best_t, best_x, best_y = s, t, x, y
+        e = group.identity
+        if not table:
+            return Fraction(0), e, e
+        size, alone = self.pair_sizer(), self.value_sizes()
+        y_alone = alone if self.sizes_y_alone else None
+        # The window is the consecutive ints lo..hi in ascending order on
+        # every factor, and holds T, as W > M.
+        window, mul, inv = group.window(self.defect_window()), group.mul, group.inv
+        lo, hi = window[0], window[-1]
+        best_s, best_t, best_x, best_y = 0, 1, e, e
+        for x in window:
+            inv_x, in_x = inv(x), x in table
+            row = set(table)
+            ys = (mul(inv_x, k) for k in table)
+            row.update(y for y in ys if lo <= y <= hi)
+            if in_x:
+                y = lo
+                while y in row:
+                    y += 1
+                if y <= hi:
+                    row.add(y)
+            for y in sorted(row):
+                xy = mul(x, y)
+                in_y, in_xy = y in table, xy in table
+                if in_x + in_y + in_xy > 1:
+                    s, t = size(x, y, xy)
+                elif in_y:
+                    s, t = y_alone[y] if y_alone else size(x, y, xy)
+                else:
+                    s, t = alone[x if in_x else xy]
+                if s * best_t > best_s * t:
+                    best_s, best_t, best_x, best_y = s, t, x, y
         return (self.size_value(best_s, best_t) if best_s else Fraction(0)), best_x, best_y
 
     def defect(self) -> Union[Fraction, float]:
@@ -479,8 +521,8 @@ class FactorCocycleMap(FactorTableMap):
     each support element receives the forced value -x^-1.f(x).
 
     Every value passes through ``action.vector`` (a dense value must have
-    the action's dimension; a regular one has normal-form keys), so the scan
-    can trust the table."""
+    the action's dimension; a regular one has normal-form keys), so values
+    are canonical, compare with ``==``, and the scan can trust the table."""
 
     def __init__(self, side: str, action: ModuleAction, values: Mapping[int, Vector]):
         self.action = action
@@ -494,11 +536,16 @@ class FactorCocycleMap(FactorTableMap):
     def trivial(self) -> Vector:
         return self.action.zero()
 
-    def forced_inverse(self, inv_x: int, value: Vector) -> Vector:
-        return self.action.neg(self.action.act(Word(((self.side, inv_x),)), value))
+    def _is_trivial(self, v: Vector) -> bool:
+        return self.action.is_zero(v)
 
-    def equal(self, u: Vector, v: Vector) -> bool:
-        return self.action.equal(u, v)
+    def forced_inverse(self, inv_x: int, value: Vector) -> Vector:
+        """The letter inv_x translates the numerators of the value; the
+        negative denominator negates the vector built from them."""
+        m = self.action
+        den = m.denominator(value)
+        nums, d = m.translate(self.side, inv_x, m.numerators(value, den))
+        return m.from_numerators(nums, -den * d)
 
     @cached_property
     def _scaled_table(self) -> tuple[dict[int, Numerators], int]:
@@ -512,6 +559,10 @@ class FactorCocycleMap(FactorTableMap):
         nums, den = self._scaled_table
         get, side, sum_size = nums.get, self.side, self.action.sum_size
         return lambda x, y, xy: sum_size(get(x), side, x, get(y), get(xy), den)
+
+    def value_sizes(self) -> dict[int, Size]:
+        nums, den = self._scaled_table
+        return {x: self.action.sum_size(u, self.side, x, None, None, den) for x, u in nums.items()}
 
     def size_value(self, s: int, t: int) -> Union[Fraction, float]:
         return self.action.size_value(s, t)
@@ -548,12 +599,12 @@ class SplitQC(SplitMap):
         return eval_split_qc(self, g)
 
 
-def _numerator_sum(
-    m: ModuleAction, letters: tuple[Letter, ...], value: Callable[[Letter], Numerators], den: int
-) -> Vector:
-    """The prefix-translated sum of value(letter), numerators over den, by the
-    cocycle recursion f(x.h) = f(x) + x.f(h) from the right, as a new vector.
-    The running sum is over den * k: a letter matrix with denominator d
+def _numerator_total(
+    m: ModuleAction, letters: tuple[Letter, ...], value: Callable[[Letter], Numerators]
+) -> tuple[Numerators, int]:
+    """The prefix-translated sum of value(letter), numerators over some den,
+    by the cocycle recursion f(x.h) = f(x) + x.f(h) from the right: (total,
+    k) with the sum total / (den * k).  A letter matrix with denominator d
     multiplies k by d and the values are scaled by k.  A zero sum is not
     translated and resets k to 1.  ``value`` checks each letter; a sparse
     value is added into the translated dict, which is new unless the letter
@@ -572,7 +623,14 @@ def _numerator_sum(
         else:
             k *= d
             total = tuple(k * a + b for a, b in zip(head, total))
-    return m.zero() if total is None else m.from_numerators(total, den * k)
+    return (m.numerators(m.zero(), 1) if total is None else total), k
+
+
+def _numerator_sum(
+    m: ModuleAction, letters: tuple[Letter, ...], value: Callable[[Letter], Numerators], den: int
+) -> Vector:
+    total, k = _numerator_total(m, letters, value)
+    return m.from_numerators(total, den * k)
 
 
 def eval_split_qc(f: SplitQC, g: Word) -> Vector:
@@ -622,6 +680,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _is_multiple(f: SplitQC, g: Word, n: int, nums: Numerators, den: int) -> bool:
+    """Whether f(g) = n * nums / den, with f(g) = total / (D * k) from
+    ``_numerator_total``: total * den and n * nums * D * k are compared as
+    ints, so no Fraction is built."""
+    total, k = _numerator_total(f.action, g.letters, f.letter)
+    c = n * f.denominator * k
+    if type(total) is dict:  # neither side keeps a zero entry
+        return total.keys() == (nums.keys() if c else set()) and all(a * den == c * nums[h] for h, a in total.items())
+    return all(a * den == c * b for a, b in zip(total, nums))
+
+
 def _growth_cocycle(
     m: ModuleAction, v: Vector, word: Callable[[int], Word], depth: int, name: str, literal: bool = False
 ) -> tuple[FactorCocycleMap, SplitQC]:
@@ -630,7 +699,7 @@ def _growth_cocycle(
     ``literal`` moves the prefix's last letter to its front instead.
 
     Raises GrowthCheckError unless the split map is n * v on word(n) for
-    every n <= depth.
+    every n <= depth, checked on int numerators by ``_is_multiple``.
     """
     s = m.splitting
     if not isinstance(s.A, IntegerGroup):
@@ -646,8 +715,10 @@ def _growth_cocycle(
                 prefix = Word(_join(s, letters[i - 1 : i], letters[: i - 1]))
             values[x] = m.act(invert(s, prefix), v)
     f = SplitQC(s, m, FactorCocycleMap(A, m, values), FactorCocycleMap(B, m, {}))
+    den = m.denominator(v)
+    nums = m.numerators(v, den)
     for n in range(depth + 1):
-        if not m.equal(eval_split_qc(f, word(n)), m.scale(Fraction(n), v)):
+        if not _is_multiple(f, word(n), n, nums, den):
             raise GrowthCheckError(f"{name} evaluation at depth {n} is not {n} times the seed vector")
     return f.fA, f
 
@@ -688,8 +759,10 @@ def power_ladder_cocycle(
     if check_prime is not None:
         if not _is_prime(check_prime) or check_prime == p:
             raise ValueError("the control base must be a different prime")
+        den = m.denominator(v)
+        nums = m.numerators(v, den)
         for n in range(depth + 1):
-            if not m.is_zero(eval_split_qc(f, ladder_word(s, check_prime, n))):
+            if not _is_multiple(f, ladder_word(s, check_prime, n), 0, nums, den):
                 raise GrowthCheckError(f"ladder evaluation for the control prime is non-zero at depth {n}")
     return fA, f
 

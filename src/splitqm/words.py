@@ -242,10 +242,22 @@ def join_into(s: Splitting, out: list[Letter], h: tuple[Letter, ...]) -> None:
 
 
 def _join(s: Splitting, g: tuple[Letter, ...], h: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """Product of two normal-form letter tuples, by ``join_into``."""
-    out = list(g)
-    join_into(s, out, h)
-    return tuple(out)
+    """Product of two normal-form letter tuples: ``join_into``'s rule on
+    slices, without copying g into a list, and g + h when the sides where
+    they meet differ.  Sides alternate, so when the first pair shares a side
+    every later pair does, and the side is tested once."""
+    if not g or not h or g[-1][0] != h[0][0]:
+        return g + h
+    n, m, i = len(g), len(h), 0
+    while True:
+        side, x = g[n - 1 - i]
+        factor = s.factor(side)
+        x = factor.mul(x, h[i][1])
+        i += 1
+        if not factor.is_identity(x):
+            return g[: n - i] + ((side, x),) + h[i:]
+        if i == n or i == m:
+            return g[: n - i] + h[i:]
 
 
 def invert(s: Splitting, g: Word) -> Word:

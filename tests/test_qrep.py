@@ -130,6 +130,19 @@ def test_factor_qr_map_forces_inverses():
         FactorQRMap(A, target, C2, {1: 1})
 
 
+def test_an_explicit_identity_value_must_match_the_forced_one():
+    # mu(1) = 2 forces mu(-1) = 4, so an explicit identity at -1 breaks
+    # alternation, like any other clash.
+    target = _hex_metric()
+    for clash in (0, 5):
+        with pytest.raises(ValueError, match="map breaks alternation"):
+            FactorQRMap(A, target, IntegerGroup(), {1: 2, -1: clash})
+        with pytest.raises(ValueError, match="map breaks alternation"):
+            FactorQRMap(A, target, IntegerGroup(), {-1: clash, 1: 2})
+    assert FactorQRMap(A, target, IntegerGroup(), {1: 2, -1: 4}).table == {1: 2, -1: 4}
+    assert FactorQRMap(A, target, IntegerGroup(), {1: 0, -1: 0}).table == {}
+
+
 def _qr_table_map():
     target = _hex_metric()
     mu = FactorQRMap(B, target, C3, {1: 1})

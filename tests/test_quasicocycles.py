@@ -1,5 +1,6 @@
 """Module actions, split quasicocycles, and the ladder/staircase witnesses."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,14 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitqm.groups import CyclicGroup, IntegerGroup
-from splitqm.qrep import FactorQRMap, FiniteMetric
+from splitqm.groups import CyclicGroup, FiniteTableGroup, IntegerGroup, inverse_pairs
+from splitqm.qrep import Circle, FactorQRMap, FiniteMetric
 from splitqm.quasicocycles import (
     FactorCocycleMap,
     FiniteDimRep,
     GrowthCheckError,
     RegularRep,
     SplitQC,
+    _is_multiple,
     eval_split_qc,
     identity_matrix,
     inner_cocycle,
@@ -32,7 +34,7 @@ from splitqm.quasicocycles import (
 )
 from splitqm.quasimorphisms import default_sampler, junction_pairs, sampled_defect
 from splitqm.words import (
-    A, B, IDENTITY, Splitting, Word, invert, multiply, parse_word, random_word, reduce,
+    A, B, IDENTITY, Splitting, Word, _join, invert, multiply, parse_word, random_word, reduce,
 )
 
 from sampled_pairs import check_joins_as_multiply_does
@@ -247,6 +249,19 @@ def test_factor_cocycle_map_forces_inverse_values():
         FactorCocycleMap(A, rep, {2: v, -2: v})
     with pytest.raises(ValueError):
         FactorCocycleMap(A, rep, {0: v})
+
+
+def test_an_explicit_zero_value_must_match_the_forced_one():
+    # On the permutation action, f(1) = e1 forces f(-1) = -a^-1.e1 = (0, -1, 0),
+    # so an explicit zero at -1 breaks alternation, like any other clash.
+    rep = _permutation_rep()
+    for clash in ((0, 0, 0), (5, 0, 0)):
+        with pytest.raises(ValueError, match="map breaks alternation"):
+            FactorCocycleMap(A, rep, {1: (1, 0, 0), -1: clash})
+        with pytest.raises(ValueError, match="map breaks alternation"):
+            FactorCocycleMap(A, rep, {-1: clash, 1: (1, 0, 0)})
+    assert FactorCocycleMap(A, rep, {1: (1, 0, 0), -1: (0, -1, 0)}).table == {1: (1, 0, 0), -1: (0, -1, 0)}
+    assert FactorCocycleMap(A, rep, {1: (0, 0, 0), -1: (0, 0, 0)}).table == {}
 
 
 def test_factor_cocycle_map_checks_alternation_at_an_involution():
@@ -708,3 +723,155 @@ def test_criterion_9_staircase_defects_are_pinned(make, witness):
     assert f.fB.defect_witness() == (0, 0, 0)
     defect = split_qc_defect(f)
     assert defect == witness[0] and type(defect) is type(witness[0])
+
+
+def pair_loop_defect_witness(q):
+    """The pair loop the support scan replaced: every window pair with a
+    table entry at x, y or xy, sized by ``pair_sizer``, keeping the first
+    strict maximum in x-outer, y-inner order."""
+    group, table = q.group, q.table
+    size = q.pair_sizer()
+    best_s, best_t, best_x, best_y = 0, 1, group.identity, group.identity
+    for x, y in itertools.product(group.window(q.defect_window()), repeat=2):
+        xy = group.mul(x, y)
+        if x not in table and y not in table and xy not in table:
+            continue
+        s, t = size(x, y, xy)
+        if s * best_t > best_s * t:
+            best_s, best_t, best_x, best_y = s, t, x, y
+    return (q.size_value(best_s, best_t) if best_s else Fraction(0)), best_x, best_y
+
+
+_S3_PERMS = list(itertools.permutations(range(3)))
+S3 = FiniteTableGroup.from_mul(6, lambda x, y: _S3_PERMS.index(tuple(_S3_PERMS[x][i] for i in _S3_PERMS[y])))
+SCAN_FACTORS = {"Z": IntegerGroup(), "Z/6": CyclicGroup(6), "S3": S3}
+
+
+def _scan_support(draw, group):
+    """Distinct elements none of which is the inverse of another or of itself,
+    so that any values on them are alternating."""
+    if group.is_finite:
+        candidates = inverse_pairs(group)[1]
+        return draw(st.lists(st.sampled_from(candidates), max_size=len(candidates), unique=True))
+    radii = draw(st.lists(st.integers(1, 4), max_size=3, unique=True))
+    return [draw(st.sampled_from((k, -k))) for k in radii]
+
+
+def _regular_case(p, factor):
+    def build(draw):
+        s = Splitting(SCAN_FACTORS[factor], IntegerGroup())
+        rep = RegularRep(s, p)
+        element = st.integers(-2, 2) if factor == "Z" else st.integers(0, 5)
+        letters = st.one_of(st.tuples(st.just(A), element), st.tuples(st.just(B), st.integers(-2, 2)))
+        keys = st.lists(letters, max_size=3).map(lambda raw: Word(tuple(raw)))
+        pool = draw(st.lists(st.dictionaries(keys, _small_fractions, min_size=1, max_size=3), min_size=1, max_size=2))
+        support = _scan_support(draw, s.A)
+        return FactorCocycleMap(A, rep, {x: draw(st.sampled_from(pool)) for x in support})
+    return build
+
+
+def _dense_case(mats):
+    def build(draw):
+        rep = FiniteDimRep(ZXZ, *mats)
+        pool = draw(st.lists(st.lists(_small_fractions, min_size=3, max_size=3), min_size=1, max_size=2))
+        return FactorCocycleMap(A, rep, {x: draw(st.sampled_from(pool)) for x in _scan_support(draw, ZXZ.A)})
+    return build
+
+
+def _qrep_case(target, factor, values):
+    def build(draw):
+        group = SCAN_FACTORS[factor]
+        pool = draw(st.lists(values, min_size=1, max_size=2))
+        return FactorQRMap(A, target, group, {x: draw(st.sampled_from(pool)) for x in _scan_support(draw, group)})
+    return build
+
+
+SUPPORT_SCAN_CASES = {
+    **{f"regular-{p}-{factor}": _regular_case(p, factor) for p in (1, 2, math.inf) for factor in SCAN_FACTORS},
+    "permutation": _dense_case((((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))),
+    "unipotent": _dense_case(CRITERION_9_DIM3),
+    **{f"hexagon-{factor}": _qrep_case(_hexagon(), factor, st.integers(0, 5)) for factor in SCAN_FACTORS},
+    **{f"circle-{factor}": _qrep_case(Circle(), factor, st.integers(0, 11).map(lambda k: Fraction(k, 12)))
+       for factor in ("Z", "Z/6")},
+}
+
+
+@pytest.mark.parametrize("name", SUPPORT_SCAN_CASES)
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_support_scan_matches_the_pair_loop(name, data):
+    # Values come from a pool of one or two, so maxima tie, and the support
+    # may be empty.
+    q = SUPPORT_SCAN_CASES[name](data.draw)
+    got, expected = q.defect_witness(), pair_loop_defect_witness(q)
+    assert got == expected and type(got[0]) is type(expected[0])
+    if not q.table:
+        assert got == (0, q.group.identity, q.group.identity)
+
+
+def test_tied_maxima_keep_the_first_pair_in_window_order():
+    # Both values are the involution 3 at distance 1, the hexagon's diameter,
+    # so the first pair with an entry attains the defect: in row -10 of the
+    # window, y = -2 comes first, with its entry alone, and y = -1 ties.
+    q = FactorQRMap(A, _hexagon(), IntegerGroup(), {1: 3, 2: 3})
+    assert q.defect_witness() == pair_loop_defect_witness(q) == (1, -10, -2)
+    assert q.pair_sizer()(-10, -1, -11) == (1, 1)
+    assert FactorQRMap(A, _hexagon(), S3, {}).defect_witness() == (0, S3.identity, S3.identity)
+
+
+def fraction_is_multiple(f, g, n, v):
+    """The Fraction growth check the numerator one replaced: f(g) == n * v."""
+    m = f.action
+    return m.equal(eval_split_qc(f, g), m.scale(Fraction(n), v))
+
+
+def _literal_ladder(rep, v, p, depth):
+    """The ladder map of the literal convention, built without its growth
+    check, which it fails."""
+    letters = ladder_word(ZXZ, p, depth).letters
+    values = {}
+    for i, (side, x) in enumerate(letters):
+        if side == A:
+            prefix = Word(_join(ZXZ, letters[i - 1 : i], letters[: i - 1]))
+            values[x] = rep.act(invert(ZXZ, prefix), v)
+    return SplitQC(ZXZ, rep, FactorCocycleMap(A, rep, values), FactorCocycleMap(B, rep, {}))
+
+
+GROWTH_CASES = {
+    # Letter matrices with denominators d = 2 and d = 4 on b and b^2.
+    "rational-staircase": lambda: (_rational_rep(), (1, Fraction(-1, 3)), staircase_cocycle),
+    "permutation-staircase": lambda: (_permutation_rep(), (Fraction(1, 2), 0, -2), staircase_cocycle),
+    "regular-staircase": lambda: (RegularRep(ZXZ, 2), {parse_word(ZXZ, "b"): Fraction(2, 3)}, staircase_cocycle),
+    "zero-seed": lambda: (_rational_rep(), (0, 0), staircase_cocycle),
+    "zero-seed-regular": lambda: (RegularRep(ZXZ, 1), {}, staircase_cocycle),
+    "literal-ladder": lambda: (RegularRep(ZXZ, 1), {IDENTITY: 1}, None),
+    "literal-ladder-rational": lambda: (_rational_rep(), (2, Fraction(1, 5)), None),
+}
+
+
+@pytest.mark.parametrize("name", GROWTH_CASES)
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_numerator_growth_check_matches_the_fraction_check(name, seed):
+    rep, raw, build = GROWTH_CASES[name]()
+    v = rep.vector(raw)
+    if build is None:
+        f, grown = _literal_ladder(rep, v, 2, 4), [ladder_word(ZXZ, 2, n) for n in range(5)]
+    else:
+        f, grown = build(rep, v, 4)[1], [staircase_word(ZXZ, n) for n in range(5)]
+    den = rep.denominator(v)
+    nums = rep.numerators(v, den)
+    rng = random.Random(seed)
+    for g in grown + [random_word(ZXZ, 6, 4, rng) for _ in range(3)]:
+        for n in range(-1, 6):
+            assert _is_multiple(f, g, n, nums, den) == fraction_is_multiple(f, g, n, v)
+
+
+def test_the_literal_ladder_fails_where_the_fraction_check_does():
+    rep = RegularRep(ZXZ, 1)
+    v = rep.indicator(IDENTITY)
+    f = _literal_ladder(rep, v, 2, 4)
+    passed = [fraction_is_multiple(f, ladder_word(ZXZ, 2, n), n, v) for n in range(5)]
+    first = passed.index(False)
+    with pytest.raises(GrowthCheckError, match=f"^ladder evaluation at depth {first} is not {first} times the seed"):
+        power_ladder_cocycle(rep, 2, v, depth=4, convention="literal")

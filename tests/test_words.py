@@ -194,7 +194,8 @@ def test_junction_merges_keep_the_order_of_non_commuting_letters():
 @settings(max_examples=300)
 @given(splitting_and_words(count=2), st.integers(0, 10))
 def test_join_of_normal_forms_is_their_full_reduction(case, cut):
-    """The one junction rule against the full reduction, on every splitting:
+    """Both junction joins, in place and on slices, against the full
+    reduction, on every splitting:
     on S3 x Z a merge must keep the order of its letters.  Putting the
     inverse of a suffix of g in front of h makes the junction cancel pairs
     before it merges or stops."""
