@@ -70,7 +70,7 @@ class Endo:
 
     def image(self, side: str, k: int) -> tuple[Letter, ...]:
         """The image of (side, k): a power of a generator image checked at construction."""
-        return _power(self.splitting, self.image_a if side == A else self.image_b, k).letters
+        return _power(self.splitting, self.image_a if side == A else self.image_b, k)
 
 
 def apply(e: Endo, g: Word) -> Word:
@@ -79,12 +79,12 @@ def apply(e: Endo, g: Word) -> Word:
     factor and its image computed once, in the letter memo of ``e``.
     Raises ValueError on a letter outside the factors."""
     s, memo, out = e.splitting, e.letter_memo, []
-    for letter in g.letters:
+    for letter in g:
         image = memo.get(letter) if type(letter[1]) is int else None
         if image is None:
             image = memo_letter(s, memo, letter, e.image)
         join_into(s, out, image)
-    return Word(tuple(out))
+    return Word(out)
 
 
 def identity_endo(s: Splitting) -> Endo:
@@ -127,7 +127,7 @@ def pullback_qm(
     """
     s = e.splitting
     for w in list(verification_sample) + [g]:
-        if apply(e, apply(e_inverse, w)) != reduce(s, w.letters):
+        if apply(e, apply(e_inverse, w)) != reduce(s, w):
             raise ValueError("supplied endomorphism inverse fails verification")
     return eval_split(f, apply(e_inverse, g))
 

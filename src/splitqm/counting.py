@@ -32,7 +32,7 @@ _CANCELLING_PAIR = re.compile(r"aA|Aa|bB|Bb")
 def letters_from_word(g: Word) -> str:
     """Expand normal-form syllables into single-generator letters."""
     chunks = []
-    for side, k in g.letters:
+    for side, k in g:
         letter = ("a" if side == A else "b") if k > 0 else ("A" if side == A else "B")
         chunks.append(letter * abs(k))
     return "".join(chunks)
@@ -120,13 +120,12 @@ def decomposition_residual(f: SplitQM, g: Word) -> Fraction:
     for q in (f.fA, f.fB):
         if q.slope or q.sign_coeff or q.period is not None:
             raise ValueError("decomposition needs finite-support factor maps")
-    letters = g.letters
     boundary = Fraction(0)
-    if len(letters) == 1:
-        side, k = letters[0]
+    if len(g) == 1:
+        side, k = g[0]
         boundary = f.factor_map(side)(k)
-    elif len(letters) >= 2:
-        for side, k in (letters[0], letters[-1]):
+    elif len(g) >= 2:
+        for side, k in (g[0], g[-1]):
             boundary += f.factor_map(side)(k)
     residual = _combination_value(f, letters_from_word(g)) - (eval_split(f, g) - boundary)
     if residual:

@@ -240,7 +240,7 @@ class SplitQRep(SplitMap):
 def eval_qrep(mu: SplitQRep | SplitHom, g: Word):
     """Ordered product of the letter images, read from the map's letter
     memo: the one evaluator of quasi-representations and homomorphisms."""
-    return mu.target.product(map(mu.letter, g.letters))
+    return mu.target.product(map(mu.letter, g))
 
 
 qrep_defect = SplitMap.defect
@@ -365,8 +365,8 @@ def _witness_candidates(mu: SplitQRep, depth: int) -> Iterator[Word]:
     seen = set()
 
     def emit(word: Word):
-        if word.letters and word.letters not in seen:
-            seen.add(word.letters)
+        if word and word not in seen:
+            seen.add(word)
             yield word
 
     for side in (A, B):

@@ -248,7 +248,7 @@ class FiniteDimRep(ModuleAction):
         numerators over one common denominator."""
         den = self.denominator(v)
         nums = self.numerators(v, den)
-        for side, k in reversed(g.letters):
+        for side, k in reversed(g):
             nums, d = self.translate(side, k, nums)
             den *= d
         return self.from_numerators(nums, den)
@@ -297,7 +297,7 @@ class RegularRep(ModuleAction):
         the values of equal normal forms and drop the zeros."""
         out: dict[Word, Fraction] = {}
         for g, value in entries.items():
-            g = reduce(self.splitting, g.letters)
+            g = reduce(self.splitting, g)
             out[g] = out.get(g, 0) + _fr(value)
         return {g: value for g, value in out.items() if value}
 
@@ -315,8 +315,8 @@ class RegularRep(ModuleAction):
     def act(self, g: Word, v: SparseVector) -> SparseVector:
         """Reduce g once, checking its letters, and join it onto each key."""
         s = self.splitting
-        g = reduce(s, g.letters).letters
-        return {Word(_join(s, g, h.letters)): value for h, value in v.items()}
+        g = reduce(s, g)
+        return {Word(_join(s, g, h)): value for h, value in v.items()}
 
     def norm(self, v: SparseVector) -> Union[Fraction, float]:
         if self.p == 1:
@@ -332,7 +332,7 @@ class RegularRep(ModuleAction):
         return math.lcm(*(x.denominator for x in v.values()))
 
     def numerators(self, v: SparseVector, den: int) -> dict[tuple, int]:
-        return {g.letters: x.numerator * (den // x.denominator) for g, x in v.items()}
+        return {g: x.numerator * (den // x.denominator) for g, x in v.items()}
 
     def from_numerators(self, nums: dict[tuple, int], den: int) -> SparseVector:
         return {Word(g): Fraction(n, den) for g, n in nums.items()}
@@ -635,7 +635,7 @@ def _numerator_sum(
 
 def eval_split_qc(f: SplitQC, g: Word) -> Vector:
     """The numerator sum over the map's letter memo, which checks every letter."""
-    return _numerator_sum(f.action, g.letters, f.letter, f.denominator)
+    return _numerator_sum(f.action, g, f.letter, f.denominator)
 
 
 def qc_coboundary(f: SplitQC, g: Word, h: Word) -> Vector:
@@ -657,12 +657,12 @@ def inner_split_eval(m: ModuleAction, v: Vector, g: Word) -> Vector:
     telescopes to the inner cocycle itself.  Each distinct letter x is
     checked and x.v - v computed once, as numerators over one denominator."""
     values: dict[Letter, Vector] = {}
-    for letter in g.letters:
+    for letter in g:
         if type(letter[1]) is not int or letter not in values:
             memo_letter(m.splitting, values, letter, lambda side, x: inner_cocycle(m, v, Word(((side, x),))))
     den = math.lcm(*map(m.denominator, values.values()))
     nums = {letter: m.numerators(u, den) for letter, u in values.items()}
-    return _numerator_sum(m, g.letters, nums.__getitem__, den)
+    return _numerator_sum(m, g, nums.__getitem__, den)
 
 
 class GrowthCheckError(RuntimeError):
@@ -684,7 +684,7 @@ def _is_multiple(f: SplitQC, g: Word, n: int, nums: Numerators, den: int) -> boo
     """Whether f(g) = n * nums / den, with f(g) = total / (D * k) from
     ``_numerator_total``: total * den and n * nums * D * k are compared as
     ints, so no Fraction is built."""
-    total, k = _numerator_total(f.action, g.letters, f.letter)
+    total, k = _numerator_total(f.action, g, f.letter)
     c = n * f.denominator * k
     if type(total) is dict:  # neither side keeps a zero entry
         return total.keys() == (nums.keys() if c else set()) and all(a * den == c * nums[h] for h, a in total.items())
@@ -706,7 +706,7 @@ def _growth_cocycle(
         raise ValueError(f"the {name} construction lives over an integer first factor")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    letters = word(depth).letters
+    letters = word(depth)
     values = {}
     for i, (side, x) in enumerate(letters):
         if side == A:
@@ -728,7 +728,7 @@ def ladder_word(s: Splitting, p: int, n: int) -> Word:
     letters = []
     for i in range(1, n + 1):
         letters.extend([(B, 1), (A, p**i)])
-    return Word(tuple(letters))
+    return Word(letters)
 
 
 def power_ladder_cocycle(
@@ -774,7 +774,7 @@ def staircase_word(s: Splitting, n: int) -> Word:
         if k > 1:
             letters.append((B, 1))
         letters.append((A, k))
-    return Word(tuple(letters))
+    return Word(letters)
 
 
 def staircase_cocycle(

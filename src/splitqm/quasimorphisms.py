@@ -255,7 +255,7 @@ class SplitQM(SplitMap):
         for speed.  Raises ValueError on a letter outside the factors."""
         memo = self.letter_memo
         total = 0
-        for letter in g.letters:
+        for letter in g:
             value = memo.get(letter) if type(letter[1]) is int else None
             if value is None:
                 value = memo_letter(self.splitting, memo, letter, self.letter_value)
@@ -341,7 +341,7 @@ def homogenize_eval(f: SplitQM, g: Word) -> Fraction:
         return Fraction(0)
     core, _ = cyclically_reduce(f.splitting, g)
     if len(core) == 1:
-        side, x = core.letters[0]
+        side, x = core[0]
         q = f.factor_map(side)
         q.group.check(x)
         if isinstance(q.group, IntegerGroup):

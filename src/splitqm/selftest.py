@@ -211,7 +211,7 @@ def criterion_2(rng: random.Random) -> str:
     sampler = word_sampler(s, 8, 6, rng)
     for _ in range(500):
         g = sampler()
-        oracle = sum((k > 0) - (k < 0) for _, k in g.letters)
+        oracle = sum((k > 0) - (k < 0) for _, k in g)
         if eval_split(f, g) != oracle:
             raise CriterionFailed(f"mismatch at {g}")
     return "anchor = 2 and 500 words match the oracle"

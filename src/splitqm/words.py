@@ -1,8 +1,10 @@
 """Normal-form word arithmetic in a free product of two factor groups.
 
 A word is an alternating sequence of letters ``(side, element)`` with no
-factor-identity letters; the empty word is the group identity.  Every
-operation returns words already in normal form.
+factor-identity letters; the empty word is the group identity.  A ``Word``
+is the immutable tuple of those letters, so the library reads, iterates and
+concatenates it as one.  Every operation returns words already in normal
+form, and ``word_sampler`` draws each random word in one loop.
 """
 
 from __future__ import annotations
@@ -73,20 +75,18 @@ class Splitting:
             raise ValueError(f"{subject} needs the Z * Z splitting")
 
 
-@dataclass(frozen=True)
-class Word:
-    """A reduced word: alternating sides, no identity letters."""
+class Word(tuple):
+    """A reduced word: alternating sides, no identity letters.
 
-    letters: tuple[Letter, ...] = ()
+    A Word is the immutable tuple of its letters, so it hashes and compares
+    as that tuple: ``Word(t) == t``.  ``Word(letters)`` takes any iterable of
+    letters; ``letters`` gives them back as a plain tuple."""
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    __slots__ = ()
+    letters = property(tuple)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+    def __repr__(self) -> str:
+        return f"Word(letters={tuple(self)!r})"
 
 
 IDENTITY = Word()
@@ -110,7 +110,7 @@ def reduce(s: Splitting, raw: Iterable[Letter]) -> Word:
                 continue
             out.append((side, x))
             break
-    return Word(tuple(out))
+    return Word(out)
 
 
 def memo_letter(
@@ -175,12 +175,12 @@ class SplitMap:
         pairs that cancel add nothing, as factor maps are alternating; the first
         merge, of u and v into w, gives ``merge(u, v, w)``, and none gives
         (0, 1).  Sides alternate: if the first pair shares a side, all do."""
-        memo, left, right = self.letter_memo, g.letters, h.letters
-        for letter in left + right:
+        memo = self.letter_memo
+        for letter in g + h:
             if type(letter[1]) is not int or letter not in memo:
                 self.letter(letter)
-        if left and right and left[-1][0] == right[0][0]:
-            for u, v in zip(reversed(left), right):
+        if g and h and g[-1][0] == h[0][0]:
+            for u, v in zip(reversed(g), h):
                 factor = self.splitting.factor(u[0])
                 x = factor.mul(u[1], v[1])
                 if not factor.is_identity(x):
@@ -207,7 +207,7 @@ class SplitMap:
 def validate_word(s: Splitting, g: Word) -> Word:
     """Check the normal-form invariants; return ``g`` unchanged."""
     prev = None
-    for side, x in g.letters:
+    for side, x in g:
         factor = s.factor(side)
         factor.check(x)
         if factor.is_identity(x):
@@ -219,7 +219,7 @@ def validate_word(s: Splitting, g: Word) -> Word:
 
 
 def multiply(s: Splitting, g: Word, h: Word) -> Word:
-    return reduce(s, g.letters + h.letters)
+    return reduce(s, g + h)
 
 
 def join_into(s: Splitting, out: list[Letter], h: tuple[Letter, ...]) -> None:
@@ -261,8 +261,7 @@ def _join(s: Splitting, g: tuple[Letter, ...], h: tuple[Letter, ...]) -> tuple[L
 
 
 def invert(s: Splitting, g: Word) -> Word:
-    letters = tuple((side, s.factor(side).inv(x)) for side, x in reversed(g.letters))
-    return Word(letters)
+    return Word([(side, s.factor(side).inv(x)) for side, x in reversed(g)])
 
 
 def _power(s: Splitting, g: Word, n: int) -> Word:
@@ -270,7 +269,7 @@ def _power(s: Splitting, g: Word, n: int) -> Word:
     # Not groups.power_by_squaring: a partial of _join as its mul slowed long-words.
     if n < 0:
         g, n = invert(s, g), -n
-    acc, sq = (), g.letters
+    acc, sq = (), g
     while n:
         if n & 1:
             acc = _join(s, acc, sq)
@@ -282,16 +281,16 @@ def _power(s: Splitting, g: Word, n: int) -> Word:
 
 def power(s: Splitting, g: Word, n: int) -> Word:
     """g^n: reduce g once, then ``_power``."""
-    return _power(s, reduce(s, g.letters), n)
+    return _power(s, reduce(s, g), n)
 
 
 def conjugate(s: Splitting, h: Word, g: Word) -> Word:
     """h g h^-1: reduce h and g once each, then join at both junctions."""
-    h = reduce(s, h.letters)
-    out = list(h.letters)
-    join_into(s, out, reduce(s, g.letters).letters)
-    join_into(s, out, invert(s, h).letters)
-    return Word(tuple(out))
+    h = reduce(s, h)
+    out = list(h)
+    join_into(s, out, reduce(s, g))
+    join_into(s, out, invert(s, h))
+    return Word(out)
 
 
 def cyclically_reduce(s: Splitting, g: Word) -> tuple[Word, Word]:
@@ -303,11 +302,11 @@ def cyclically_reduce(s: Splitting, g: Word) -> tuple[Word, Word]:
     with or cancels, tracked by two indices and the current last letter, so
     the whole strip takes linear time.
     """
-    core = g.letters
+    core = g
     if len(core) < 2 or core[0][0] != core[-1][0]:
         return Word(core), IDENTITY
     stripped = [core[0]]
-    core = reduce(s, core[1:] + core[:1]).letters
+    core = reduce(s, core[1:] + core[:1])
     lo, hi = 0, len(core)
     last = core[-1] if core else None
     while hi - lo >= 2 and core[lo][0] == last[0]:
@@ -321,7 +320,7 @@ def cyclically_reduce(s: Splitting, g: Word) -> tuple[Word, Word]:
             last = core[hi - 1]
         else:
             last = (first[0], x)
-    return Word(core[lo : hi - 1] + (last,) if hi > lo else ()), Word(tuple(stripped))
+    return Word(core[lo : hi - 1] + (last,) if hi > lo else ()), Word(stripped)
 
 
 _GEN_TOKEN = re.compile(r"^([ab])(?:\^(-?\d+))?$")
@@ -385,7 +384,7 @@ def _format_letter(s: Splitting, side: str, x: int) -> str:
 
 def format_word(s: Splitting, g: Word) -> str:
     """Inverse of parse_word on normal forms; the identity formats as ''."""
-    return " ".join(_format_letter(s, side, x) for side, x in g.letters)
+    return " ".join(_format_letter(s, side, x) for side, x in g)
 
 
 def _nonzero_elements(factor: FactorGroup, exponent_bound: int) -> list[int]:
@@ -397,40 +396,6 @@ def _nonzero_elements(factor: FactorGroup, exponent_bound: int) -> list[int]:
     return [x for x in factor.elements() if not factor.is_identity(x)]
 
 
-def _letter_draw(
-    s: Splitting, side: str, exponent_bound: int, rng: random.Random
-) -> Callable[[], Letter]:
-    """One random letter on ``side``.  An index below n is drawn as
-    ``randrange(n)`` draws it: ``getrandbits(n.bit_length())`` until the
-    result is below n.  On the integers the exponent size is such an index
-    below ``exponent_bound``, plus 1, and then ``random()`` picks the sign; on
-    a finite factor such an index picks a non-identity letter."""
-    factor = s.factor(side)
-    getrandbits = rng.getrandbits
-    if isinstance(factor, IntegerGroup):
-        e, uniform = exponent_bound, rng.random
-        k = e.bit_length()
-
-        def draw() -> Letter:
-            r = getrandbits(k)
-            while r >= e:
-                r = getrandbits(k)
-            return (side, r + 1) if uniform() < 0.5 else (side, -r - 1)
-
-        return draw
-    letters = [(side, x) for x in _nonzero_elements(factor, exponent_bound)]
-    n = len(letters)
-    k = n.bit_length()
-
-    def draw() -> Letter:
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return letters[r]
-
-    return draw
-
-
 def word_sampler(
     s: Splitting,
     length_bound: int,
@@ -440,23 +405,35 @@ def word_sampler(
     """A seeded source of random normal-form words.
 
     Each word has ``randrange(length_bound + 1)`` letters and starts on A if
-    ``random() < 0.5``, else on B; its letters alternate sides and come from
-    each side's letter draw (``_letter_draw``), built once here.  Every word
-    is a normal form.  Each index is drawn as ``randrange`` draws it, by
-    rejection on ``getrandbits`` (CPython's ``_randbelow_with_getrandbits``),
-    so a seed gives the same words as ``randint`` and ``choice`` always gave.
-    A ``Random`` subclass that supplies ``random()`` but not ``getrandbits``
-    is not stream-compatible: its own ``randrange`` draws from ``random()``.
+    ``random() < 0.5``, else on B.  One loop draws its letters, alternating
+    between the two sides' specs (bits, n, letters, side), built once here:
+    each letter is an index below n, drawn as ``randrange`` draws it, by
+    rejection on ``getrandbits(bits)`` (CPython's
+    ``_randbelow_with_getrandbits``).  On a finite factor the index picks a
+    non-identity letter; on the integers it is the exponent size less 1,
+    and ``random()`` then picks the sign, so any exponent bound costs the
+    same.  So a seed gives the same words as ``randint`` and ``choice``
+    always gave.  Both bounds must be ints >= 1 (not bools), checked before
+    any draw.  A ``Random`` subclass that supplies ``random()`` but not
+    ``getrandbits`` is not stream-compatible: its own ``randrange`` draws
+    from ``random()``.
     """
-    if length_bound < 1 or exponent_bound < 1:
-        raise ValueError("bounds must be >= 1")
+    for bound in (length_bound, exponent_bound):
+        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
+            raise ValueError(f"bounds must be ints >= 1, not {bound!r}")
     if isinstance(rng, int):
         rng = random.Random(rng)
-    on_a = _letter_draw(s, A, exponent_bound, rng)
-    on_b = _letter_draw(s, B, exponent_bound, rng)
-    # A word of n letters starting on A makes the first n draws of from_a.
-    from_a = (on_a, on_b) * ((length_bound + 1) // 2)
-    from_b = (on_b, on_a) * ((length_bound + 1) // 2)
+    specs = []
+    for side in (A, B):
+        factor = s.factor(side)
+        if isinstance(factor, IntegerGroup):
+            specs.append((exponent_bound.bit_length(), exponent_bound, None, side))
+        else:
+            letters = [(side, x) for x in _nonzero_elements(factor, exponent_bound)]
+            specs.append((len(letters).bit_length(), len(letters), letters, side))
+    # A word of n letters starting on A reads the first n specs of from_a.
+    from_a = tuple(specs) * ((length_bound + 1) // 2)
+    from_b = tuple(reversed(specs)) * ((length_bound + 1) // 2)
     getrandbits, uniform, top = rng.getrandbits, rng.random, length_bound + 1
     k = top.bit_length()
 
@@ -464,8 +441,18 @@ def word_sampler(
         length = getrandbits(k)
         while length >= top:
             length = getrandbits(k)
-        draws = from_a if uniform() < 0.5 else from_b
-        return Word(tuple([draw() for draw in draws[:length]]))
+        out = []
+        for bits, n, letters, side in (from_a if uniform() < 0.5 else from_b)[:length]:
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            if letters is not None:
+                out.append(letters[r])
+            elif uniform() < 0.5:
+                out.append((side, r + 1))
+            else:
+                out.append((side, -r - 1))
+        return Word(out)
 
     return sample
 

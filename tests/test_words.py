@@ -1,5 +1,7 @@
 """Normal-form word arithmetic: reduction, parsing, and enumeration."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -118,6 +120,27 @@ def full_reduce_cyclically_reduce(s, g):
         core = reduce(s, core.letters[1:] + (first,))
         stripped.append(first)
     return core, Word(tuple(stripped))
+
+
+def test_a_word_is_the_immutable_tuple_of_its_letters():
+    letters = ((A, 2), (B, -1), (A, 1))
+    g = Word(letters)
+    assert Word(list(letters)) == g == Word(x for x in letters)
+    assert type(g.letters) is tuple and g.letters == letters
+    assert len(g) == 3 and g and not IDENTITY and len(IDENTITY) == 0
+    assert list(g) == list(letters) and g[0] == (A, 2) and g[-1] == (A, 1)
+    # Hashes and compares as the plain letter tuple.
+    assert g == letters and hash(g) == hash(letters) == hash(Word(letters))
+    assert {g: 1}[letters] == 1 and letters in {g} and Word() == IDENTITY == ()
+    assert g != Word(letters[:2])
+    with pytest.raises(AttributeError):
+        g.letters = ()
+    with pytest.raises(AttributeError):
+        g.side = A
+    assert repr(g) == "Word(letters=(('A', 2), ('B', -1), ('A', 1)))"
+    assert repr(IDENTITY) == "Word(letters=())"
+    for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(copied) is Word and copied == g and copied.letters == letters
 
 
 def test_reduce_merges_adjacent_letters_and_drops_identities():
@@ -334,7 +357,7 @@ def test_word_sampler_draws_huge_exponents_without_listing_them():
 
 
 def test_word_sampler_rejects_empty_ranges_when_built():
-    for bounds in ((0, 3), (5, 0), (-1, 1)):
+    for bounds in ((0, 3), (5, 0), (-1, 1), (4.0, 4), (4, 2.5), (True, 4), (4, True)):
         rng = random.Random(1)
         with pytest.raises(ValueError):
             word_sampler(ZXZ, *bounds, rng)
