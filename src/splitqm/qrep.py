@@ -181,11 +181,12 @@ class FactorQRMap(FactorTableMap):
 
     Missing elements map to the target identity, so integer-factor maps are
     the identity off their finite support; alternation forces
-    mu(x^-1) = mu(x)^-1.  The metric is symmetric, so a pair whose only
-    table entry is at y has the size of that value too.
+    mu(x^-1) = mu(x)^-1.  The metric is bi-invariant, so the scan may use
+    the orbit rule of ``FactorTableMap.defect_witness``, and a pair whose
+    only table entry is at y has the size of that value too.
     """
 
-    sizes_y_alone = True
+    is_isometry = True
 
     def __init__(self, side: str, target: MetricGroup, group: FactorGroup, values: Mapping):
         self.target = target

@@ -103,9 +103,16 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
 
 
 class ModuleAction(ABC):
-    """A linear isometric action of the free product on a coefficient space."""
+    """A linear action of the free product on a coefficient space.
+
+    ``is_isometry``, fixed at construction, says whether every group element
+    keeps the norm that ``sum_size`` measures.  The defect rule, the junction
+    size (``SplitMap.merge``) and the orbit rule of the certified scan
+    (``FactorTableMap.defect_witness``) hold only then.
+    """
 
     splitting: Splitting
+    is_isometry: bool
 
     @abstractmethod
     def zero(self) -> Vector: ...
@@ -173,10 +180,9 @@ class FiniteDimRep(ModuleAction):
 
     Integer factors may use any invertible matrix; a cyclic factor of order n
     requires its matrix to have order dividing n.  Table-group factors are
-    not supported, since they carry no designated generator.  The defect
-    rule and the junction size (``SplitMap.merge``) assume the action is an
-    isometry of the sup norm, as for signed permutation matrices; nothing
-    checks that.
+    not supported, since they carry no designated generator.  The action is
+    an isometry of the sup norm exactly when every generator matrix is a
+    signed permutation matrix: one non-zero entry, 1 or -1, in each row.
     """
 
     def __init__(self, splitting: Splitting, mat_a: Sequence[Sequence], mat_b: Sequence[Sequence]):
@@ -196,6 +202,9 @@ class FiniteDimRep(ModuleAction):
                     raise ValueError(
                         f"matrix for a cyclic factor of order {factor.n} must satisfy m^n = 1"
                     )
+        # An invertible matrix with one entry of size 1 per row has one per column too.
+        unit_row = [0] * (self.dim - 1) + [1]
+        self.is_isometry = all(sorted(map(abs, row)) == unit_row for side in (A, B) for row in self.mat[side])
         # (side, k) -> (int rows, d): the letter's matrix is rows / d.
         self._letters: dict[tuple[str, int], tuple[IntMatrix, int]] = {}
 
@@ -280,6 +289,8 @@ class RegularRep(ModuleAction):
     exponent p: an integer p >= 1 or ``math.inf``.
     """
 
+    is_isometry = True
+
     def __init__(self, splitting: Splitting, p: Union[int, float] = 1):
         if p != math.inf and (type(p) is not int or p < 1):
             raise ValueError("the exponent must be an integer p >= 1 or math.inf")
@@ -349,18 +360,12 @@ class RegularRep(ModuleAction):
 
     def sum_size(self, u, side, x, v, w, den) -> Size:
         """Over den, l1 sums the absolute numerators and p = inf takes their
-        maximum; any other p sums their p-th powers, over den**p.  When v is
-        the only term it is not translated: left translation only moves its
-        keys, so x.v has the size of v.  (A dense action keeps the translation,
-        as nothing checks that its matrices are isometries.)"""
-        if u or w:
-            total = dict(u) if u else {}
-            if v:
-                _add_into(total, self.translate(side, x, v)[0], 1)
-            if w:
-                _add_into(total, w, -1)
-        else:
-            total = v or {}
+        maximum; any other p sums their p-th powers, over den**p."""
+        total = dict(u) if u else {}
+        if v:
+            _add_into(total, self.translate(side, x, v)[0], 1)
+        if w:
+            _add_into(total, w, -1)
         p, nums = self.p, total.values()
         if p == 1:
             return sum(map(abs, nums)), den
@@ -399,11 +404,12 @@ class FactorTableMap(ABC):
     inverse maps to v), ``equal`` where ``==`` does not do, and for the scan
     ``pair_sizer()``, ``value_sizes()`` and ``size_value``, which give the
     size of a pair (how far it is from the cocycle or homomorphism identity)
-    exactly as (s, t), ordered by s / t.  ``sizes_y_alone`` says whether a
-    pair whose only table entry is at y has the size of that value.
+    exactly as (s, t), ordered by s / t.  ``is_isometry`` says whether the
+    target is a bi-invariant metric or an isometric action, as the orbit
+    rule of ``defect_witness`` needs.
     """
 
-    sizes_y_alone = False
+    is_isometry = False
 
     def __init__(self, side: str, group: FactorGroup, values: Mapping):
         self.side = side
@@ -472,24 +478,35 @@ class FactorTableMap(ABC):
         Row x visits the y in the support T and in x^-1 T, in window order:
         any other pair has no entry, so a trivial coboundary, or only f(x),
         and then only its row's first such pair can be a first strict
-        maximum.  A pair whose only entry is at x or at xy (at y too when
-        ``sizes_y_alone``) has the size of that value, from ``value_sizes``;
+        maximum.  A pair whose only entry is at x or at xy (at y too on an
+        isometry) has the size of that value, from ``value_sizes``;
         ``pair_sizer`` sizes the rest.  Sizes (s, t) compare exactly by
         cross-multiplying, and the defect is built once, from the winning
-        pair."""
+        pair.
+
+        With c(x, y) = f(x) + x.f(y) - f(xy) and z = (xy)^-1, alternation
+        gives c(y, z) = x^-1.c(x, y) and c(y^-1, x^-1) = -(xy)^-1.c(x, y), so
+        on an isometry (or a bi-invariant metric) the pairs (x, y), (y, z),
+        (z, x), (y^-1, x^-1), (x^-1, z^-1) and (z^-1, y^-1) have one size, and
+        a pair is visited only when no other member of this orbit lies in the
+        window and comes before it.  The window is closed under inversion,
+        so a row with x^-1 < x is skipped whole: (x^-1, xy) comes first, or
+        on Z, when xy is off the window, (y^-1, x^-1)."""
         group, table = self.group, self.table
         e = group.identity
         if not table:
             return Fraction(0), e, e
-        size, alone = self.pair_sizer(), self.value_sizes()
-        y_alone = alone if self.sizes_y_alone else None
+        size, alone, iso = self.pair_sizer(), self.value_sizes(), self.is_isometry
         # The window is the consecutive ints lo..hi in ascending order on
         # every factor, and holds T, as W > M.
-        window, mul, inv = group.window(self.defect_window()), group.mul, group.inv
+        window, mul = group.window(self.defect_window()), group.mul
         lo, hi = window[0], window[-1]
+        inverse = {x: group.inv(x) for x in window}  # no key off the window
         best_s, best_t, best_x, best_y = 0, 1, e, e
         for x in window:
-            inv_x, in_x = inv(x), x in table
+            inv_x, in_x = inverse[x], x in table
+            if iso and inv_x < x:
+                continue
             row = set(table)
             ys = (mul(inv_x, k) for k in table)
             row.update(y for y in ys if lo <= y <= hi)
@@ -501,11 +518,17 @@ class FactorTableMap(ABC):
                     row.add(y)
             for y in sorted(row):
                 xy = mul(x, y)
+                if iso:
+                    pair, inv_y, z = (x, y), inverse[y], inverse.get(xy)
+                    if (inv_y, inv_x) < pair:
+                        continue
+                    if z is not None and ((y, z) < pair or (z, x) < pair or (inv_x, xy) < pair or (xy, inv_y) < pair):
+                        continue
                 in_y, in_xy = y in table, xy in table
                 if in_x + in_y + in_xy > 1:
                     s, t = size(x, y, xy)
                 elif in_y:
-                    s, t = y_alone[y] if y_alone else size(x, y, xy)
+                    s, t = alone[y] if iso else size(x, y, xy)
                 else:
                     s, t = alone[x if in_x else xy]
                 if s * best_t > best_s * t:
@@ -555,10 +578,23 @@ class FactorCocycleMap(FactorTableMap):
         den = math.lcm(*(m.denominator(v) for v in self.table.values()))
         return {x: m.numerators(v, den) for x, v in self.table.items()}, den
 
+    @property
+    def is_isometry(self) -> bool:
+        return self.action.is_isometry
+
     def pair_sizer(self) -> Callable[[int, int, int], Size]:
+        """On an isometry, x.f(y) alone is not translated: it has the size of f(y)."""
         nums, den = self._scaled_table
         get, side, sum_size = nums.get, self.side, self.action.sum_size
-        return lambda x, y, xy: sum_size(get(x), side, x, get(y), get(xy), den)
+        if not self.is_isometry:
+            return lambda x, y, xy: sum_size(get(x), side, x, get(y), get(xy), den)
+
+        def size(x: int, y: int, xy: int) -> Size:
+            u, w = get(x), get(xy)
+            if u is None and w is None:
+                return sum_size(get(y), side, x, None, None, den)
+            return sum_size(u, side, x, get(y), w, den)
+        return size
 
     def value_sizes(self) -> dict[int, Size]:
         nums, den = self._scaled_table

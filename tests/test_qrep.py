@@ -118,6 +118,7 @@ def test_factor_qr_map_forces_inverses():
     target = _hex_metric()
     mu = FactorQRMap(B, target, C3, {1: 1})
     assert mu(2) == 5  # inv(1) in the target
+    assert mu.is_isometry  # the target's metric is bi-invariant
     assert mu.support == (1, 2)
     assert mu.sup_norm() == Fraction(1, 2)
     with pytest.raises(ValueError):

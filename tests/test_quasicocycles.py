@@ -55,6 +55,10 @@ def _permutation_rep():
     return FiniteDimRep(ZXZ, ((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
 
 
+# Signed permutation matrices, with -1 entries: isometries of the sup norm.
+SIGNED_PERMUTATION = (((0, -1, 0), (0, 0, 1), (1, 0, 0)), ((-1, 0, 0), (0, 0, -1), (0, 1, 0)))
+
+
 def _rational_rep():
     # Non-integral generators and inverses, so letter matrices carry denominators.
     return FiniteDimRep(ZXZ, ((2, 1), (1, 1)), ((Fraction(1, 2), 0), (0, 2)))
@@ -663,6 +667,7 @@ SCAN_ACTIONS = {
     "regular-l2": lambda: RegularRep(ZXZ, 2),
     "regular-linf": lambda: RegularRep(ZXZ, math.inf),
     "permutation": _permutation_rep,
+    "signed-permutation": lambda: FiniteDimRep(ZXZ, *SIGNED_PERMUTATION),
     "rational": _rational_rep,
     "cyclic": _cyclic_rep,
 }
@@ -770,11 +775,11 @@ def _regular_case(p, factor):
     return build
 
 
-def _dense_case(mats):
+def _dense_case(mats, s=ZXZ):
     def build(draw):
-        rep = FiniteDimRep(ZXZ, *mats)
+        rep = FiniteDimRep(s, *mats)
         pool = draw(st.lists(st.lists(_small_fractions, min_size=3, max_size=3), min_size=1, max_size=2))
-        return FactorCocycleMap(A, rep, {x: draw(st.sampled_from(pool)) for x in _scan_support(draw, ZXZ.A)})
+        return FactorCocycleMap(A, rep, {x: draw(st.sampled_from(pool)) for x in _scan_support(draw, s.A)})
     return build
 
 
@@ -790,6 +795,12 @@ SUPPORT_SCAN_CASES = {
     **{f"regular-{p}-{factor}": _regular_case(p, factor) for p in (1, 2, math.inf) for factor in SCAN_FACTORS},
     "permutation": _dense_case((((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))),
     "unipotent": _dense_case(CRITERION_9_DIM3),
+    "signed-permutation": _dense_case(SIGNED_PERMUTATION),
+    # A 3-cycle on Z/3, so the pruned dense scan runs on a finite factor.
+    "cyclic-permutation": _dense_case(
+        (((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1))),
+        Splitting(CyclicGroup(3), IntegerGroup()),
+    ),
     **{f"hexagon-{factor}": _qrep_case(_hexagon(), factor, st.integers(0, 5)) for factor in SCAN_FACTORS},
     **{f"circle-{factor}": _qrep_case(Circle(), factor, st.integers(0, 11).map(lambda k: Fraction(k, 12)))
        for factor in ("Z", "Z/6")},
@@ -807,6 +818,79 @@ def test_support_scan_matches_the_pair_loop(name, data):
     assert got == expected and type(got[0]) is type(expected[0])
     if not q.table:
         assert got == (0, q.group.identity, q.group.identity)
+
+
+def coboundary_orbit(group, x, y):
+    """(x, y) and the five pairs that share its size on an isometry, z = (xy)^-1."""
+    inv = group.inv
+    z = inv(group.mul(x, y))
+    return [(x, y), (y, z), (z, x), (inv(y), inv(x)), (inv(x), inv(z)), (inv(z), inv(y))]
+
+
+@pytest.mark.parametrize("name", [name for name in SUPPORT_SCAN_CASES if name != "unipotent"])
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_coboundary_orbits_have_one_size_on_isometries(name, data):
+    # On Z the pair is drawn from twice the window, so members such as
+    # (y, (xy)^-1) often lie outside it.
+    q = SUPPORT_SCAN_CASES[name](data.draw)
+    assert q.is_isometry
+    group = q.group
+    if group.is_finite:
+        element = st.sampled_from(group.window(0))
+    else:
+        element = st.integers(-2 * q.defect_window(), 2 * q.defect_window())
+    x, y = data.draw(element), data.draw(element)
+    sizes = {coboundary_size(q, a, b) for a, b in coboundary_orbit(group, x, y)}
+    assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("name", [name for name in SUPPORT_SCAN_CASES if name != "unipotent"])
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_the_scan_sizes_no_pair_after_a_member_of_its_orbit(name, data):
+    q = SUPPORT_SCAN_CASES[name](data.draw)
+    sized, size = [], q.pair_sizer()
+    q.pair_sizer = lambda: lambda x, y, xy: sized.append((x, y)) or size(x, y, xy)
+    q.defect_witness()
+    window = set(q.group.window(q.defect_window()))
+    for pair in sized:
+        members = [(a, b) for a, b in coboundary_orbit(q.group, *pair) if a in window and b in window]
+        assert min(members) == pair
+
+
+def test_the_unipotent_action_breaks_the_orbit_rule():
+    # Criterion 9's depth-6 staircase: the first maximum and its mirror pair
+    # (y^-1, x^-1) differ, so the scan must not skip mirrors there.
+    rep = FiniteDimRep(ZXZ, *CRITERION_9_DIM3)
+    q = staircase_cocycle(rep, rep.vector((1, 0, 0)), depth=6)[0]
+    assert not q.is_isometry
+    assert (6, 18) in coboundary_orbit(q.group, -18, -6)
+    assert coboundary_size(q, -18, -6) == 100108
+    assert coboundary_size(q, 6, 18) == 960
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: RegularRep(ZXZ, 1), True),
+        (lambda: RegularRep(ZXZ, 2), True),
+        (lambda: RegularRep(ZXZ, math.inf), True),
+        (_permutation_rep, True),
+        (lambda: FiniteDimRep(ZXZ, *SIGNED_PERMUTATION), True),
+        (lambda: FiniteDimRep(ZXZ, *CRITERION_9_DIM3), False),
+        (lambda: FiniteDimRep(ZXZ, ((0, 2), (2, 0)), FLIP), False),
+        # An l2 isometry that stretches (1, 1) in the sup norm.
+        (lambda: FiniteDimRep(ZXZ, ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5))), FLIP), False),
+    ],
+    ids=["regular-l1", "regular-l2", "regular-linf", "permutation", "signed-permutation", "unipotent",
+         "scaled-permutation", "rotation"],
+)
+def test_actions_say_whether_they_are_isometries(make, expected):
+    rep = make()
+    assert rep.is_isometry is expected
+    vector = rep.vector([1] + [0] * (rep.dim - 1)) if isinstance(rep, FiniteDimRep) else rep.indicator(IDENTITY)
+    assert FactorCocycleMap(A, rep, {1: vector}).is_isometry is expected
 
 
 def test_tied_maxima_keep_the_first_pair_in_window_order():
