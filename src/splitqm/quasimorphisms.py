@@ -8,7 +8,6 @@ enumeration, and homogenization goes through cyclic reduction.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import random
@@ -264,8 +263,7 @@ class SplitQM(SplitMap):
 
     def merge(self, u: Letter, v: Letter, w: Letter) -> tuple[int, int]:
         """L*(q(x) + q(y) - q(xy)) over L, for u and v merging into w."""
-        memo = self.letter_memo
-        return memo[u] + memo[v] - self.letter(w), self.denominator
+        return self.letter(u) + self.letter(v) - self.letter(w), self.denominator
 
     def __call__(self, g: Word) -> Fraction:
         return eval_split(self, g)
@@ -277,8 +275,8 @@ def eval_split(f: SplitQM, g: Word) -> Fraction:
 
 
 def coboundary(f: SplitQM, g: Word, h: Word) -> Fraction:
-    """f(g) + f(h) - f(gh) at the junction; ValueError unless both are normal forms."""
-    return Fraction(*f.junction(validate_word(f.splitting, g), validate_word(f.splitting, h)))
+    """f(g) + f(h) - f(gh) where they meet; ValueError unless both are normal forms."""
+    return Fraction(*f.meet(validate_word(f.splitting, g), validate_word(f.splitting, h)))
 
 
 split_defect = SplitMap.defect
@@ -316,19 +314,24 @@ def sampled_defect(
     count: int,
     extra_pairs: Iterable[tuple[Word, Word]] = (),
 ) -> Fraction | float:
-    """The largest |s| / t over sampled pairs, where (s, t) is the pair's
-    coboundary read at its junction (``SplitMap.junction``), compared exactly
-    and returned as ``f.size_value``; never exceeds the exact defect.
-    ``extra_pairs`` embeds known maximizing factor pairs as one-letter words
-    (see ``junction_pairs``), so the value can attain the supremum.  The
-    sampler's words and the ``extra_pairs`` must be normal forms; their
-    letters are still checked through the letter memo, so a letter outside
-    the factors raises ValueError."""
-    junction = f.junction
-    sampled = ((sampler(), sampler()) for _ in range(count))
+    """The largest |s| / t over ``count`` sampled pairs (an int >= 0, checked
+    before any draw) and ``extra_pairs``, known maximizing factor pairs as
+    one-letter words (see ``junction_pairs``), where (s, t) is the pair's
+    coboundary read where it meets, compared exactly and returned as
+    ``f.size_value``; never exceeds the exact defect.  All words must be
+    normal forms.  The pairs of a ``word_sampler`` of ``f.splitting`` go through
+    ``SplitMap.meet``, all others through ``SplitMap.junction``, which checks
+    every letter: one outside the factors raises ValueError."""
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise ValueError(f"count must be an int >= 0, not {count!r}")
+    size = f.meet if getattr(sampler, "splitting", None) == f.splitting else f.junction
     best_s, best_t = 0, 1
-    for g, h in itertools.chain(sampled, extra_pairs):
-        value, t = junction(g, h)
+    for _ in range(count):
+        value, t = size(sampler(), sampler())
+        if abs(value) * best_t > best_s * t:
+            best_s, best_t = abs(value), t
+    for g, h in extra_pairs:
+        value, t = f.junction(g, h)
         if abs(value) * best_t > best_s * t:
             best_s, best_t = abs(value), t
     return f.size_value(best_s, best_t) if best_s else Fraction(0)
@@ -343,10 +346,7 @@ def homogenize_eval(f: SplitQM, g: Word) -> Fraction:
     if len(core) == 1:
         side, x = core[0]
         q = f.factor_map(side)
-        q.group.check(x)
-        if isinstance(q.group, IntegerGroup):
-            return q.slope * x
-        return Fraction(0)
+        return q.slope * q.group.check(x)
     return eval_split(f, core)
 
 
@@ -450,9 +450,7 @@ def maximize_doubling_witness(f: SplitQM, side: str) -> Optional[DoublingWitness
     product the identity have coboundary 0 by alternation, so they never
     win the strict maximum."""
     value, x, y = f.factor_map(side).defect_witness()
-    if not value:
-        return None
-    return _witness_on_pair(f, side, x, y)
+    return _witness_on_pair(f, side, x, y) if value else None
 
 
 @dataclass(frozen=True)
@@ -471,9 +469,7 @@ def gromov_norm(f: SplitQM) -> GromovNormReport:
     witnesses = {A: f.fA.defect_witness(), B: f.fB.defect_witness()}
     side = A if witnesses[A][0] >= witnesses[B][0] else B
     value, x, y = witnesses[side]
-    if value == 0:
-        return GromovNormReport(value=value, witness=None)
-    return GromovNormReport(value=value, witness=_witness_on_pair(f, side, x, y))
+    return GromovNormReport(value=value, witness=_witness_on_pair(f, side, x, y) if value else None)
 
 
 def is_trivial(f: SplitQM) -> bool:

@@ -170,15 +170,17 @@ class SplitMap:
         return value
 
     def junction(self, g: Word, h: Word) -> tuple[int, int]:
+        """``meet`` after a check of every letter of g and h (see ``letter``)."""
+        for letter in g + h:
+            self.letter(letter)
+        return self.meet(g, h)
+
+    def meet(self, g: Word, h: Word) -> tuple[int, int]:
         """The coboundary of normal forms g and h as (s, t), that is s / t, read
-        where they meet.  Every letter is checked through the memo first.  Letter
-        pairs that cancel add nothing, as factor maps are alternating; the first
+        where they meet; letters away from there are not read.  Letter pairs
+        that cancel add nothing, as factor maps are alternating; the first
         merge, of u and v into w, gives ``merge(u, v, w)``, and none gives
         (0, 1).  Sides alternate: if the first pair shares a side, all do."""
-        memo = self.letter_memo
-        for letter in g + h:
-            if type(letter[1]) is not int or letter not in memo:
-                self.letter(letter)
         if g and h and g[-1][0] == h[0][0]:
             for u, v in zip(reversed(g), h):
                 factor = self.splitting.factor(u[0])
@@ -416,7 +418,8 @@ def word_sampler(
     always gave.  Both bounds must be ints >= 1 (not bools), checked before
     any draw.  A ``Random`` subclass that supplies ``random()`` but not
     ``getrandbits`` is not stream-compatible: its own ``randrange`` draws
-    from ``random()``.
+    from ``random()``.  ``sample.splitting`` is ``s``, of which every word
+    is a normal form, as ``sampled_defect`` trusts.
     """
     for bound in (length_bound, exponent_bound):
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
@@ -454,6 +457,7 @@ def word_sampler(
                 out.append((side, -r - 1))
         return Word(out)
 
+    sample.splitting = s
     return sample
 
 

@@ -1,11 +1,15 @@
-"""The slow path for ``sampled_defect``: every pair's product reduced by
-``multiply`` and sized from the three whole words, shared by the split
-quasimorphism, quasicocycle and quasi-representation tests."""
+"""The slow paths for ``sampled_defect``, shared by the split
+quasimorphism, quasicocycle and quasi-representation tests: every pair's
+product reduced by ``multiply`` and sized from the three whole words, and
+every letter of a sampled pair checked before the pair is sized."""
+
+import random
+from unittest import mock
 
 from splitqm.qrep import SplitQRep, eval_qrep
 from splitqm.quasicocycles import SplitQC, qc_coboundary
 from splitqm.quasimorphisms import junction_pairs, sampled_defect
-from splitqm.words import Word, invert, multiply, word_sampler
+from splitqm.words import SplitMap, Word, invert, multiply, word_sampler
 
 
 def whole_word_size(f, g, h):
@@ -44,3 +48,21 @@ def check_joins_as_multiply_does(f, seed, sampled=sampled_defect):
     assert [sampled_defect(f, iter(pair).__next__, 1) for pair in pairs] == slow
     words = iter([w for pair in pairs for w in pair]).__next__
     assert sampled(f, words, len(pairs)) == max(slow)
+
+
+def check_marked_sampler_meets_as_the_checked_path(f, seed, count, bounds=(4, 4)):
+    """A ``word_sampler`` of f's splitting is marked with it, so
+    ``sampled_defect`` sizes its pairs by ``SplitMap.meet`` alone, on a cold
+    letter memo when f is fresh.  The same draws through an unmarked lambda
+    take ``SplitMap.junction``, which checks every letter first.  Both give
+    the largest whole-word size of those pairs."""
+    marked = word_sampler(f.splitting, *bounds, random.Random(seed))
+    assert marked.splitting is f.splitting
+    with mock.patch.object(SplitMap, "junction", side_effect=AssertionError("a marked pair was checked")):
+        fast = sampled_defect(f, marked, count)
+    unmarked = word_sampler(f.splitting, *bounds, random.Random(seed))
+    assert fast == sampled_defect(f, lambda: unmarked(), count)
+    # Both samplers made the same draws.
+    assert marked() == unmarked()
+    words = word_sampler(f.splitting, *bounds, random.Random(seed))
+    assert fast == max((whole_word_size(f, words(), words()) for _ in range(count)), default=0)

@@ -38,7 +38,7 @@ from splitqm.words import (
     word_sampler,
 )
 
-from sampled_pairs import check_joins_as_multiply_does, whole_word_size
+from sampled_pairs import check_joins_as_multiply_does, check_marked_sampler_meets_as_the_checked_path, whole_word_size
 
 C2 = CyclicGroup(2)
 C3 = CyclicGroup(3)
@@ -435,6 +435,12 @@ def test_s3_junction_reads_the_images_in_word_order():
 @given(s3_qreps(), st.integers(0, 2**32 - 1))
 def test_sampled_defect_joins_pairs_as_multiply_does_into_s3(mu, seed):
     check_joins_as_multiply_does(mu, seed, qrep_sampled_defect)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(split_qreps(), s3_qreps()), st.integers(0, 2**32 - 1), st.integers(0, 200))
+def test_marked_sampler_pairs_meet_as_the_checked_path_sizes_them(mu, seed, count):
+    check_marked_sampler_meets_as_the_checked_path(mu, seed, count)
 
 
 def test_factor_hom_forms_and_validation():

@@ -37,7 +37,7 @@ from splitqm.words import (
     A, B, IDENTITY, Splitting, Word, _join, invert, multiply, parse_word, random_word, reduce,
 )
 
-from sampled_pairs import check_joins_as_multiply_does
+from sampled_pairs import check_joins_as_multiply_does, check_marked_sampler_meets_as_the_checked_path
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
 
@@ -373,6 +373,19 @@ def test_staircase_pairs_join_as_multiply_does(make, worst):
     for seed in (5, 6):
         check_joins_as_multiply_does(f, seed)
     assert sampled_defect(f, iter(()).__next__, 0, junction_pairs(f)) == split_qc_defect(f) == worst
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: RegularRep(ZXZ, 1), lambda: RegularRep(ZXZ, 2), lambda: FiniteDimRep(ZXZ, *SIGNED_PERMUTATION)],
+    ids=["regular-l1", "regular-l2", "signed-permutation"],
+)
+@settings(deadline=None, max_examples=25)
+@given(depth=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), count=st.integers(0, 120))
+def test_marked_sampler_pairs_meet_as_the_checked_path_sizes_them(make, depth, seed, count):
+    rep = make()
+    xi = rep.vector((1, -2, 0)) if isinstance(rep, FiniteDimRep) else rep.indicator(parse_word(ZXZ, "b"))
+    check_marked_sampler_meets_as_the_checked_path(staircase_cocycle(rep, xi, depth)[1], seed, count)
 
 
 def fraction_letter_sum(m, g, value):

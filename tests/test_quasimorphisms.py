@@ -35,9 +35,10 @@ from splitqm.words import (
     parse_word,
     power,
     random_word,
+    word_sampler,
 )
 
-from sampled_pairs import check_joins_as_multiply_does
+from sampled_pairs import check_joins_as_multiply_does, check_marked_sampler_meets_as_the_checked_path
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
 C5XC6 = Splitting(CyclicGroup(5), CyclicGroup(6))
@@ -53,6 +54,7 @@ S3 = FiniteTableGroup.from_mul(
     ][x][y]
 )
 TABLES = Splitting(FiniteTableGroup.from_mul(3, lambda x, y: (x + y) % 3), S3)
+S3XZ = Splitting(S3, IntegerGroup())
 
 
 def dihedral(n):
@@ -405,6 +407,50 @@ def test_sampled_defect_attains_the_exact_value_on_junction_pairs(f, seed):
         extras.append((Word(((side, x),)), Word(((side, y),))))
     sampler = lambda: Word(())  # noqa: E731 - junction pairs carry the value
     assert sampled_defect(f, sampler, 1, extra_pairs=extras) == split_defect(f)
+
+
+@st.composite
+def sampled_path_qms(draw):
+    """A split quasimorphism on Z * Z, Z/5 * Z/6 or S3 * Z."""
+    s = draw(st.sampled_from([ZXZ, C5XC6, S3XZ]))
+    fA = draw(finite_qms(s.A) if s.A.is_finite else integer_qms(s.A))
+    fB = draw(finite_qms(s.B) if s.B.is_finite else integer_qms(s.B))
+    return SplitQM(s, fA, fB)
+
+
+@settings(deadline=None, max_examples=40)
+@given(sampled_path_qms(), st.integers(0, 2**32 - 1), st.integers(0, 200))
+def test_marked_sampler_pairs_meet_as_the_checked_path_sizes_them(f, seed, count):
+    check_marked_sampler_meets_as_the_checked_path(f, seed, count)
+
+
+def test_a_sampler_of_another_splitting_takes_the_checked_path():
+    # Z * Z words on a Z * Z/6 map: the splittings differ, so every letter is
+    # checked, and a negative exponent on B is no element of Z/6.
+    s = Splitting(IntegerGroup(), CyclicGroup(6))
+    f = SplitQM(s, FactorQM(s.A, sign_coeff=1), FactorQM(s.B, finite_part={1: 1, 5: -1}))
+    with pytest.raises(ValueError, match="is not an element of"):
+        sampled_defect(f, word_sampler(ZXZ, 4, 4, 1), 200)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, [1], 7], ids=["True", "1.0", "list", "out-of-range"])
+def test_a_bad_letter_in_the_extra_pairs_raises_beside_a_marked_sampler(bad):
+    # The pair meets at A | B, so only the letter check can see the bad letter.
+    f = FINITE_MEMO_MAPS["Z5xZ6"]()
+    extra = (Word(((A, bad),)), Word(((B, 1),)))
+    with pytest.raises(ValueError):
+        sampled_defect(f, word_sampler(f.splitting, 4, 4, 1), 20, extra_pairs=[extra])
+
+
+@pytest.mark.parametrize("count", [-5, -1, 2.5, True, False, "3", None])
+def test_sampled_defect_rejects_a_count_that_is_not_an_int_at_least_0_before_any_draw(count):
+    def sampler():
+        raise AssertionError("a word was drawn")
+
+    f = weight_qm({1: Fraction(1)})
+    with pytest.raises(ValueError, match="count must be an int >= 0"):
+        sampled_defect(f, sampler, count)
+    assert sampled_defect(f, sampler, 0) == 0
 
 
 @settings(deadline=None, max_examples=60)
