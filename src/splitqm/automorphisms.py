@@ -75,7 +75,8 @@ class Endo:
 
 def apply(e: Endo, g: Word) -> Word:
     """Fold the images of the letters of g onto one normal form, joining
-    each at the junction.  Each distinct letter is checked against its
+    each at the junction where it meets the result on the same side and
+    appending it otherwise.  Each distinct letter is checked against its
     factor and its image computed once, in the letter memo of ``e``.
     Raises ValueError on a letter outside the factors."""
     s, memo, out = e.splitting, e.letter_memo, []
@@ -83,7 +84,10 @@ def apply(e: Endo, g: Word) -> Word:
         image = memo.get(letter) if type(letter[1]) is int else None
         if image is None:
             image = memo_letter(s, memo, letter, e.image)
-        join_into(s, out, image)
+        if out and image and out[-1][0] == image[0][0]:
+            join_into(s, out, image)
+        else:
+            out.extend(image)
     return Word(out)
 
 
@@ -143,7 +147,7 @@ def is_periodic(q: FactorQM, period: int) -> bool:
     if period < 1:
         raise ValueError("period must be >= 1")
     window = q.support_radius + q.period_or_one + period + 2
-    return all(q(k + period) == q(k) for k in range(-window, window + 1))
+    return all(q.numerator(k + period) == q.numerator(k) for k in range(-window, window + 1))
 
 
 @dataclass(frozen=True)

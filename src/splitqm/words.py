@@ -13,6 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
@@ -51,7 +52,8 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class Splitting:
-    """An ordered pair of non-trivial factor groups."""
+    """An ordered pair of non-trivial factor groups; ``letter_tests`` holds
+    each side's element test (see ``_is_normal``)."""
 
     A: FactorGroup
     B: FactorGroup
@@ -60,6 +62,7 @@ class Splitting:
         for factor in (self.A, self.B):
             if factor.is_finite and factor.size < 2:
                 raise ValueError("factors must be non-trivial")
+        object.__setattr__(self, "letter_tests", (_letter_test(self.A), _letter_test(self.B)))
 
     def factor(self, side: str) -> FactorGroup:
         if side == A:
@@ -73,6 +76,19 @@ class Splitting:
         needs them in the error message."""
         if not (isinstance(self.A, IntegerGroup) and isinstance(self.B, IntegerGroup)):
             raise ValueError(f"{subject} needs the Z * Z splitting")
+
+
+def _letter_test(factor: FactorGroup) -> Callable[[int], bool]:
+    """A C-level test that an int is a non-identity element of ``factor``,
+    for ``_is_normal``.  A factor of any other type, whose element test may
+    differ, gets a test that always fails, so its letters take the loop."""
+    if type(factor) is IntegerGroup:
+        return (0).__ne__
+    if type(factor) is CyclicGroup:
+        return range(1, factor.n).__contains__
+    if type(factor) is FiniteTableGroup:
+        return frozenset(x for x in factor.elements() if not factor.is_identity(x)).__contains__
+    return frozenset().__contains__
 
 
 class Word(tuple):
@@ -92,12 +108,37 @@ class Word(tuple):
 IDENTITY = Word()
 
 
+def _is_normal(s: Splitting, g: tuple) -> bool:
+    """Whether the tuple ``g`` is already a normal form of s, in one pass
+    whose only call per letter is a C-level element test: every letter is a
+    tuple of length 2 whose side is A or B and differs from the last one, and
+    whose element is an exact int (not ``True`` or ``1.0``) that passes its
+    side's test in ``Splitting.letter_tests``: not the identity, in range."""
+    in_a, in_b = s.letter_tests
+    prev = None
+    try:
+        for letter in g:
+            if type(letter) is not tuple:
+                return False
+            side, x = letter
+            if side == prev or type(x) is not int or not (in_a(x) if side == A else side == B and in_b(x)):
+                return False
+            prev = side
+    except ValueError:  # a tuple that is no pair
+        return False
+    return True
+
+
 def reduce(s: Splitting, raw: Iterable[Letter]) -> Word:
     """Normal form of a raw letter sequence.
 
     Adjacent same-side letters merge via factor multiplication and identity
-    letters disappear, repeatedly, until the sequence alternates.
+    letters disappear, repeatedly, until the sequence alternates.  A tuple
+    that is already a normal form (``_is_normal``) comes back as itself, as
+    a ``Word``, without that loop.
     """
+    if isinstance(raw, tuple) and _is_normal(s, raw):
+        return raw if type(raw) is Word else Word(raw)
     out: list[Letter] = []
     for side, x in raw:
         factor = s.factor(side)
@@ -189,11 +230,17 @@ class SplitMap:
                     return self.merge(u, v, (u[0], x))
         return 0, 1
 
+    @cached_property
+    def pair_sizers(self) -> dict:
+        """Each side's factor ``pair_sizer``, built once per map."""
+        on_a, on_b = self.factor_maps
+        return {A: on_a.pair_sizer(), B: on_b.pair_sizer()}
+
     def merge(self, u: Letter, v: Letter, w: Letter) -> tuple[int, int]:
         """The factor map's ``pair_sizer`` on the letters u and v merging into w:
         the size of the whole pair when the target is a bi-invariant metric or
         an isometric action, as ``split_qc_defect`` assumes."""
-        return self.factor_map(u[0]).pair_sizer()(u[1], v[1], w[1])
+        return self.pair_sizers[u[0]](u[1], v[1], w[1])
 
     def size_value(self, s: int, t: int):
         """The size that ``junction`` gives as (s, t), as a number."""
@@ -207,7 +254,10 @@ class SplitMap:
 
 
 def validate_word(s: Splitting, g: Word) -> Word:
-    """Check the normal-form invariants; return ``g`` unchanged."""
+    """Check the normal-form invariants; return ``g`` unchanged.  A tuple
+    that ``_is_normal`` accepts comes back as itself with no loop."""
+    if isinstance(g, tuple) and _is_normal(s, g):
+        return g
     prev = None
     for side, x in g:
         factor = s.factor(side)
@@ -221,7 +271,8 @@ def validate_word(s: Splitting, g: Word) -> Word:
 
 
 def multiply(s: Splitting, g: Word, h: Word) -> Word:
-    return reduce(s, g + h)
+    """g h: reduce each once, then join at the junction."""
+    return Word(_join(s, reduce(s, g), reduce(s, h)))
 
 
 def join_into(s: Splitting, out: list[Letter], h: tuple[Letter, ...]) -> None:
@@ -299,16 +350,17 @@ def cyclically_reduce(s: Splitting, g: Word) -> tuple[Word, Word]:
     """Split ``g`` as conjugator * core * conjugator^-1.
 
     The core either lies in a single factor (at most one letter) or its
-    normal form starts and ends in different factors.  Only the first strip
-    reduces; later ones move the first letter onto the last, which it merges
-    with or cancels, tracked by two indices and the current last letter, so
-    the whole strip takes linear time.
+    normal form starts and ends in different factors.  ``g`` is reduced
+    first, so every spelling of an element gives the same split.  The first
+    strip joins the first letter onto the rest; later ones move the first
+    letter onto the last, which it merges with or cancels, tracked by two
+    indices and the current last letter, so the whole strip takes linear time.
     """
-    core = g
+    core = reduce(s, g)
     if len(core) < 2 or core[0][0] != core[-1][0]:
-        return Word(core), IDENTITY
+        return core, IDENTITY
     stripped = [core[0]]
-    core = reduce(s, core[1:] + core[:1])
+    core = _join(s, core[1:], core[:1])
     lo, hi = 0, len(core)
     last = core[-1] if core else None
     while hi - lo >= 2 and core[lo][0] == last[0]:

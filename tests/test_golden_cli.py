@@ -38,6 +38,10 @@ def _cases() -> dict[str, list[str]]:
     cases["defect-space"] = ["defect-space"]
     cases["rademacher"] = ["rademacher"]
     cases["selftest-sign-2-12-13"] = ["selftest", "--config", "configs/sign.json", "--only", "2,12,13"]
+    # A 9-letter conjugate h g h^-1 with h = a^2 b, and a raw spelling of it.
+    homogenize = ["homogenize", "--config", SHOWCASE, "weights"]
+    cases["homogenize-weights-conjugate"] = [*homogenize, "a^2 b a b^2 a^3 b^2 a^-3 b^-1 a^-2"]
+    cases["homogenize-weights-raw"] = [*homogenize, "a a b a b b a^3 b^2 a^-3 a^0 b^-1 b b^-1 a^-2"]
     return cases
 
 

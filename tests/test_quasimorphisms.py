@@ -527,6 +527,14 @@ def test_homogenization_of_a_single_letter_is_the_slope_term(q, k):
     assert homogenize_eval(f, Word(((A, k),)) if k else Word(())) == q.slope * k
 
 
+def test_homogenization_reads_the_element_not_its_spelling():
+    f = weight_qm({1: Fraction(1)})
+    raw = Word(((A, 1), (A, -1), (B, 1)))
+    assert homogenize_eval(f, raw) == homogenize_eval(f, parse_word(ZXZ, "b")) == 0
+    raw = Word(((A, 1), (B, 2), (A, 0), (B, -2), (A, 1), (B, 1), (A, -1)))
+    assert homogenize_eval(f, raw) == homogenize_eval(f, parse_word(ZXZ, "a b")) != 0
+
+
 def test_doubling_witness_doubles_the_factor_gap():
     f = weight_qm({1: Fraction(1)})
     witness = doubling_witness(f, 1, 1, 1, 1, side=A)

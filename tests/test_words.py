@@ -61,6 +61,11 @@ S3XZ = Splitting(
 )
 SPLITTINGS = [ZXZ, C5XC6, MIXED, S3XZ]
 ZXC3 = Splitting(IntegerGroup(), CyclicGroup(3))
+# Z/3 as a table whose identity is the element 1, not 0.
+SHIFTED = Splitting(
+    FiniteTableGroup.from_mul(3, lambda x, y: (x + y - 1) % 3, identity=1),
+    CyclicGroup(4),
+)
 
 
 def _letter_values(s, side, draw):
@@ -94,21 +99,57 @@ def splitting_and_words(draw, count=1, max_len=10, raw=False):
 # -- the full-reduce definitions the junction kernel replaced, as oracles ------
 
 
+def loop_reduce(s, raw):
+    """The letter loop of ``reduce``, run on every input: the oracle of
+    ``reduce`` and of every full-reduce definition below."""
+    out = []
+    for side, x in raw:
+        factor = s.factor(side)
+        factor.check(x)
+        while True:
+            if factor.is_identity(x):
+                break
+            if out and out[-1][0] == side:
+                x = factor.mul(out.pop()[1], x)
+                continue
+            out.append((side, x))
+            break
+    return Word(out)
+
+
+def loop_validate_word(s, g):
+    """``validate_word`` as a loop over every letter, the same way."""
+    prev = None
+    for side, x in g:
+        factor = s.factor(side)
+        factor.check(x)
+        if factor.is_identity(x):
+            raise ValueError("identity letter in word")
+        if side == prev:
+            raise ValueError("adjacent letters on the same side")
+        prev = side
+    return g
+
+
+def full_reduce_multiply(s, g, h):
+    return loop_reduce(s, g + h)
+
+
 def full_reduce_power(s, g, n):
-    """g^n by square-and-multiply over ``multiply``."""
+    """g^n by square-and-multiply over ``full_reduce_multiply``."""
     if n < 0:
         g, n = invert(s, g), -n
     acc, sq = IDENTITY, g
     while n:
         if n & 1:
-            acc = multiply(s, acc, sq)
-        sq = multiply(s, sq, sq)
+            acc = full_reduce_multiply(s, acc, sq)
+        sq = full_reduce_multiply(s, sq, sq)
         n >>= 1
     return acc
 
 
 def full_reduce_conjugate(s, h, g):
-    return multiply(s, multiply(s, h, g), invert(s, h))
+    return full_reduce_multiply(s, full_reduce_multiply(s, h, g), invert(s, h))
 
 
 def full_reduce_cyclically_reduce(s, g):
@@ -117,7 +158,7 @@ def full_reduce_cyclically_reduce(s, g):
     stripped = []
     while len(core) >= 2 and core.letters[0][0] == core.letters[-1][0]:
         first = core.letters[0]
-        core = reduce(s, core.letters[1:] + (first,))
+        core = loop_reduce(s, core.letters[1:] + (first,))
         stripped.append(first)
     return core, Word(tuple(stripped))
 
@@ -191,8 +232,15 @@ def test_conjugation_definition(case):
 @settings(max_examples=300)
 @given(splitting_and_words(max_len=12, raw=True))
 def test_cyclic_reduction_matches_the_rotate_and_reduce_loop(case):
+    """On the normal form of g: every spelling of an element splits alike."""
     s, g = case
-    assert cyclically_reduce(s, g) == full_reduce_cyclically_reduce(s, g)
+    assert cyclically_reduce(s, g) == full_reduce_cyclically_reduce(s, loop_reduce(s, g))
+
+
+def test_cyclic_reduction_reduces_a_raw_spelling_first():
+    raw = Word(((A, 1), (A, -1), (B, 1)))
+    assert cyclically_reduce(ZXZ, raw) == (Word(((B, 1),)), IDENTITY)
+    assert cyclically_reduce(ZXZ, Word(((A, 0),))) == (IDENTITY, IDENTITY)
 
 
 def test_cyclic_reduction_of_a_long_conjugate_matches_the_loop():
@@ -225,10 +273,102 @@ def test_join_of_normal_forms_is_their_full_reduction(case, cut):
     s, g, h = case
     tail = Word(g.letters[min(cut, len(g)):])
     for right in (h, multiply(s, invert(s, tail), h)):
-        expected = reduce(s, g.letters + right.letters)
+        expected = loop_reduce(s, g.letters + right.letters)
         out = list(g.letters)
         join_into(s, out, right.letters)
         assert Word(tuple(out)) == Word(_join(s, g.letters, right.letters)) == expected
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type and text of what it raises."""
+    try:
+        return "returns", fn(*args)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+def _bad_letters(s, side):
+    """Letters on or near ``side`` that no normal form holds."""
+    factor = s.factor(side)
+    size = factor.size if factor.is_finite else 7
+    return [
+        (side, True), (side, False), (side, 1.0), (side, factor.identity),
+        (side, -1), (side, size), ("C", 1), ("AB", 1), ("", 1), (1, 1),
+        [side, 1], (side,), (side, 1, 2),
+    ]
+
+
+def _adversarial_letters(s, draw):
+    letters = list(_raw_letters(s, draw, 10))
+    if draw(st.booleans()):
+        letters = list(loop_reduce(s, letters))
+    for _ in range(draw(st.integers(0, 2)) if letters else 0):
+        bad = draw(st.sampled_from(_bad_letters(s, draw(st.sampled_from([A, B])))))
+        letters[draw(st.integers(0, len(letters) - 1))] = bad
+    return letters
+
+
+@st.composite
+def adversarial_words(draw):
+    """A splitting and two lists of letters that may break any rule of a
+    normal form: a raw or normal word of up to 10 letters, with up to two
+    letters replaced by ``True``, ``1.0``, an identity, an element out of
+    range, an unknown or multi-character side, or a letter that is no pair."""
+    s = draw(st.sampled_from(SPLITTINGS + [SHIFTED]))
+    return s, _adversarial_letters(s, draw), _adversarial_letters(s, draw)
+
+
+CONTAINERS = {"tuple": tuple, "word": Word, "list": list, "generator": iter}
+
+
+@settings(max_examples=400)
+@given(adversarial_words(), st.sampled_from(sorted(CONTAINERS)))
+def test_normal_form_checks_agree_with_the_letter_loops(case, kind):
+    """``reduce``, ``validate_word`` and ``multiply`` return what the loops
+    return, or raise what they raise, on raw words, normal words and
+    adversarial letters, in any container; ``validate_word`` returns its
+    argument itself."""
+    s, letters, more = case
+    wrap = CONTAINERS[kind]
+    got = outcome(reduce, s, wrap(letters))
+    assert got == outcome(loop_reduce, s, wrap(letters))
+    if got[0] == "returns":
+        assert type(got[1]) is Word and all(type(letter) is tuple for letter in got[1])
+    g = wrap(letters)
+    expected = outcome(loop_validate_word, s, wrap(letters))
+    got = outcome(validate_word, s, g)
+    if expected[0] == "raises":
+        assert got == expected
+    else:
+        assert got[0] == "returns" and got[1] is g
+    if kind != "generator":
+        expected = outcome(full_reduce_multiply, s, wrap(letters), wrap(more))
+        assert outcome(multiply, s, wrap(letters), wrap(more)) == expected
+
+
+@pytest.mark.parametrize("s", SPLITTINGS + [SHIFTED])
+def test_each_bad_letter_in_a_normal_word_takes_the_loop(s):
+    g = loop_reduce(s, [(A, 2), (B, 2), (A, 2), (B, 2)])
+    for i in range(len(g)):
+        for bad in _bad_letters(s, g[i][0]):
+            word = g[:i] + (bad,) + g[i + 1 :]
+            assert outcome(reduce, s, word) == outcome(loop_reduce, s, word)
+            assert outcome(validate_word, s, word)[1:] == outcome(loop_validate_word, s, word)[1:]
+
+
+def test_a_normal_tuple_comes_back_as_itself():
+    g = Word(((A, 2), (B, -1), (A, 1)))
+    assert reduce(ZXZ, g) is g and validate_word(ZXZ, g) is g
+    assert type(reduce(ZXZ, g.letters)) is Word
+
+
+def test_the_identity_of_a_table_is_its_identity_index_not_0():
+    g = Word(((A, 0), (B, 1), (A, 2)))
+    assert reduce(SHIFTED, g) is g and validate_word(SHIFTED, g) is g
+    raw = Word(((A, 1), (B, 1), (A, 2)))
+    assert reduce(SHIFTED, raw) == loop_reduce(SHIFTED, raw) == Word(((B, 1), (A, 2)))
+    with pytest.raises(ValueError, match="identity letter"):
+        validate_word(SHIFTED, raw)
 
 
 def raises_value_error(fn, *args):
