@@ -104,7 +104,7 @@ def twist(s: Splitting, n: int) -> Endo:
 
 def inner(s: Splitting, h: Word) -> Endo:
     """Conjugation x -> h^-1 x h."""
-    h_inv = invert(s, h)
+    h_inv = invert(s, reduce(s, h))
     return Endo(
         s,
         conjugate(s, h_inv, Word(((A, 1),))),

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
 
@@ -176,7 +176,8 @@ class SplitMap:
 
     ``codomain`` names the attribute that the map and both factor maps must
     share, if any: the module action or the target group.  ``letter_memo``
-    maps each distinct letter evaluated to its ``letter_value``.
+    maps each distinct letter evaluated to its ``letter_value``, and
+    ``junction_memo`` each letter pair that met to its size (see ``meet``).
     """
 
     codomain: Optional[str] = None
@@ -189,6 +190,7 @@ class SplitMap:
             if self.codomain and getattr(q, self.codomain) is not getattr(self, self.codomain):
                 raise ValueError(f"factor maps must share the {self.codomain}")
         object.__setattr__(self, "letter_memo", {})
+        object.__setattr__(self, "junction_memo", {})
 
     def factor_map(self, side: str):
         on_a, on_b = self.factor_maps
@@ -216,18 +218,27 @@ class SplitMap:
             self.letter(letter)
         return self.meet(g, h)
 
-    def meet(self, g: Word, h: Word) -> tuple[int, int]:
-        """The coboundary of normal forms g and h as (s, t), that is s / t, read
-        where they meet; letters away from there are not read.  Letter pairs
-        that cancel add nothing, as factor maps are alternating; the first
-        merge, of u and v into w, gives ``merge(u, v, w)``, and none gives
-        (0, 1).  Sides alternate: if the first pair shares a side, all do."""
+    def meet(self, g: Sequence[Letter], h: Sequence[Letter]) -> tuple[int, int]:
+        """The coboundary of normal forms g and h (``Word``s or letter lists)
+        as (s, t), that is s / t, read where they meet; letters away from there
+        are not read.  Letter pairs that cancel add nothing, as factor maps are
+        alternating; the first merge, of u and v into w, gives ``merge(u, v,
+        w)``, and none gives (0, 1).  Sides alternate: if the first pair shares
+        a side, all do.  Each pair (u, v) is read from ``junction_memo``, which
+        holds ``()`` for a pair that cancels and its ``merge`` otherwise: one
+        entry per distinct letter pair that met, so at most |A|^2 + |B|^2 on
+        finite factors, and on Z as many as the distinct exponent pairs drawn."""
         if g and h and g[-1][0] == h[0][0]:
-            for u, v in zip(reversed(g), h):
-                factor = self.splitting.factor(u[0])
-                x = factor.mul(u[1], v[1])
-                if not factor.is_identity(x):
-                    return self.merge(u, v, (u[0], x))
+            memo = self.junction_memo
+            for pair in zip(reversed(g), h):
+                size = memo.get(pair)
+                if size is None:
+                    u, v = pair
+                    factor = self.splitting.factor(u[0])
+                    x = factor.mul(u[1], v[1])
+                    size = memo[pair] = () if factor.is_identity(x) else self.merge(u, v, (u[0], x))
+                if size:
+                    return size
         return 0, 1
 
     @cached_property
@@ -313,15 +324,21 @@ def _join(s: Splitting, g: tuple[Letter, ...], h: tuple[Letter, ...]) -> tuple[L
             return g[: n - i] + h[i:]
 
 
-def invert(s: Splitting, g: Word) -> Word:
+def _invert(s: Splitting, g: tuple[Letter, ...]) -> Word:
+    """g^-1 for a normal form g, letter by letter; no letter is checked."""
     return Word([(side, s.factor(side).inv(x)) for side, x in reversed(g)])
+
+
+def invert(s: Splitting, g: Word) -> Word:
+    """g^-1; ValueError unless g is a normal form (see ``validate_word``)."""
+    return _invert(s, validate_word(s, g))
 
 
 def _power(s: Splitting, g: Word, n: int) -> Word:
     """g^n for a normal form g: square and multiply, joining at junctions."""
     # Not groups.power_by_squaring: a partial of _join as its mul slowed long-words.
     if n < 0:
-        g, n = invert(s, g), -n
+        g, n = _invert(s, g), -n
     acc, sq = (), g
     while n:
         if n & 1:
@@ -342,7 +359,7 @@ def conjugate(s: Splitting, h: Word, g: Word) -> Word:
     h = reduce(s, h)
     out = list(h)
     join_into(s, out, reduce(s, g))
-    join_into(s, out, invert(s, h))
+    join_into(s, out, _invert(s, h))
     return Word(out)
 
 
@@ -470,8 +487,10 @@ def word_sampler(
     always gave.  Both bounds must be ints >= 1 (not bools), checked before
     any draw.  A ``Random`` subclass that supplies ``random()`` but not
     ``getrandbits`` is not stream-compatible: its own ``randrange`` draws
-    from ``random()``.  ``sample.splitting`` is ``s``, of which every word
-    is a normal form, as ``sampled_defect`` trusts.
+    from ``random()``.  ``sample.draw`` is that loop: it returns a word's
+    letters as a plain list, and ``sample()`` is ``Word(sample.draw())``.
+    ``sample.splitting`` is ``s``, of which every word is a normal form, as
+    ``sampled_defect`` trusts.
     """
     for bound in (length_bound, exponent_bound):
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
@@ -492,7 +511,7 @@ def word_sampler(
     getrandbits, uniform, top = rng.getrandbits, rng.random, length_bound + 1
     k = top.bit_length()
 
-    def sample() -> Word:
+    def draw() -> list[Letter]:
         length = getrandbits(k)
         while length >= top:
             length = getrandbits(k)
@@ -507,9 +526,12 @@ def word_sampler(
                 out.append((side, r + 1))
             else:
                 out.append((side, -r - 1))
-        return Word(out)
+        return out
 
-    sample.splitting = s
+    def sample() -> Word:
+        return Word(draw())
+
+    sample.draw, sample.splitting = draw, s
     return sample
 
 

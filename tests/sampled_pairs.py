@@ -6,7 +6,7 @@ every letter of a sampled pair checked before the pair is sized."""
 import random
 from unittest import mock
 
-from splitqm.qrep import SplitQRep, eval_qrep
+from splitqm.qrep import SplitHom, SplitQRep, eval_qrep
 from splitqm.quasicocycles import SplitQC, qc_coboundary
 from splitqm.quasimorphisms import junction_pairs, sampled_defect
 from splitqm.words import SplitMap, Word, invert, multiply, word_sampler
@@ -15,11 +15,12 @@ from splitqm.words import SplitMap, Word, invert, multiply, word_sampler
 def whole_word_size(f, g, h):
     """|f(g) + f(h) - f(gh)| for a split quasimorphism, the norm of
     f(g) + g.f(h) - f(gh) for a split quasicocycle, d(mu(g)mu(h), mu(gh))
-    for a quasi-representation, with gh reduced by ``multiply``."""
+    for a quasi-representation or homomorphism, with gh reduced by
+    ``multiply``."""
     if isinstance(f, SplitQC):
         return f.action.norm(qc_coboundary(f, g, h))
     gh = multiply(f.splitting, g, h)
-    if isinstance(f, SplitQRep):
+    if isinstance(f, (SplitQRep, SplitHom)):
         t = f.target
         return t.dist(t.mul(eval_qrep(f, g), eval_qrep(f, h)), eval_qrep(f, gh))
     return abs(f(g) + f(h) - f(gh))
@@ -36,6 +37,31 @@ def cancelling_pairs(s, seed, count):
             h = multiply(s, invert(s, Word(g.letters[k % len(g) :])), h)
         pairs.append((g, h))
     return pairs
+
+
+def merging_letters(s, g, h):
+    """The letters where g and h first merge, as one-letter words, or None
+    when no pair merges: gh loses the letters that cancel, in pairs, and
+    one more when a pair merges into one letter."""
+    lost = len(g) + len(h) - len(multiply(s, g, h))
+    return (Word((g[-1 - lost // 2],)), Word((h[lost // 2],))) if lost % 2 else None
+
+
+def check_junction_memo_reads_what_the_walk_gives(f, seed):
+    """``f.meet`` sizes each of ``cancelling_pairs`` as the whole words of
+    its merging letters, on a cold ``junction_memo`` and again on the warm
+    one; where the action is isometric (always, off quasicocycles) that is
+    also the size of the whole pair."""
+    s = f.splitting
+    pairs = cancelling_pairs(s, seed, 40)
+    merging = [merging_letters(s, g, h) for g, h in pairs]
+    expected = [whole_word_size(f, *letters) if letters else 0 for letters in merging]
+    if getattr(getattr(f, "action", None), "is_isometry", True):
+        assert expected == [whole_word_size(f, g, h) for g, h in pairs]
+    f.junction_memo.clear()
+    for _ in range(2):
+        assert [abs(f.size_value(*f.meet(g, h))) for g, h in pairs] == expected
+    assert f.junction_memo
 
 
 def check_joins_as_multiply_does(f, seed, sampled=sampled_defect):

@@ -38,7 +38,12 @@ from splitqm.words import (
     word_sampler,
 )
 
-from sampled_pairs import check_joins_as_multiply_does, check_marked_sampler_meets_as_the_checked_path, whole_word_size
+from sampled_pairs import (
+    check_joins_as_multiply_does,
+    check_junction_memo_reads_what_the_walk_gives,
+    check_marked_sampler_meets_as_the_checked_path,
+    whole_word_size,
+)
 
 C2 = CyclicGroup(2)
 C3 = CyclicGroup(3)
@@ -213,6 +218,8 @@ def test_a_split_hom_sizes_every_pair_zero():
             for y in range(1, group.n):
                 assert h.junction(Word(((side, x),)), Word(((side, y),))) == (0, 1)
     assert sampled_defect(h, word_sampler(s, 4, 4, 1), 50) == 0
+    for seed in (1, 2):
+        check_junction_memo_reads_what_the_walk_gives(h, seed)
 
 
 def test_a_split_hom_has_defect_zero_and_no_junction_pair():
@@ -597,3 +604,9 @@ def test_circle_qrep_is_exact_in_turns():
     assert report.word == Word(((A, -1),)) and report.distance == delta
     with pytest.raises(ValueError):
         nontriviality_witness(mu, rho, eps=Fraction(1, 4) - Fraction(1, 10**12))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(split_qreps(), s3_qreps()), st.integers(0, 2**32 - 1))
+def test_the_junction_memo_reads_what_the_walk_gives(mu, seed):
+    check_junction_memo_reads_what_the_walk_gives(mu, seed)

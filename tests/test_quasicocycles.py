@@ -37,7 +37,11 @@ from splitqm.words import (
     A, B, IDENTITY, Splitting, Word, _join, invert, multiply, parse_word, random_word, reduce,
 )
 
-from sampled_pairs import check_joins_as_multiply_does, check_marked_sampler_meets_as_the_checked_path
+from sampled_pairs import (
+    check_joins_as_multiply_does,
+    check_junction_memo_reads_what_the_walk_gives,
+    check_marked_sampler_meets_as_the_checked_path,
+)
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
 
@@ -386,6 +390,22 @@ def test_marked_sampler_pairs_meet_as_the_checked_path_sizes_them(make, depth, s
     rep = make()
     xi = rep.vector((1, -2, 0)) if isinstance(rep, FiniteDimRep) else rep.indicator(parse_word(ZXZ, "b"))
     check_marked_sampler_meets_as_the_checked_path(staircase_cocycle(rep, xi, depth)[1], seed, count)
+
+
+@pytest.mark.parametrize(
+    "make, isometric",
+    [(lambda: RegularRep(ZXZ, 1), True), (lambda: FiniteDimRep(ZXZ, *CRITERION_9_DIM3), False)],
+    ids=["regular-l1", "criterion-9-unipotent"],
+)
+def test_the_junction_memo_reads_what_the_walk_gives(make, isometric):
+    # Criterion 9's depth-6 staircase; off an isometry the size of a pair is
+    # the size of its merging letters, not of the whole words.
+    rep = make()
+    xi = rep.vector((1, 0, 0)) if isinstance(rep, FiniteDimRep) else rep.indicator(IDENTITY)
+    f = staircase_cocycle(rep, xi, depth=6)[1]
+    assert f.action.is_isometry is isometric
+    for seed in (5, 6):
+        check_junction_memo_reads_what_the_walk_gives(f, seed)
 
 
 def fraction_letter_sum(m, g, value):

@@ -38,7 +38,11 @@ from splitqm.words import (
     word_sampler,
 )
 
-from sampled_pairs import check_joins_as_multiply_does, check_marked_sampler_meets_as_the_checked_path
+from sampled_pairs import (
+    check_joins_as_multiply_does,
+    check_junction_memo_reads_what_the_walk_gives,
+    check_marked_sampler_meets_as_the_checked_path,
+)
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
 C5XC6 = Splitting(CyclicGroup(5), CyclicGroup(6))
@@ -422,6 +426,19 @@ def sampled_path_qms(draw):
 @given(sampled_path_qms(), st.integers(0, 2**32 - 1), st.integers(0, 200))
 def test_marked_sampler_pairs_meet_as_the_checked_path_sizes_them(f, seed, count):
     check_marked_sampler_meets_as_the_checked_path(f, seed, count)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 200))
+def test_marked_sampler_pairs_meet_several_letters_deep_on_z2_z3(seed, count):
+    # Z/2 letters always cancel, so junctions walk past them to a Z/3 pair.
+    check_marked_sampler_meets_as_the_checked_path(rademacher(), seed, count, bounds=(7, 1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(all_split_qms(), st.integers(0, 2**32 - 1))
+def test_the_junction_memo_reads_what_the_walk_gives(f, seed):
+    check_junction_memo_reads_what_the_walk_gives(f, seed)
 
 
 def test_a_sampler_of_another_splitting_takes_the_checked_path():

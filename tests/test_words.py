@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitqm.groups import CyclicGroup, FiniteTableGroup, IntegerGroup
+from splitqm.quasimorphisms import FactorQM, SplitQM, sampled_defect
 from splitqm.words import (
     A,
     B,
@@ -138,7 +139,7 @@ def full_reduce_multiply(s, g, h):
 def full_reduce_power(s, g, n):
     """g^n by square-and-multiply over ``full_reduce_multiply``."""
     if n < 0:
-        g, n = invert(s, g), -n
+        g, n = invert(s, loop_reduce(s, g)), -n
     acc, sq = IDENTITY, g
     while n:
         if n & 1:
@@ -149,7 +150,7 @@ def full_reduce_power(s, g, n):
 
 
 def full_reduce_conjugate(s, h, g):
-    return full_reduce_multiply(s, full_reduce_multiply(s, h, g), invert(s, h))
+    return full_reduce_multiply(s, full_reduce_multiply(s, h, g), invert(s, loop_reduce(s, h)))
 
 
 def full_reduce_cyclically_reduce(s, g):
@@ -206,6 +207,20 @@ def test_inverse_cancels(case):
     assert invert(s, invert(s, g)) == g
 
 
+@pytest.mark.parametrize(
+    "s, letter",
+    [(ZXZ, (A, True)), (ZXZ, (A, 1.5)), (C5XC6, (A, 7)), (C5XC6, (A, 0))],
+    ids=["True", "1.5", "out-of-range", "identity"],
+)
+def test_invert_rejects_the_letters_validate_word_rejects(s, letter):
+    g = Word((letter,))
+    with pytest.raises(ValueError) as expected:
+        validate_word(s, g)
+    with pytest.raises(ValueError) as raised:
+        invert(s, g)
+    assert str(raised.value) == str(expected.value)
+
+
 @given(splitting_and_words(count=3, max_len=6))
 def test_multiplication_is_associative(case):
     s, g, h, k = case
@@ -216,7 +231,7 @@ def test_multiplication_is_associative(case):
 @given(splitting_and_words(max_len=5, raw=True), st.integers(-6, 6))
 def test_power_matches_repeated_multiplication(case, n):
     s, g = case
-    base = g if n >= 0 else invert(s, g)
+    base = g if n >= 0 else invert(s, loop_reduce(s, g))
     expected = IDENTITY
     for _ in range(abs(n)):
         expected = multiply(s, expected, base)
@@ -576,9 +591,10 @@ class RecordingRandom(random.Random):
         return super().random()
 
 
-@pytest.mark.parametrize("s", [ZXZ, C5XC6, Z2XZ], ids=["ZxZ", "Z5xZ6", "Z2xZ"])
+@pytest.mark.parametrize("s", [ZXZ, C5XC6, Z2XZ, S3XZ], ids=["ZxZ", "Z5xZ6", "Z2xZ", "S3xZ"])
 @pytest.mark.parametrize("bounds", [(3, 2), (4, 4), (7, 2**31 + 1)])
 def test_word_sampler_makes_the_oracles_getrandbits_calls(s, bounds):
+    f = SplitQM(s, FactorQM(s.A), FactorQM(s.B))
     for seed in range(20):
         old, new = RecordingRandom(seed), RecordingRandom(seed)
         expected = [oracle_random_word(s, *bounds, old) for _ in range(20)]
@@ -587,6 +603,15 @@ def test_word_sampler_makes_the_oracles_getrandbits_calls(s, bounds):
         # Same calls with the same k, draw for draw, and the log saw them.
         assert new.calls == old.calls
         assert any(k != "random" for k in new.calls)
+        # sampled_defect draws each pair of a marked sampler as two letter
+        # lists (sample.draw) and sizes only some: the same calls as 2 * 25
+        # oracle words, and the stream after them agrees.
+        old, new = RecordingRandom(seed), RecordingRandom(seed)
+        for _ in range(2 * 25):
+            oracle_random_word(s, *bounds, old)
+        sampled_defect(f, word_sampler(s, *bounds, new), 25)
+        assert new.calls == old.calls
+        assert new.random() == old.random()
 
 
 @pytest.mark.parametrize(
