@@ -22,9 +22,9 @@ from .words import (
     Letter,
     Splitting,
     Word,
+    _invert,
     _power,
     conjugate,
-    invert,
     join_into,
     memo_letter,
     power,
@@ -104,7 +104,7 @@ def twist(s: Splitting, n: int) -> Endo:
 
 def inner(s: Splitting, h: Word) -> Endo:
     """Conjugation x -> h^-1 x h."""
-    h_inv = invert(s, reduce(s, h))
+    h_inv = _invert(s, reduce(s, h))
     return Endo(
         s,
         conjugate(s, h_inv, Word(((A, 1),))),

@@ -319,22 +319,19 @@ def sampled_defect(
     one-letter words (see ``junction_pairs``), where (s, t) is the pair's
     coboundary read where it meets, compared exactly and returned as
     ``f.size_value``; never exceeds the exact defect.  All words must be
-    normal forms.  A ``word_sampler`` of ``f.splitting`` is marked: its pairs
-    are drawn as letter lists (``sample.draw``) and go to ``SplitMap.meet``
-    only where their sides agree, since a pair whose sides differ where they
-    meet has size (0, 1).  All other pairs go through ``SplitMap.junction``,
-    which checks every letter: one outside the factors raises ValueError."""
+    normal forms.  The pairs of a ``word_sampler`` of ``f.splitting`` are drawn
+    as letter lists (``sample.draw``) and go through ``SplitMap.meet``, all
+    others through ``SplitMap.junction``, which checks every letter: one
+    outside the factors raises ValueError."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ValueError(f"count must be an int >= 0, not {count!r}")
     marked = getattr(sampler, "splitting", None) == f.splitting
     draw, size = (sampler.draw, f.meet) if marked else (sampler, f.junction)
     best_s, best_t = 0, 1
     for _ in range(count):
-        g, h = draw(), draw()
-        if not marked or g and h and g[-1][0] == h[0][0]:
-            value, t = size(g, h)
-            if abs(value) * best_t > best_s * t:
-                best_s, best_t = abs(value), t
+        value, t = size(draw(), draw())
+        if abs(value) * best_t > best_s * t:
+            best_s, best_t = abs(value), t
     for g, h in extra_pairs:
         value, t = f.junction(g, h)
         if abs(value) * best_t > best_s * t:

@@ -176,8 +176,7 @@ class SplitMap:
 
     ``codomain`` names the attribute that the map and both factor maps must
     share, if any: the module action or the target group.  ``letter_memo``
-    maps each distinct letter evaluated to its ``letter_value``, and
-    ``junction_memo`` each letter pair that met to its size (see ``meet``).
+    maps each distinct letter evaluated to its ``letter_value``.
     """
 
     codomain: Optional[str] = None
@@ -190,7 +189,6 @@ class SplitMap:
             if self.codomain and getattr(q, self.codomain) is not getattr(self, self.codomain):
                 raise ValueError(f"factor maps must share the {self.codomain}")
         object.__setattr__(self, "letter_memo", {})
-        object.__setattr__(self, "junction_memo", {})
 
     def factor_map(self, side: str):
         on_a, on_b = self.factor_maps
@@ -224,21 +222,13 @@ class SplitMap:
         are not read.  Letter pairs that cancel add nothing, as factor maps are
         alternating; the first merge, of u and v into w, gives ``merge(u, v,
         w)``, and none gives (0, 1).  Sides alternate: if the first pair shares
-        a side, all do.  Each pair (u, v) is read from ``junction_memo``, which
-        holds ``()`` for a pair that cancels and its ``merge`` otherwise: one
-        entry per distinct letter pair that met, so at most |A|^2 + |B|^2 on
-        finite factors, and on Z as many as the distinct exponent pairs drawn."""
+        a side, all do."""
         if g and h and g[-1][0] == h[0][0]:
-            memo = self.junction_memo
-            for pair in zip(reversed(g), h):
-                size = memo.get(pair)
-                if size is None:
-                    u, v = pair
-                    factor = self.splitting.factor(u[0])
-                    x = factor.mul(u[1], v[1])
-                    size = memo[pair] = () if factor.is_identity(x) else self.merge(u, v, (u[0], x))
-                if size:
-                    return size
+            for u, v in zip(reversed(g), h):
+                factor = self.splitting.factor(u[0])
+                x = factor.mul(u[1], v[1])
+                if not factor.is_identity(x):
+                    return self.merge(u, v, (u[0], x))
         return 0, 1
 
     @cached_property

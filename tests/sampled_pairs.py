@@ -47,21 +47,19 @@ def merging_letters(s, g, h):
     return (Word((g[-1 - lost // 2],)), Word((h[lost // 2],))) if lost % 2 else None
 
 
-def check_junction_memo_reads_what_the_walk_gives(f, seed):
-    """``f.meet`` sizes each of ``cancelling_pairs`` as the whole words of
-    its merging letters, on a cold ``junction_memo`` and again on the warm
-    one; where the action is isometric (always, off quasicocycles) that is
-    also the size of the whole pair."""
+def check_meet_reads_what_the_walk_gives(f, seed):
+    """``f.meet`` sizes each of ``cancelling_pairs``, as ``Word``s and as the
+    letter lists ``sample.draw`` gives, as the whole words of its merging
+    letters; where the action is isometric (always, off quasicocycles) that
+    is also the size of the whole pair."""
     s = f.splitting
     pairs = cancelling_pairs(s, seed, 40)
     merging = [merging_letters(s, g, h) for g, h in pairs]
     expected = [whole_word_size(f, *letters) if letters else 0 for letters in merging]
     if getattr(getattr(f, "action", None), "is_isometry", True):
         assert expected == [whole_word_size(f, g, h) for g, h in pairs]
-    f.junction_memo.clear()
-    for _ in range(2):
-        assert [abs(f.size_value(*f.meet(g, h))) for g, h in pairs] == expected
-    assert f.junction_memo
+    for convert in (Word, list):
+        assert [abs(f.size_value(*f.meet(convert(g), convert(h)))) for g, h in pairs] == expected
 
 
 def check_joins_as_multiply_does(f, seed, sampled=sampled_defect):

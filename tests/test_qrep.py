@@ -40,8 +40,8 @@ from splitqm.words import (
 
 from sampled_pairs import (
     check_joins_as_multiply_does,
-    check_junction_memo_reads_what_the_walk_gives,
     check_marked_sampler_meets_as_the_checked_path,
+    check_meet_reads_what_the_walk_gives,
     whole_word_size,
 )
 
@@ -219,7 +219,7 @@ def test_a_split_hom_sizes_every_pair_zero():
                 assert h.junction(Word(((side, x),)), Word(((side, y),))) == (0, 1)
     assert sampled_defect(h, word_sampler(s, 4, 4, 1), 50) == 0
     for seed in (1, 2):
-        check_junction_memo_reads_what_the_walk_gives(h, seed)
+        check_meet_reads_what_the_walk_gives(h, seed)
 
 
 def test_a_split_hom_has_defect_zero_and_no_junction_pair():
@@ -608,5 +608,5 @@ def test_circle_qrep_is_exact_in_turns():
 
 @settings(deadline=None, max_examples=40)
 @given(st.one_of(split_qreps(), s3_qreps()), st.integers(0, 2**32 - 1))
-def test_the_junction_memo_reads_what_the_walk_gives(mu, seed):
-    check_junction_memo_reads_what_the_walk_gives(mu, seed)
+def test_meet_reads_what_the_walk_gives(mu, seed):
+    check_meet_reads_what_the_walk_gives(mu, seed)

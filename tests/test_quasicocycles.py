@@ -39,8 +39,8 @@ from splitqm.words import (
 
 from sampled_pairs import (
     check_joins_as_multiply_does,
-    check_junction_memo_reads_what_the_walk_gives,
     check_marked_sampler_meets_as_the_checked_path,
+    check_meet_reads_what_the_walk_gives,
 )
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
@@ -397,7 +397,7 @@ def test_marked_sampler_pairs_meet_as_the_checked_path_sizes_them(make, depth, s
     [(lambda: RegularRep(ZXZ, 1), True), (lambda: FiniteDimRep(ZXZ, *CRITERION_9_DIM3), False)],
     ids=["regular-l1", "criterion-9-unipotent"],
 )
-def test_the_junction_memo_reads_what_the_walk_gives(make, isometric):
+def test_meet_reads_what_the_walk_gives(make, isometric):
     # Criterion 9's depth-6 staircase; off an isometry the size of a pair is
     # the size of its merging letters, not of the whole words.
     rep = make()
@@ -405,7 +405,7 @@ def test_the_junction_memo_reads_what_the_walk_gives(make, isometric):
     f = staircase_cocycle(rep, xi, depth=6)[1]
     assert f.action.is_isometry is isometric
     for seed in (5, 6):
-        check_junction_memo_reads_what_the_walk_gives(f, seed)
+        check_meet_reads_what_the_walk_gives(f, seed)
 
 
 def fraction_letter_sum(m, g, value):

@@ -40,8 +40,8 @@ from splitqm.words import (
 
 from sampled_pairs import (
     check_joins_as_multiply_does,
-    check_junction_memo_reads_what_the_walk_gives,
     check_marked_sampler_meets_as_the_checked_path,
+    check_meet_reads_what_the_walk_gives,
 )
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
@@ -437,8 +437,8 @@ def test_marked_sampler_pairs_meet_several_letters_deep_on_z2_z3(seed, count):
 
 @settings(deadline=None, max_examples=40)
 @given(all_split_qms(), st.integers(0, 2**32 - 1))
-def test_the_junction_memo_reads_what_the_walk_gives(f, seed):
-    check_junction_memo_reads_what_the_walk_gives(f, seed)
+def test_meet_reads_what_the_walk_gives(f, seed):
+    check_meet_reads_what_the_walk_gives(f, seed)
 
 
 def test_a_sampler_of_another_splitting_takes_the_checked_path():
