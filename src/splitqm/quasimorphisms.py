@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .groups import (CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_window, designated_generator,
@@ -174,26 +175,43 @@ class FactorQM:
         return certified_window(self.support_radius, self.period_or_one) * scale
 
     def _pairs(self, scale: int = 1) -> Iterator[tuple[int, int, list[int], list[int]]]:
-        """The scan's rows, x in window order and y >= x (see
-        ``defect_witness``): (x, L*q(x), the numerators of the ys and of the
-        x*y), tabulated once with no element check on the window and its
-        products ([-2W, 2W] on Z): a slice on Z, a rotation on Z/n, the row
-        of the table on a table group.  A generator under this name, which
-        the benchmark's tracer hooks to count a scan's pairs."""
+        """The rows that can hold the scan's first maximal pair (see
+        ``defect_witness``), x in window order: (x, n(x), the n(y) of the
+        row's ys, the n(xy)), where n = L*q less its slope term, which
+        cancels in every coboundary.  On Z the rows are x in [-W, 0] with y
+        from x to floor(-x/2); on a finite factor they are the x with
+        x^-1 >= x, with y from x to the end.  The numerators are tabulated
+        once by list operations in C, with no element check: on Z, tiled
+        residues plus a sign block plus the finite entries over the products
+        and ys, [-2W, floor(W/2)]; on a finite factor, the finite part of
+        each element.  The x*y row is then a slice on Z, a rotation on Z/n
+        and the row of the table on a table group.  A generator under this
+        name, which the benchmark's tracer hooks to count a scan's pairs."""
         group = self.group
         radius = self.defect_window(scale)
-        num = list(map(self._numerator, group.window(2 * radius)))
+        _, finite, residues, sign = self._scaled_terms
         if isinstance(group, IntegerGroup):
-            for x in group.window(radius):
-                at = x + 2 * radius
-                yield x, num[at], num[at:3 * radius + 1], num[at + x:at + radius + 1]
-        elif isinstance(group, CyclicGroup):
+            lo, hi = -2 * radius, radius // 2
+            num = [-sign] * (2 * radius) + [0] + [sign] * hi
+            if residues:
+                period, size = len(residues), hi - lo + 1
+                start = lo % period
+                num = list(map(operator.add, num, (residues * (size // period + 2))[start:start + size]))
+            for k, v in finite.items():  # |k| <= M < W/2
+                num[k - lo] += v
+            for x in range(-radius, 1):
+                at, end = x - lo, (-x) // 2 - lo + 1
+                yield x, num[at], num[at:end], num[at + x:end + x]
+            return
+        num = list(map(finite.get, group.window(radius), repeat(0)))
+        if isinstance(group, CyclicGroup):
             doubled = num * 2
-            for x in group.window(radius):
+            for x in range(group.n // 2 + 1):  # x^-1 = n - x >= x
                 yield x, num[x], num[x:], doubled[2 * x:x + group.n]
         else:
-            for x in group.window(radius):
-                yield x, num[x], num[x:], list(map(num.__getitem__, group.table[x][x:]))
+            for x, inv_x in enumerate(group.inverse):
+                if inv_x >= x:
+                    yield x, num[x], num[x:], list(map(num.__getitem__, group.table[x][x:]))
 
     def coboundary(self, x: int, y: int) -> Fraction:
         num = self.numerator
@@ -203,11 +221,19 @@ class FactorQM:
         """(exact defect, first pair attaining it in x-then-y window order).
 
         Each row of ``_pairs`` is reduced in C: the max and min of its
-        L*q(y) - L*q(xy) give its largest |coboundary|, and only a row that
-        strictly beats the best so far is searched for its first y.  Rows
-        start at y = x, since a first maximal pair (x, y) has x <= y: (y, x)
-        on Z, by symmetry, and (y, (xy)^-1) on a finite factor, by
-        alternation, attain the same value a row earlier.
+        n(y) - n(xy) give its largest |coboundary|, and only a row that
+        strictly beats the best so far is searched for its first y.
+
+        ``_pairs`` visits only the pairs that come first among the
+        in-window members of their coboundary orbit, where the first
+        maximal pair lies.  By alternation, with z = (xy)^-1, the pairs
+        (x, y), (y, z), (z, x), (y^-1, x^-1), (x^-1, z^-1) and (z^-1, y^-1)
+        have one |coboundary|.  On a finite factor, whose window holds them
+        all, the first has x <= y and x <= x^-1.  On Z, where z = -(x+y),
+        every permutation of (x, y, z) and of its negation has it too, and
+        the first member is (a, b), the two least entries of (x, y, z) or
+        of (-x, -y, -z), whichever pair lies in the window and starts lower;
+        so a <= b <= -(a+b).
         """
         best, best_x, best_y = 0, self.group.identity, self.group.identity
         for x, nx, ys, xys in self._pairs(scale):

@@ -282,10 +282,14 @@ def criterion_4(rng: random.Random) -> str:
                 raise CriterionFailed(f"gap != 2*coboundary at {(x1, x2)}")
             pair_checks += 1
         report = gromov_norm(f)
-        if report.value != split_defect(f) or not report.witness_attains:
-            raise CriterionFailed("maximized witness misses 2*split_defect")
+        # The norm reads the certified scans; a window twice as wide must agree.
+        widened = max(f.fA.defect(2), f.fB.defect(2))
+        if report.value != widened:
+            raise CriterionFailed(f"norm {report.value} != {widened} on windows twice as wide")
+        if not report.witness_attains:
+            raise CriterionFailed("maximized witness misses 2*norm")
         sampler = word_sampler(f.splitting, 4, 4, rng)
-        bound = 2 * split_defect(f)
+        bound = 2 * report.value
         for _ in range(1000):
             g, h = sampler(), sampler()
             gap = abs(

@@ -8,6 +8,7 @@ stated tolerance.
 import pytest
 
 from splitqm import selftest
+from splitqm.quasimorphisms import FactorQM
 from splitqm.selftest import CRITERIA, DEFAULT_SEED, CriterionFailed, format_result, run_all, run_criterion
 
 _IDS = [f"{number:02d}-{name}" for number, name, _ in CRITERIA]
@@ -65,3 +66,18 @@ def test_run_all_is_lazy(monkeypatch):
     assert ran == []
     assert next(results).name == "first"
     assert ran == [1]
+
+
+def test_doubling_witness_criterion_compares_the_norm_with_a_wider_scan(monkeypatch):
+    # A window too narrow at scale 1 only, though it still holds the finite
+    # support: the norm and split_defect read the same narrow scans, and
+    # only the scans at scale 2 see past them.
+    window = FactorQM.defect_window
+
+    def narrow(q, scale=1):
+        return 2 * q.support_radius if scale == 1 else window(q, scale)
+
+    monkeypatch.setattr(FactorQM, "defect_window", narrow)
+    result = run_criterion(4, DEFAULT_SEED)
+    assert not result.passed
+    assert result.detail.endswith("on windows twice as wide")

@@ -1,5 +1,7 @@
 """Factor and split quasimorphisms: alternation, defects, witnesses."""
 
+import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -170,6 +172,55 @@ def fraction_defect_witness(q, scale=1):
     return best
 
 
+def triangle_rows(q, scale=1):
+    """Every row x of the window with y from x on, over numerators that keep
+    the slope term: the rows of the certified scan before it kept one pair
+    per coboundary orbit."""
+    group = q.group
+    radius = q.defect_window(scale)
+    num = list(map(q._numerator, group.window(2 * radius)))
+    if isinstance(group, IntegerGroup):
+        for x in group.window(radius):
+            at = x + 2 * radius
+            yield x, num[at], num[at:3 * radius + 1], num[at + x:at + radius + 1]
+    elif isinstance(group, CyclicGroup):
+        doubled = num * 2
+        for x in group.window(radius):
+            yield x, num[x], num[x:], doubled[2 * x:x + group.n]
+    else:
+        for x in group.window(radius):
+            yield x, num[x], num[x:], list(map(num.__getitem__, group.table[x][x:]))
+
+
+def triangle_defect_witness(q, scale=1):
+    """The first strict maximum over ``triangle_rows``, each row reduced as
+    ``FactorQM.defect_witness`` reduces its own."""
+    best, best_x, best_y = 0, q.group.identity, q.group.identity
+    for x, nx, ys, xys in triangle_rows(q, scale):
+        row = list(map(operator.sub, ys, xys))
+        high, low = max(row), min(row)
+        value = max(nx + high, -nx - low)
+        if value > best:
+            index = min(row.index(d) for d in (value - nx, -value - nx) if d in (high, low))
+            best, best_x, best_y = value, x, x + index
+    return Fraction(best, q.denominator), best_x, best_y
+
+
+def integer_orbit(x, y):
+    """The 12 pairs of Z with the |coboundary| of (x, y): the permutations of
+    (x, y, -(x+y)) and their negations."""
+    return {p for a, b, _ in itertools.permutations((x, y, -(x + y))) for p in ((a, b), (-a, -b))}
+
+
+def scanned_pairs(q, scale=1):
+    """The pairs in the rows of ``q._pairs``, in scan order."""
+    pairs = []
+    for x, _, ys, xys in q._pairs(scale):
+        assert len(ys) == len(xys)
+        pairs.extend((x, x + i) for i in range(len(ys)))
+    return pairs
+
+
 def fraction_factor_value(q, x):
     """slope*x + finite part + residue + sign term, in Fractions."""
     value = q.finite_part.get(x, Fraction(0))
@@ -305,9 +356,91 @@ def test_defect_witness_matches_the_fraction_scan(case):
     )
 )
 def test_row_scan_matches_the_pair_loop(case):
-    # The rows start at y = x on every factor; the oracle scans all pairs.
+    # The scan keeps one pair per coboundary orbit; the oracles scan every
+    # row of the y >= x triangle and every pair.
     q, scale = case
-    assert q.defect_witness(scale) == fraction_defect_witness(q, scale)
+    assert q.defect_witness(scale) == triangle_defect_witness(q, scale) == fraction_defect_witness(q, scale)
+
+
+@pytest.mark.parametrize(
+    "q, expected, shape",
+    [
+        # Found by a seeded search of random maps against the triangle rows.
+        (
+            FactorQM(
+                ZXZ.A,
+                finite_part={1: -1, -1: 1, 3: 1, -3: -1},
+                period=5,
+                residues=(0, Fraction(1, 2), 0, 0, Fraction(-1, 2)),
+                sign_coeff=Fraction(-3, 2),
+            ),
+            (3, -3, 1),
+            "at the row's last y",
+        ),
+        (FactorQM(ZXZ.A, slope=-2, period=3, residues=(0, -1, 1), sign_coeff=1), (4, -10, 2), "in row -W"),
+        (FactorQM(ZXZ.A, finite_part={3: -1, -3: 1, 4: 1, -4: -1}, sign_coeff=-1), (3, -6, 3), "tied with another orbit"),
+        (FactorQM(ZXZ.A, slope=-1, sign_coeff=1), (1, -6, -6), "with its product off the window"),
+    ],
+)
+def test_pinned_integer_witnesses_match_the_triangle_rows(q, expected, shape):
+    value, x, y = expected
+    radius = q.defect_window()
+    orbits = {frozenset(integer_orbit(a, b)) for a, b in fraction_pairs(q) if abs(q.coboundary(a, b)) == value}
+    shapes = {
+        "at the row's last y": x < y == (-x) // 2,
+        "in row -W": x == -radius < y,
+        "tied with another orbit": len(orbits) > 1,
+        "with its product off the window": x + y < -radius,
+    }
+    assert shapes[shape]
+    assert q.defect_witness() == triangle_defect_witness(q) == fraction_defect_witness(q) == expected
+
+
+@pytest.mark.parametrize(
+    "q, scale",
+    [
+        (FactorQM(ZXZ.A), 1),
+        (FactorQM(ZXZ.A), 2),
+        (FactorQM(ZXZ.A), 3),
+        (
+            FactorQM(
+                ZXZ.A,
+                slope=Fraction(-1, 2),
+                finite_part={3: 1, -3: -1},
+                period=5,
+                residues=(0, 1, -2, 2, -1),
+                sign_coeff=Fraction(1, 3),
+            ),
+            1,
+        ),
+        (FactorQM(ZXZ.A, period=4, residues=(0, 1, 0, -1)), 3),
+    ],
+)
+def test_integer_rows_hold_one_ordered_member_of_every_orbit(q, scale):
+    radius = q.defect_window(scale)
+    pairs = scanned_pairs(q, scale)
+    assert all(x <= y <= -(x + y) for x, y in pairs)
+    visited = set(pairs)
+    assert len(visited) == len(pairs)
+    window = range(-radius, radius + 1)
+    assert all(integer_orbit(x, y) & visited for x in window for y in window)
+    # The numerators are L*q less the slope term, which cancels in every coboundary.
+    slope = int(q.slope * q.denominator)
+    for x, nx, ys, xys in q._pairs(scale):
+        assert nx == q.numerator(x) - slope * x
+        for y, ny, nxy in zip(itertools.count(x), ys, xys):
+            assert (ny, nxy) == (q.numerator(y) - slope * y, q.numerator(x + y) - slope * (x + y))
+
+
+@given(st.sampled_from([CyclicGroup(n) for n in (2, 3, 7, 8, 40)] + DIHEDRAL + [Q8, S3]).flatmap(finite_qms))
+def test_finite_rows_skip_every_x_after_its_inverse(q):
+    group = q.group
+    rows = list(q._pairs())
+    assert [x for x, *_ in rows] == [x for x in group.elements() if group.inv(x) >= x]
+    for x, nx, ys, xys in rows:
+        assert nx == q.numerator(x)
+        assert ys == [q.numerator(y) for y in range(x, group.size)]
+        assert xys == [q.numerator(group.mul(x, y)) for y in range(x, group.size)]
 
 
 @pytest.mark.parametrize(
