@@ -181,9 +181,9 @@ class FactorQRMap(FactorTableMap):
 
     Missing elements map to the target identity, so integer-factor maps are
     the identity off their finite support; alternation forces
-    mu(x^-1) = mu(x)^-1.  The metric is bi-invariant, so the scan may use
-    the orbit rule of ``FactorTableMap.defect_witness``, and a pair whose
-    only table entry is at y has the size of that value too.
+    mu(x^-1) = mu(x)^-1.  The metric is bi-invariant, so the orbit rule of
+    ``FactorTableMap.defect_witness`` holds, and a pair whose only table
+    entry is at y has the size of that value too.
     """
 
     is_isometry = True

@@ -106,9 +106,9 @@ class ModuleAction(ABC):
     """A linear action of the free product on a coefficient space.
 
     ``is_isometry``, fixed at construction, says whether every group element
-    keeps the norm that ``sum_size`` measures.  The defect rule, the junction
-    size (``SplitMap.merge``) and the orbit rule of the certified scan
-    (``FactorTableMap.defect_witness``) hold only then.
+    keeps the norm that ``sum_size`` measures.  Pair sizes (``SplitMap.merge``,
+    ``FactorTableMap.defect_witness``) hold only then, and raise ValueError
+    on any other action; evaluation works on every action.
     """
 
     splitting: Splitting
@@ -395,9 +395,8 @@ class FactorTableMap(ABC):
 
     Values may be given on any set of elements; the inverse of each support
     element receives the value alternation forces, and inconsistent explicit
-    pairs are rejected, an explicit trivial value included.  A table is a
-    factor quasimorphism's finite part with period 1, so its defect is
-    certified by ``certified_window``.
+    pairs are rejected, an explicit trivial value included.  The defect is
+    certified over the support alone; ``certified_window`` orders witnesses.
 
     Subclasses supply the target: ``trivial()`` (the zero vector or the
     identity), ``forced_inverse(inv_x, v)`` (the value at inv_x when its
@@ -405,11 +404,11 @@ class FactorTableMap(ABC):
     ``pair_sizer()``, ``value_sizes()`` and ``size_value``, which give the
     size of a pair (how far it is from the cocycle or homomorphism identity)
     exactly as (s, t), ordered by s / t.  ``is_isometry`` says whether the
-    target is a bi-invariant metric or an isometric action, as the orbit
-    rule of ``defect_witness`` needs.
+    target is a bi-invariant metric or an isometric action: pair sizes and
+    the defect hold only then, so ``pair_sizer`` refuses any other target.
     """
 
-    is_isometry = False
+    is_isometry: bool
 
     def __init__(self, side: str, group: FactorGroup, values: Mapping):
         self.side = side
@@ -444,12 +443,12 @@ class FactorTableMap(ABC):
     @abstractmethod
     def pair_sizer(self) -> Callable[[int, int, int], Size]:
         """A function from (x, y, xy) to the size of the pair (x, y) as (s, t)
-        with t > 0; ``size_value(s, t)`` is that size as a number."""
+        with t > 0, ``size_value(s, t)`` as a number; ValueError unless ``is_isometry``."""
 
     @abstractmethod
     def value_sizes(self) -> dict[int, Size]:
         """The size of each table value alone, as (s, t): the size of a pair
-        whose only table entry is at x or at xy."""
+        whose only table entry is that value."""
 
     @abstractmethod
     def size_value(self, s: int, t: int) -> Union[Fraction, float]: ...
@@ -473,67 +472,57 @@ class FactorTableMap(ABC):
         return certified_window(self.support_radius)
 
     def defect_witness(self) -> tuple[Union[Fraction, float], int, int]:
-        """(defect, first pair attaining it in x-outer, y-inner window order).
-
-        Row x visits the y in the support T and in x^-1 T, in window order:
-        any other pair has no entry, so a trivial coboundary, or only f(x),
-        and then only its row's first such pair can be a first strict
-        maximum.  A pair whose only entry is at x or at xy (at y too on an
-        isometry) has the size of that value, from ``value_sizes``;
-        ``pair_sizer`` sizes the rest.  Sizes (s, t) compare exactly by
-        cross-multiplying, and the defect is built once, from the winning
-        pair.
+        """(defect, first pair attaining it in x-outer, y-inner window order);
+        ValueError unless ``is_isometry``.
 
         With c(x, y) = f(x) + x.f(y) - f(xy) and z = (xy)^-1, alternation
         gives c(y, z) = x^-1.c(x, y) and c(y^-1, x^-1) = -(xy)^-1.c(x, y), so
-        on an isometry (or a bi-invariant metric) the pairs (x, y), (y, z),
-        (z, x), (y^-1, x^-1), (x^-1, z^-1) and (z^-1, y^-1) have one size, and
-        a pair is visited only when no other member of this orbit lies in the
-        window and comes before it.  The window is closed under inversion,
-        so a row with x^-1 < x is skipped whole: (x^-1, xy) comes first, or
-        on Z, when xy is off the window, (y^-1, x^-1)."""
-        group, table = self.group, self.table
+        on an isometry the orbit (x, y), (y, z), (z, x), (y^-1, x^-1),
+        (x^-1, z^-1), (z^-1, y^-1) has one size, and a pair with an entry at
+        x, y or xy has a member with x in the support T: the rows.  The
+        columns are the whole group on a finite factor and T on Z, where a
+        pair with two entries has a member in T x T, and one whose only entry
+        is t has the size of f(t) and comes first as (-W, t).  A pair is
+        skipped when its mirror (y^-1, x^-1) or a rotation, (y, z) or (z, x),
+        is also a row-and-column pair and comes first.  The witness is the
+        least in-window orbit member of a maximal pair."""
+        size, group, table = self.pair_sizer(), self.group, self.table
         e = group.identity
         if not table:
             return Fraction(0), e, e
-        size, alone, iso = self.pair_sizer(), self.value_sizes(), self.is_isometry
-        # The window is the consecutive ints lo..hi in ascending order on
-        # every factor, and holds T, as W > M.
-        window, mul = group.window(self.defect_window()), group.mul
+        mul, inv = group.mul, group.inv
+        # The window is the ints lo..hi in ascending order on every factor.
+        window = group.window(self.defect_window())
         lo, hi = window[0], window[-1]
-        inverse = {x: group.inv(x) for x in window}  # no key off the window
-        best_s, best_t, best_x, best_y = 0, 1, e, e
-        for x in window:
-            inv_x, in_x = inverse[x], x in table
-            if iso and inv_x < x:
-                continue
-            row = set(table)
-            ys = (mul(inv_x, k) for k in table)
-            row.update(y for y in ys if lo <= y <= hi)
-            if in_x:
-                y = lo
-                while y in row:
-                    y += 1
-                if y <= hi:
-                    row.add(y)
-            for y in sorted(row):
-                xy = mul(x, y)
-                if iso:
-                    pair, inv_y, z = (x, y), inverse[y], inverse.get(xy)
-                    if (inv_y, inv_x) < pair:
-                        continue
-                    if z is not None and ((y, z) < pair or (z, x) < pair or (inv_x, xy) < pair or (xy, inv_y) < pair):
-                        continue
-                in_y, in_xy = y in table, xy in table
-                if in_x + in_y + in_xy > 1:
-                    s, t = size(x, y, xy)
-                elif in_y:
-                    s, t = alone[y] if iso else size(x, y, xy)
-                else:
-                    s, t = alone[x if in_x else xy]
+        inverse = {x: inv(x) for x in table}
+
+        def first(x: int, y: int, xy: int) -> tuple[int, int]:
+            iy, z = inv(y), inv(xy)
+            orbit = ((x, y), (y, z), (z, x), (iy, inverse[x]), (inverse[x], xy), (xy, iy))
+            return min((a, b) for a, b in orbit if lo <= a <= hi and lo <= b <= hi)
+
+        best_s, best_t, best = 0, 1, (e, e)
+        columns = window
+        if not group.is_finite:
+            columns = table
+            for y, (s, t) in sorted(self.value_sizes().items()):
                 if s * best_t > best_s * t:
-                    best_s, best_t, best_x, best_y = s, t, x, y
-        return (self.size_value(best_s, best_t) if best_s else Fraction(0)), best_x, best_y
+                    best_s, best_t, best = s, t, (lo, y)
+        for x, ix in inverse.items():
+            for y in columns:
+                iy = inverse.get(y)
+                if iy is not None and (iy, ix) < (x, y):
+                    continue
+                xy = mul(x, y)
+                z = inverse.get(xy)
+                if z is not None and ((z, x) < (x, y) or iy is not None and (y, z) < (x, y)):
+                    continue
+                s, t = size(x, y, xy)
+                if s * best_t > best_s * t:
+                    best_s, best_t, best = s, t, first(x, y, xy)
+                elif s and s * best_t == best_s * t:
+                    best = min(best, first(x, y, xy))
+        return (self.size_value(best_s, best_t) if best_s else Fraction(0)), *best
 
     def defect(self) -> Union[Fraction, float]:
         return self.defect_witness()[0]
@@ -583,11 +572,11 @@ class FactorCocycleMap(FactorTableMap):
         return self.action.is_isometry
 
     def pair_sizer(self) -> Callable[[int, int, int], Size]:
-        """On an isometry, x.f(y) alone is not translated: it has the size of f(y)."""
+        """x.f(y) alone is not translated: it has the size of f(y)."""
+        if not self.is_isometry:
+            raise ValueError("coboundary sizes are certified only on an isometric action")
         nums, den = self._scaled_table
         get, side, sum_size = nums.get, self.side, self.action.sum_size
-        if not self.is_isometry:
-            return lambda x, y, xy: sum_size(get(x), side, x, get(y), get(xy), den)
 
         def size(x: int, y: int, xy: int) -> Size:
             u, w = get(x), get(xy)
@@ -618,6 +607,10 @@ class SplitQC(SplitMap):
     @property
     def factor_maps(self) -> tuple[FactorCocycleMap, FactorCocycleMap]:
         return self.fA, self.fB
+
+    @property
+    def is_isometry(self) -> bool:
+        return self.action.is_isometry
 
     @cached_property
     def denominator(self) -> int:

@@ -348,9 +348,11 @@ def sampled_defect(
     normal forms.  The pairs of a ``word_sampler`` of ``f.splitting`` are drawn
     as letter lists (``sample.draw``) and go through ``SplitMap.meet``, all
     others through ``SplitMap.junction``, which checks every letter: one
-    outside the factors raises ValueError."""
+    outside the factors raises ValueError, as a map that is not ``is_isometry`` does before any draw."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ValueError(f"count must be an int >= 0, not {count!r}")
+    if not f.is_isometry:
+        raise ValueError("sampled sizes are certified only on an isometric action")
     marked = getattr(sampler, "splitting", None) == f.splitting
     draw, size = (sampler.draw, f.meet) if marked else (sampler, f.junction)
     best_s, best_t = 0, 1

@@ -177,9 +177,11 @@ class SplitMap:
     ``codomain`` names the attribute that the map and both factor maps must
     share, if any: the module action or the target group.  ``letter_memo``
     maps each distinct letter evaluated to its ``letter_value``.
+    ``is_isometry`` is false only for a quasicocycle on a non-isometric action.
     """
 
     codomain: Optional[str] = None
+    is_isometry = True
 
     def __post_init__(self) -> None:
         # A factor quasimorphism carries no side tag; the table maps do.
@@ -239,8 +241,8 @@ class SplitMap:
 
     def merge(self, u: Letter, v: Letter, w: Letter) -> tuple[int, int]:
         """The factor map's ``pair_sizer`` on the letters u and v merging into w:
-        the size of the whole pair when the target is a bi-invariant metric or
-        an isometric action, as ``split_qc_defect`` assumes."""
+        the size of the whole pair, as the target is a bi-invariant metric or
+        an isometric action; ``pair_sizer`` raises ValueError on any other."""
         return self.pair_sizers[u[0]](u[1], v[1], w[1])
 
     def size_value(self, s: int, t: int):
@@ -248,8 +250,8 @@ class SplitMap:
         return Fraction(s, t)
 
     def defect(self):
-        """The larger factor defect: the split defect (for a quasicocycle,
-        when the action is isometric)."""
+        """The larger factor defect: the split defect.  ValueError for a
+        quasicocycle on a non-isometric action, as its factor scans raise."""
         on_a, on_b = self.factor_maps
         return max(on_a.defect(), on_b.defect())
 

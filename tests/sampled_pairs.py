@@ -50,14 +50,12 @@ def merging_letters(s, g, h):
 def check_meet_reads_what_the_walk_gives(f, seed):
     """``f.meet`` sizes each of ``cancelling_pairs``, as ``Word``s and as the
     letter lists ``sample.draw`` gives, as the whole words of its merging
-    letters; where the action is isometric (always, off quasicocycles) that
-    is also the size of the whole pair."""
+    letters, which is also the size of the whole pair."""
     s = f.splitting
     pairs = cancelling_pairs(s, seed, 40)
     merging = [merging_letters(s, g, h) for g, h in pairs]
     expected = [whole_word_size(f, *letters) if letters else 0 for letters in merging]
-    if getattr(getattr(f, "action", None), "is_isometry", True):
-        assert expected == [whole_word_size(f, g, h) for g, h in pairs]
+    assert expected == [whole_word_size(f, g, h) for g, h in pairs]
     for convert in (Word, list):
         assert [abs(f.size_value(*f.meet(convert(g), convert(h)))) for g, h in pairs] == expected
 

@@ -34,7 +34,7 @@ from splitqm.quasicocycles import (
 )
 from splitqm.quasimorphisms import default_sampler, junction_pairs, sampled_defect
 from splitqm.words import (
-    A, B, IDENTITY, Splitting, Word, _join, invert, multiply, parse_word, random_word, reduce,
+    A, B, IDENTITY, Splitting, Word, _join, invert, multiply, parse_word, random_word, reduce, word_sampler,
 )
 
 from sampled_pairs import (
@@ -398,12 +398,18 @@ def test_marked_sampler_pairs_meet_as_the_checked_path_sizes_them(make, depth, s
     ids=["regular-l1", "criterion-9-unipotent"],
 )
 def test_meet_reads_what_the_walk_gives(make, isometric):
-    # Criterion 9's depth-6 staircase; off an isometry the size of a pair is
-    # the size of its merging letters, not of the whole words.
+    # Criterion 9's depth-6 staircase; off an isometry the size of the merging
+    # letters is not the size of the whole words, so a merge is refused.
     rep = make()
     xi = rep.vector((1, 0, 0)) if isinstance(rep, FiniteDimRep) else rep.indicator(IDENTITY)
     f = staircase_cocycle(rep, xi, depth=6)[1]
     assert f.action.is_isometry is isometric
+    if not isometric:
+        g, h = parse_word(ZXZ, "b a^2"), parse_word(ZXZ, "a^4 b")
+        for size, convert in ((f.junction, Word), (f.meet, Word), (f.meet, list)):
+            with pytest.raises(ValueError, match="isometric"):
+                size(convert(g), convert(h))
+        return
     for seed in (5, 6):
         check_meet_reads_what_the_walk_gives(f, seed)
 
@@ -732,6 +738,11 @@ def test_integer_scan_matches_the_fraction_oracle(name, data):
     # full_scan_defect_witness measures cocycle_coboundary with action.norm
     # on every window pair: the slow exact definition.
     q = _random_cocycle_map(data.draw, SCAN_ACTIONS[name]())
+    if not q.is_isometry:
+        for refused in (q.pair_sizer, q.defect_witness):
+            with pytest.raises(ValueError, match="isometric"):
+                refused()
+        return
     size = q.pair_sizer()
     window = q.group.window(q.defect_window())
     for x in window:
@@ -746,17 +757,23 @@ CRITERION_9_DIM3 = (((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((0, 1, 0), (0, 0, 1), (1
 @pytest.mark.parametrize(
     "make, witness",
     [
-        (lambda: FiniteDimRep(ZXZ, *CRITERION_9_DIM3), (Fraction(100108), -18, -6)),
+        (lambda: FiniteDimRep(ZXZ, *CRITERION_9_DIM3), None),
         (lambda: RegularRep(ZXZ, 1), (Fraction(3), -6, 1)),
         (lambda: RegularRep(ZXZ, 2), (1.7320508075688772, -6, 1)),
     ],
 )
 def test_criterion_9_staircase_defects_are_pinned(make, witness):
     # Criterion 9's depth-6 staircases, with values recorded from the
-    # Fraction scan that built one vector-valued coboundary per pair.
+    # Fraction scan that built one vector-valued coboundary per pair.  The
+    # unipotent action is no isometry, so no defect is certified there.
     rep = make()
     seed = rep.vector((1, 0, 0)) if isinstance(rep, FiniteDimRep) else rep.indicator(IDENTITY)
     _, f = staircase_cocycle(rep, seed, depth=6)
+    if witness is None:
+        for refused in (f.fA.defect_witness, f.fB.defect_witness, lambda: split_qc_defect(f)):
+            with pytest.raises(ValueError, match="isometric"):
+                refused()
+        return
     assert f.fA.defect_witness() == witness
     assert f.fB.defect_witness() == (0, 0, 0)
     defect = split_qc_defect(f)
@@ -827,7 +844,6 @@ def _qrep_case(target, factor, values):
 SUPPORT_SCAN_CASES = {
     **{f"regular-{p}-{factor}": _regular_case(p, factor) for p in (1, 2, math.inf) for factor in SCAN_FACTORS},
     "permutation": _dense_case((((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))),
-    "unipotent": _dense_case(CRITERION_9_DIM3),
     "signed-permutation": _dense_case(SIGNED_PERMUTATION),
     # A 3-cycle on Z/3, so the pruned dense scan runs on a finite factor.
     "cyclic-permutation": _dense_case(
@@ -860,7 +876,7 @@ def coboundary_orbit(group, x, y):
     return [(x, y), (y, z), (z, x), (inv(y), inv(x)), (inv(x), inv(z)), (inv(z), inv(y))]
 
 
-@pytest.mark.parametrize("name", [name for name in SUPPORT_SCAN_CASES if name != "unipotent"])
+@pytest.mark.parametrize("name", SUPPORT_SCAN_CASES)
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
 def test_coboundary_orbits_have_one_size_on_isometries(name, data):
@@ -878,18 +894,58 @@ def test_coboundary_orbits_have_one_size_on_isometries(name, data):
     assert len(sizes) == 1
 
 
-@pytest.mark.parametrize("name", [name for name in SUPPORT_SCAN_CASES if name != "unipotent"])
+@pytest.mark.parametrize("name", SUPPORT_SCAN_CASES)
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
-def test_the_scan_sizes_no_pair_after_a_member_of_its_orbit(name, data):
+def test_the_scan_sizes_support_rows_whatever_the_window(name, data):
+    # Rows are x in T, and on Z the columns are T too; widening the window
+    # changes no pair sized and no defect.
     q = SUPPORT_SCAN_CASES[name](data.draw)
-    sized, size = [], q.pair_sizer()
-    q.pair_sizer = lambda: lambda x, y, xy: sized.append((x, y)) or size(x, y, xy)
-    q.defect_witness()
-    window = set(q.group.window(q.defect_window()))
-    for pair in sized:
-        members = [(a, b) for a, b in coboundary_orbit(q.group, *pair) if a in window and b in window]
-        assert min(members) == pair
+    size = q.pair_sizer()
+
+    def scan():
+        sized = []
+        q.pair_sizer = lambda: lambda x, y, xy: sized.append((x, y)) or size(x, y, xy)
+        return q.defect_witness()[0], sized
+
+    defect, sized = scan()
+    assert all(x in q.table and (q.group.is_finite or y in q.table) for x, y in sized)
+    window = q.defect_window()
+    q.defect_window = lambda: 4 * window
+    assert scan() == (defect, sized)
+
+
+@pytest.mark.parametrize(
+    "p, depth, witness", [(5, 3, (2, -250, 125)), (5, 5, (2, -6250, 3125)), (3, 8, (2, -13122, 6561))]
+)
+def test_prime_ladders_of_large_radius_keep_their_witness(p, depth, witness):
+    # Support radius p^depth: 125, 3125 and 6561.  The pair loop checks the
+    # smallest; the larger two were recorded from a full window scan.
+    rep = RegularRep(ZXZ, 1)
+    fA = power_ladder_cocycle(rep, p, rep.indicator(IDENTITY), depth)[0]
+    assert fA.defect_witness() == witness
+    if depth == 3:
+        assert pair_loop_defect_witness(fA) == witness
+
+
+def test_the_unipotent_staircase_refuses_sampling_but_evaluates():
+    # Criterion 9's action is no isometry: sampled_defect raises before its
+    # first draw, and the growth constructions and evaluations still work.
+    rep = FiniteDimRep(ZXZ, *CRITERION_9_DIM3)
+    v = rep.vector((1, 0, 0))
+    _, f = staircase_cocycle(rep, v, depth=6)
+    assert not f.is_isometry
+    rng = random.Random(0)
+    marked = word_sampler(ZXZ, 5, 3, rng)
+    for sampler in (marked, lambda: marked()):
+        with pytest.raises(ValueError, match="isometric"):
+            sampled_defect(f, sampler, 10)
+    assert rng.getstate() == random.Random(0).getstate()
+    assert eval_split_qc(f, staircase_word(ZXZ, 6)) == rep.scale(Fraction(6), v)
+    _, ladder = power_ladder_cocycle(rep, 2, v, depth=6, check_prime=3)
+    assert eval_split_qc(ladder, ladder_word(ZXZ, 2, 6)) == rep.scale(Fraction(6), v)
+    g = parse_word(ZXZ, "a^2 b a^-1 b^3")
+    assert inner_split_eval(rep, v, g) == inner_cocycle(rep, v, g)
 
 
 def test_the_unipotent_action_breaks_the_orbit_rule():
