@@ -145,8 +145,7 @@ class CyclicGroup(FactorGroup):
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("cyclic factor needs n >= 2")
+        _require_int(self.n, 2, "a cyclic factor's n")
 
     @property
     def identity(self) -> int:
@@ -306,6 +305,14 @@ def set_alternating(table: dict, group: FactorGroup, x: int, value) -> None:
         if key in table and table[key] != v:
             raise ValueError(f"conflicting value at element {key}")
         table[key] = v
+
+
+def _require_int(value, least: int, name: str) -> int:
+    """``value`` itself when it is an int, not a bool, and at least ``least``;
+    ValueError otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
+    return value
 
 
 def designated_generator(factor: FactorGroup) -> int:

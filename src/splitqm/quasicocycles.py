@@ -263,12 +263,11 @@ class FiniteDimRep(ModuleAction):
         return self.from_numerators(nums, den)
 
     def sum_size(self, u, side, x, v, w, den) -> Size:
-        """The sup norm, as ``norm``; the translation multiplies the
-        denominator by the letter's d."""
+        """The sup norm, as ``norm``.  Only an isometric action is sized, and
+        its signed-permutation letter matrices are integral: d = 1."""
         zero = (0,) * self.dim
-        t, d = (zero, 1) if v is None else self.translate(side, x, v)
-        gap = (abs(d * a + b - d * c) for a, b, c in zip(u or zero, t, w or zero))
-        return max(gap, default=0), den * d
+        t = zero if v is None else self.translate(side, x, v)[0]
+        return max((abs(a + b - c) for a, b, c in zip(u or zero, t, w or zero)), default=0), den
 
     def size_value(self, s: int, t: int) -> Fraction:
         return Fraction(s, t)

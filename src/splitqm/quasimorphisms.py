@@ -18,7 +18,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .groups import (CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_window, designated_generator,
-                     set_alternating)
+                     _require_int, set_alternating)
 from .words import (
     A,
     B,
@@ -87,9 +87,8 @@ class FactorQM:
             raise ValueError("slope/period/sign parts need an integer factor")
         if (self.period is None) != (len(self.residues) == 0):
             raise ValueError("period and residue table must come together")
-        if self.period is not None:
-            if self.period < 1 or len(self.residues) != self.period:
-                raise ValueError("residue table length must equal the period")
+        if self.period is not None and len(self.residues) != _require_int(self.period, 1, "period"):
+            raise ValueError("residue table length must equal the period")
         self._validate_alternating()
 
     # -- validation ------------------------------------------------------
@@ -156,9 +155,7 @@ class FactorQM:
 
     def numerator(self, x: int) -> int:
         """L*q(x) as an int, with L the common ``denominator``."""
-        return self._numerator(self.group.check(x))
-
-    def _numerator(self, x: int) -> int:
+        x = self.group.check(x)
         slope, finite, residues, sign = self._scaled_terms
         value = slope * x + finite.get(x, 0) + sign * ((x > 0) - (x < 0))
         if residues:
@@ -170,9 +167,7 @@ class FactorQM:
     def defect_window(self, scale: int = 1) -> int:
         """The certified window on the integers (see ``certified_window``);
         ``scale``, an int >= 1, widens it for cross-checks."""
-        if not isinstance(scale, int) or isinstance(scale, bool) or scale < 1:
-            raise ValueError(f"scale must be an int >= 1, not {scale!r}")
-        return certified_window(self.support_radius, self.period_or_one) * scale
+        return certified_window(self.support_radius, self.period_or_one) * _require_int(scale, 1, "scale")
 
     def _pairs(self, scale: int = 1) -> Iterator[tuple[int, int, list[int], list[int]]]:
         """The rows that can hold the scan's first maximal pair (see
@@ -349,8 +344,7 @@ def sampled_defect(
     as letter lists (``sample.draw``) and go through ``SplitMap.meet``, all
     others through ``SplitMap.junction``, which checks every letter: one
     outside the factors raises ValueError, as a map that is not ``is_isometry`` does before any draw."""
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ValueError(f"count must be an int >= 0, not {count!r}")
+    _require_int(count, 0, "count")
     if not f.is_isometry:
         raise ValueError("sampled sizes are certified only on an isometric action")
     marked = getattr(sampler, "splitting", None) == f.splitting

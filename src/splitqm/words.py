@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup
+from .groups import CyclicGroup, FactorGroup, FiniteTableGroup, IntegerGroup, _require_int
 
 __all__ = [
     "A",
@@ -485,8 +485,7 @@ def word_sampler(
     ``sampled_defect`` trusts.
     """
     for bound in (length_bound, exponent_bound):
-        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-            raise ValueError(f"bounds must be ints >= 1, not {bound!r}")
+        _require_int(bound, 1, "each bound")
     if isinstance(rng, int):
         rng = random.Random(rng)
     specs = []

@@ -1,29 +1,14 @@
 """The slow paths for ``sampled_defect``, shared by the split
-quasimorphism, quasicocycle and quasi-representation tests: every pair's
-product reduced by ``multiply`` and sized from the three whole words, and
-every letter of a sampled pair checked before the pair is sized."""
+quasimorphism, quasicocycle and quasi-representation tests: every pair
+sized from its three whole words by ``reference.whole_word_size``, and every
+letter of a sampled pair checked before the pair is sized."""
 
 import random
 from unittest import mock
 
-from splitqm.qrep import SplitHom, SplitQRep, eval_qrep
-from splitqm.quasicocycles import SplitQC, qc_coboundary
+from reference import whole_word_size
 from splitqm.quasimorphisms import junction_pairs, sampled_defect
 from splitqm.words import SplitMap, Word, invert, multiply, word_sampler
-
-
-def whole_word_size(f, g, h):
-    """|f(g) + f(h) - f(gh)| for a split quasimorphism, the norm of
-    f(g) + g.f(h) - f(gh) for a split quasicocycle, d(mu(g)mu(h), mu(gh))
-    for a quasi-representation or homomorphism, with gh reduced by
-    ``multiply``."""
-    if isinstance(f, SplitQC):
-        return f.action.norm(qc_coboundary(f, g, h))
-    gh = multiply(f.splitting, g, h)
-    if isinstance(f, (SplitQRep, SplitHom)):
-        t = f.target
-        return t.dist(t.mul(eval_qrep(f, g), eval_qrep(f, h)), eval_qrep(f, gh))
-    return abs(f(g) + f(h) - f(gh))
 
 
 def cancelling_pairs(s, seed, count):

@@ -7,9 +7,12 @@ byte for byte.  Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_cli.py --regen
 
-and review the diff: a changed golden file is a changed CLI output.
+and review the diff: a changed golden file is a changed CLI output.  With
+``--entry-point`` instead, every case runs through the installed ``splitqm``
+script on PATH, and any mismatch prints a diff and exits 1.
 """
 
+import difflib
 import os
 import subprocess
 import sys
@@ -48,13 +51,15 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
-def _run(argv: list[str]) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "splitqm.cli", *argv],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
+def _run(argv: list[str], entry_point: bool = False) -> str:
+    """The golden text of one run: of ``splitqm`` on PATH in its own
+    environment, or of ``python -m splitqm.cli`` with ``src`` on PYTHONPATH."""
+    if entry_point:
+        command, env = ["splitqm"], None
+    else:
+        command, env = [sys.executable, "-m", "splitqm.cli"], dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([*command, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     return f"exit {proc.returncode}\n{proc.stdout}"
 
 
@@ -69,8 +74,18 @@ def test_every_golden_file_has_a_case():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--entry-point"]:
+        failed = 0
+        for case, argv in sorted(CASES.items()):
+            expected, got = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8"), _run(argv, entry_point=True)
+            if got != expected:
+                failed += 1
+                diff = difflib.unified_diff(expected.splitlines(True), got.splitlines(True), case, "splitqm")
+                sys.stdout.writelines(diff)
+        print(f"{len(CASES) - failed} of {len(CASES)} golden cases match through the splitqm entry point")
+        sys.exit(1 if failed else 0)
     if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: test_golden_cli.py --regen")
+        sys.exit("usage: test_golden_cli.py --regen | --entry-point")
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.glob("*.txt"):
         stale.unlink()

@@ -97,10 +97,10 @@ def test_element_validation(group):
 
 
 def test_cyclic_rejects_trivial_sizes():
-    with pytest.raises(ValueError):
-        CyclicGroup(1)
-    with pytest.raises(ValueError):
-        CyclicGroup(0)
+    # n = 6.0 once gave Z/6.0, whose products were floats.
+    for n in (1, 0, -3, True, 6.0, 2.5, "6", None):
+        with pytest.raises(ValueError, match="n must be an int >= 2"):
+            CyclicGroup(n)
 
 
 def test_table_group_rejects_non_groups():

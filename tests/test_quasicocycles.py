@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitqm import quasicocycles
 from splitqm.groups import CyclicGroup, FiniteTableGroup, IntegerGroup, inverse_pairs
 from splitqm.qrep import Circle, FactorQRMap, FiniteMetric
 from splitqm.quasicocycles import (
@@ -25,7 +26,6 @@ from splitqm.quasicocycles import (
     mat_inv,
     mat_mul,
     mat_pow,
-    mat_vec,
     power_ladder_cocycle,
     qc_coboundary,
     split_qc_defect,
@@ -34,9 +34,10 @@ from splitqm.quasicocycles import (
 )
 from splitqm.quasimorphisms import default_sampler, junction_pairs, sampled_defect
 from splitqm.words import (
-    A, B, IDENTITY, Splitting, Word, _join, invert, multiply, parse_word, random_word, reduce, word_sampler,
+    A, B, IDENTITY, Splitting, Word, invert, multiply, parse_word, random_word, reduce, word_sampler,
 )
 
+import reference
 from sampled_pairs import (
     check_joins_as_multiply_does,
     check_marked_sampler_meets_as_the_checked_path,
@@ -71,58 +72,6 @@ def _rational_rep():
 def _cyclic_rep():
     # The second factor is Z/3, acting by a rotation of order 3.
     return FiniteDimRep(Splitting(IntegerGroup(), CyclicGroup(3)), SHEAR, ((0, -1), (1, -1)))
-
-
-def word_matrix_act(rep, g, v):
-    """g.v as the product of uncached letter powers, applied to v once."""
-    m = identity_matrix(rep.dim)
-    for side, k in g.letters:
-        m = mat_mul(m, mat_pow(rep.mat[side], k))
-    return mat_vec(m, v)
-
-
-def translate(rep, g, v):
-    """g.v without ``rep.act``."""
-    if isinstance(rep, RegularRep):
-        return {multiply(rep.splitting, g, w): c for w, c in v.items()}
-    return word_matrix_act(rep, g, v)
-
-
-def cocycle_coboundary(q, x, y):
-    """f(x) + x.f(y) - f(xy) of a factor cocycle map on Fractions: the
-    definition the integer scan is tested against."""
-    m = q.action
-    fy = q(y)
-    translated = fy if m.is_zero(fy) else m.act(Word(((q.side, x),)), fy)
-    return m.sub(m.add(q(x), translated), q(q.group.mul(x, y)))
-
-
-def coboundary_size(q, x, y):
-    """How far (x, y) is from the cocycle or homomorphism identity."""
-    if isinstance(q, FactorQRMap):
-        return q.coboundary_size(x, y)
-    return q.action.norm(cocycle_coboundary(q, x, y))
-
-
-def letter_matrix(rep, side, k):
-    """The Fraction matrix of the letter (side, k), from its memo entry."""
-    rows, d = rep._letter(side, k)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
-
-
-def _qc_window(q):
-    return 2 * (q.support_radius + 3)
-
-
-def _scan_qc_defect(f, reach):
-    """Max coboundary norm over |x|, |y| <= reach(q) on each factor."""
-    worst = Fraction(0)
-    for q in (f.fA, f.fB):
-        r = reach(q)
-        for x in range(-r, r + 1):
-            for y in range(-r, r + 1):
-                worst = max(worst, f.action.norm(cocycle_coboundary(q, x, y)))
-    return worst
 
 
 def test_matrix_helpers():
@@ -166,7 +115,7 @@ def test_dense_action_matches_the_word_matrix_product(seed):
     for rep in (_rational_rep(), _cyclic_rep()):
         g = random_word(rep.splitting, 8, 3, seed)
         v = rep.vector([Fraction(2, 3), Fraction(-5, 4)])
-        assert rep.act(g, v) == word_matrix_act(rep, g, v)
+        assert rep.act(g, v) == reference.act(rep, g, v)
         assert rep.act(g, rep.zero()) == rep.zero()
 
 
@@ -192,15 +141,15 @@ def test_matrix_norms():
 )
 def test_regular_rep_translation_is_an_isometry(seed, raw):
     """Translation by a normal form and by a raw word, with an identity
-    letter and a cancelling pair, against the full-reduce product; the key
-    at g^-1 moves to the identity."""
+    letter and a cancelling pair, against the reference; the key at g^-1
+    moves to the identity."""
     rep = RegularRep(ZXZ, 1)
     g = random_word(ZXZ, 4, 3, seed)
     h = random_word(ZXZ, 4, 3, seed + 1)
     raw_g = Word(tuple(raw) + ((A, 0), (B, 2), (B, -2)) + g.letters)
     v = rep.vector({h: 1, IDENTITY: Fraction(-1, 3), invert(ZXZ, reduce(ZXZ, raw_g.letters)): 2})
     for word in (g, raw_g):
-        assert rep.act(word, v) == {multiply(ZXZ, word, w): c for w, c in v.items()}
+        assert rep.act(word, v) == reference.act(rep, word, v)
         assert rep.norm(rep.act(word, v)) == rep.norm(v)
 
 
@@ -319,11 +268,7 @@ def test_split_evaluation_is_the_prefix_translated_sum(seed):
     for f in _split_qcs():
         rep = f.action
         g = random_word(f.splitting, 6, 4, seed)
-        expected = rep.zero()
-        for i, (side, x) in enumerate(g.letters):
-            value = f.factor_map(side)(x)
-            expected = rep.add(expected, translate(rep, Word(g.letters[:i]), value))
-        assert eval_split_qc(f, g) == expected
+        assert eval_split_qc(f, g) == reference.value(f, g)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -354,7 +299,7 @@ def test_sampled_split_coboundaries_attain_the_split_defect(make, depth):
     _, f = staircase_cocycle(rep, seed, depth)
     sampler = default_sampler(ZXZ, random.Random(depth), 4, 4)
     pairs = [(sampler(), sampler()) for _ in range(300)] + junction_pairs(f)
-    worst = max(rep.norm(qc_coboundary(f, g, h)) for g, h in pairs)
+    worst = max(reference.whole_word_size(f, g, h) for g, h in pairs)
     assert worst == split_qc_defect(f) > 0
 
 
@@ -414,20 +359,6 @@ def test_meet_reads_what_the_walk_gives(make, isometric):
         check_meet_reads_what_the_walk_gives(f, seed)
 
 
-def fraction_letter_sum(m, g, value):
-    """The prefix-translated sum of value(letter) over the letters of g on
-    Fractions, by the cocycle recursion f(x.h) = f(x) + x.f(h) from the
-    right, one single-letter ``act`` per letter: the oracle of the numerator
-    sum."""
-    total = m.zero()
-    for letter in reversed(g.letters):
-        head = value(letter)
-        if not m.is_zero(total):
-            head = m.add(head, m.act(Word((letter,)), total))
-        total = head
-    return total
-
-
 def _oracle_split_qc(rep):
     """A split quasicocycle with rational values on a, a^3 and b (and their
     forced inverses), and words whose letters all lie off that support."""
@@ -464,7 +395,7 @@ def test_numerator_evaluation_matches_the_fraction_oracle(name, seed):
     f, off = _oracle_split_qc(rep)
     rng = random.Random(seed)
     words = [random_word(f.splitting, 7, 5, rng) for _ in range(6)] + off
-    expected = [fraction_letter_sum(rep, g, lambda letter: f.factor_map(letter[0])(letter[1])) for g in words]
+    expected = [reference.value(f, g) for g in words]
     assert all(rep.is_zero(v) for v in expected[-len(off):])
     for memo in ("cold", "warm"):
         got = [eval_split_qc(f, g) for g in words]
@@ -484,7 +415,7 @@ def test_a_zero_running_sum_restarts_over_the_map_denominator():
     f = SplitQC(ZXZ, rep, FactorCocycleMap(A, rep, {1: fa, 3: fa3}), FactorCocycleMap(B, rep, {1: fb}))
     assert eval_split_qc(f, parse_word(ZXZ, "b a")) == rep.zero()
     g = parse_word(ZXZ, "a^3 b a")
-    assert eval_split_qc(f, g) == fa3 == fraction_letter_sum(rep, g, lambda letter: f.factor_map(letter[0])(letter[1]))
+    assert eval_split_qc(f, g) == fa3 == reference.value(f, g)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -571,29 +502,19 @@ def test_staircase_on_a_matrix_action():
         assert eval_split_qc(f, staircase_word(ZXZ, n)) == rep.scale(Fraction(n), xi)
 
 
-def test_letter_matrices_are_memoized_matrix_powers():
-    rep = _permutation_rep()
-    for side in (A, B):
-        for k in range(-7, 8):
-            first = rep._letter(side, k)
-            assert letter_matrix(rep, side, k) == mat_pow(rep.mat[side], k)
-            assert rep._letter(side, k) is first
-
-
-@pytest.mark.parametrize("depth", [1, 3])
-def test_dense_qc_defect_matches_uncached_brute_force(depth):
-    rep = _permutation_rep()
-    _, f = staircase_cocycle(rep, rep.vector([1, -2, 0]), depth)
-    zero = rep.zero()
-    worst = Fraction(0)
-    for side, q in ((A, f.fA), (B, f.fB)):
-        window = _qc_window(q)
-        for x in range(-window, window + 1):
-            for y in range(-window, window + 1):
-                translated = mat_vec(mat_pow(rep.mat[side], x), q.table.get(y, zero))
-                value = rep.sub(rep.add(q.table.get(x, zero), translated), q.table.get(x + y, zero))
-                worst = max(worst, rep.norm(value))
-    assert split_qc_defect(f) == worst > 0
+def test_letter_matrices_are_memoized_matrix_powers(monkeypatch):
+    # Each letter's matrix applied to the unit vectors, on a cold letter memo
+    # and then a warm one: one matrix power per distinct letter.
+    rep = _rational_rep()
+    units = [rep.vector((1, 0)), rep.vector((0, 1))]
+    powers = []
+    monkeypatch.setattr(quasicocycles, "mat_pow", lambda m, k: powers.append(k) or mat_pow(m, k))
+    letters = [(side, k) for side in (A, B) for k in range(-7, 8)]
+    for _ in range(2):
+        for letter in letters:
+            g = Word((letter,))
+            assert [rep.act(g, e) for e in units] == [reference.act(rep, g, e) for e in units]
+    assert powers == [k for _, k in letters]
 
 
 @pytest.mark.parametrize(
@@ -605,29 +526,17 @@ def test_dense_qc_defect_matches_uncached_brute_force(depth):
 )
 def test_regular_qc_window_is_stable_under_widening(make):
     f = make(RegularRep(ZXZ, 1))
-    defect = split_qc_defect(f)
-    assert defect == _scan_qc_defect(f, lambda q: 2 * _qc_window(q)) > 0
+    assert split_qc_defect(f) == max(map(reference.defect, f.factor_maps)) > 0
 
 
-@pytest.mark.parametrize("depth", [2, 4])
-def test_dense_qc_window_is_stable_under_widening(depth):
+@pytest.mark.parametrize(
+    "xi, depth",
+    [([1, 0, Fraction(-1, 2)], 2), ([1, 0, Fraction(-1, 2)], 4), ([1, -2, 0], 1), ([1, -2, 0], 3)],
+)
+def test_dense_qc_window_is_stable_under_widening(xi, depth):
     rep = _permutation_rep()
-    _, f = staircase_cocycle(rep, rep.vector([1, 0, Fraction(-1, 2)]), depth)
-    defect = split_qc_defect(f)
-    assert defect == _scan_qc_defect(f, lambda q: 2 * _qc_window(q)) > 0
-
-
-def full_scan_defect_witness(q):
-    """Every window pair, none skipped: the defect and the first pair
-    attaining it in x-outer, y-inner order."""
-    window = q.group.window(q.defect_window())
-    best = (Fraction(0), q.group.identity, q.group.identity)
-    for x in window:
-        for y in window:
-            value = coboundary_size(q, x, y)
-            if value > best[0]:
-                best = (value, x, y)
-    return best
+    _, f = staircase_cocycle(rep, rep.vector(xi), depth)
+    assert split_qc_defect(f) == max(map(reference.defect, f.factor_maps)) > 0
 
 
 def _hexagon():
@@ -666,7 +575,7 @@ TABLE_MAPS = {
 @pytest.mark.parametrize("name", TABLE_MAPS)
 def test_defect_witness_skipping_off_support_pairs_matches_the_full_scan(name):
     q = TABLE_MAPS[name]()
-    expected = full_scan_defect_witness(q)
+    expected = reference.first_max(q)
     assert q.defect_witness() == expected
     if name == "qrep-only-xy":
         assert expected == (1, 1, 2)
@@ -735,20 +644,23 @@ def _random_cocycle_map(draw, rep):
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
 def test_integer_scan_matches_the_fraction_oracle(name, data):
-    # full_scan_defect_witness measures cocycle_coboundary with action.norm
-    # on every window pair: the slow exact definition.
+    # Every window pair, met as two one-letter words, has its reference size.
     q = _random_cocycle_map(data.draw, SCAN_ACTIONS[name]())
+    rep, side = q.action, q.side
+    empty = FactorCocycleMap(B if side == A else A, rep, {})
+    f = SplitQC(rep.splitting, rep, *((q, empty) if side == A else (empty, q)))
     if not q.is_isometry:
-        for refused in (q.pair_sizer, q.defect_witness):
+        for refused in (q.defect_witness, lambda: f.junction(Word(((side, 1),)), Word(((side, 1),)))):
             with pytest.raises(ValueError, match="isometric"):
                 refused()
         return
-    size = q.pair_sizer()
-    window = q.group.window(q.defect_window())
+    window = range(-q.defect_window(), q.defect_window() + 1)
     for x in window:
         for y in window:
-            assert q.size_value(*size(x, y, q.group.mul(x, y))) == coboundary_size(q, x, y)
-    assert q.defect_witness() == full_scan_defect_witness(q)
+            size = f.size_value(*f.junction(Word(((side, x),)), Word(((side, y),))))
+            assert size == reference.coboundary_size(q, x, y)
+    assert q.defect_witness() == reference.first_max(q)
+    assert q.defect() == reference.defect(q)
 
 
 CRITERION_9_DIM3 = (((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
@@ -778,23 +690,6 @@ def test_criterion_9_staircase_defects_are_pinned(make, witness):
     assert f.fB.defect_witness() == (0, 0, 0)
     defect = split_qc_defect(f)
     assert defect == witness[0] and type(defect) is type(witness[0])
-
-
-def pair_loop_defect_witness(q):
-    """The pair loop the support scan replaced: every window pair with a
-    table entry at x, y or xy, sized by ``pair_sizer``, keeping the first
-    strict maximum in x-outer, y-inner order."""
-    group, table = q.group, q.table
-    size = q.pair_sizer()
-    best_s, best_t, best_x, best_y = 0, 1, group.identity, group.identity
-    for x, y in itertools.product(group.window(q.defect_window()), repeat=2):
-        xy = group.mul(x, y)
-        if x not in table and y not in table and xy not in table:
-            continue
-        s, t = size(x, y, xy)
-        if s * best_t > best_s * t:
-            best_s, best_t, best_x, best_y = s, t, x, y
-    return (q.size_value(best_s, best_t) if best_s else Fraction(0)), best_x, best_y
 
 
 _S3_PERMS = list(itertools.permutations(range(3)))
@@ -863,7 +758,7 @@ def test_support_scan_matches_the_pair_loop(name, data):
     # Values come from a pool of one or two, so maxima tie, and the support
     # may be empty.
     q = SUPPORT_SCAN_CASES[name](data.draw)
-    got, expected = q.defect_witness(), pair_loop_defect_witness(q)
+    got, expected = q.defect_witness(), reference.first_max(q)
     assert got == expected and type(got[0]) is type(expected[0])
     if not q.table:
         assert got == (0, q.group.identity, q.group.identity)
@@ -886,11 +781,11 @@ def test_coboundary_orbits_have_one_size_on_isometries(name, data):
     assert q.is_isometry
     group = q.group
     if group.is_finite:
-        element = st.sampled_from(group.window(0))
+        element = st.sampled_from(list(group.elements()))
     else:
         element = st.integers(-2 * q.defect_window(), 2 * q.defect_window())
     x, y = data.draw(element), data.draw(element)
-    sizes = {coboundary_size(q, a, b) for a, b in coboundary_orbit(group, x, y)}
+    sizes = {reference.coboundary_size(q, a, b) for a, b in coboundary_orbit(group, x, y)}
     assert len(sizes) == 1
 
 
@@ -919,13 +814,13 @@ def test_the_scan_sizes_support_rows_whatever_the_window(name, data):
     "p, depth, witness", [(5, 3, (2, -250, 125)), (5, 5, (2, -6250, 3125)), (3, 8, (2, -13122, 6561))]
 )
 def test_prime_ladders_of_large_radius_keep_their_witness(p, depth, witness):
-    # Support radius p^depth: 125, 3125 and 6561.  The pair loop checks the
+    # Support radius p^depth: 125, 3125 and 6561.  The reference checks the
     # smallest; the larger two were recorded from a full window scan.
     rep = RegularRep(ZXZ, 1)
     fA = power_ladder_cocycle(rep, p, rep.indicator(IDENTITY), depth)[0]
     assert fA.defect_witness() == witness
     if depth == 3:
-        assert pair_loop_defect_witness(fA) == witness
+        assert reference.first_max(fA) == witness
 
 
 def test_the_unipotent_staircase_refuses_sampling_but_evaluates():
@@ -955,8 +850,8 @@ def test_the_unipotent_action_breaks_the_orbit_rule():
     q = staircase_cocycle(rep, rep.vector((1, 0, 0)), depth=6)[0]
     assert not q.is_isometry
     assert (6, 18) in coboundary_orbit(q.group, -18, -6)
-    assert coboundary_size(q, -18, -6) == 100108
-    assert coboundary_size(q, 6, 18) == 960
+    assert reference.coboundary_size(q, -18, -6) == 100108
+    assert reference.coboundary_size(q, 6, 18) == 960
 
 
 @pytest.mark.parametrize(
@@ -987,15 +882,9 @@ def test_tied_maxima_keep_the_first_pair_in_window_order():
     # so the first pair with an entry attains the defect: in row -10 of the
     # window, y = -2 comes first, with its entry alone, and y = -1 ties.
     q = FactorQRMap(A, _hexagon(), IntegerGroup(), {1: 3, 2: 3})
-    assert q.defect_witness() == pair_loop_defect_witness(q) == (1, -10, -2)
-    assert q.pair_sizer()(-10, -1, -11) == (1, 1)
+    assert q.defect_witness() == reference.first_max(q) == (1, -10, -2)
+    assert reference.coboundary_size(q, -10, -1) == 1
     assert FactorQRMap(A, _hexagon(), S3, {}).defect_witness() == (0, S3.identity, S3.identity)
-
-
-def fraction_is_multiple(f, g, n, v):
-    """The Fraction growth check the numerator one replaced: f(g) == n * v."""
-    m = f.action
-    return m.equal(eval_split_qc(f, g), m.scale(Fraction(n), v))
 
 
 def _literal_ladder(rep, v, p, depth):
@@ -1005,8 +894,8 @@ def _literal_ladder(rep, v, p, depth):
     values = {}
     for i, (side, x) in enumerate(letters):
         if side == A:
-            prefix = Word(_join(ZXZ, letters[i - 1 : i], letters[: i - 1]))
-            values[x] = rep.act(invert(ZXZ, prefix), v)
+            prefix = reference.normal_form(ZXZ, letters[i - 1 : i] + letters[: i - 1])
+            values[x] = reference.act(rep, reference.inverse(ZXZ, prefix), v)
     return SplitQC(ZXZ, rep, FactorCocycleMap(A, rep, values), FactorCocycleMap(B, rep, {}))
 
 
@@ -1037,14 +926,14 @@ def test_numerator_growth_check_matches_the_fraction_check(name, seed):
     rng = random.Random(seed)
     for g in grown + [random_word(ZXZ, 6, 4, rng) for _ in range(3)]:
         for n in range(-1, 6):
-            assert _is_multiple(f, g, n, nums, den) == fraction_is_multiple(f, g, n, v)
+            assert _is_multiple(f, g, n, nums, den) == (reference.value(f, g) == reference.combine(rep, (n, v)))
 
 
 def test_the_literal_ladder_fails_where_the_fraction_check_does():
     rep = RegularRep(ZXZ, 1)
     v = rep.indicator(IDENTITY)
     f = _literal_ladder(rep, v, 2, 4)
-    passed = [fraction_is_multiple(f, ladder_word(ZXZ, 2, n), n, v) for n in range(5)]
+    passed = [reference.value(f, ladder_word(ZXZ, 2, n)) == reference.combine(rep, (n, v)) for n in range(5)]
     first = passed.index(False)
     with pytest.raises(GrowthCheckError, match=f"^ladder evaluation at depth {first} is not {first} times the seed"):
         power_ladder_cocycle(rep, 2, v, depth=4, convention="literal")

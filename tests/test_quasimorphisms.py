@@ -1,11 +1,10 @@
 """Factor and split quasimorphisms: alternation, defects, witnesses."""
 
 import itertools
-import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitqm.groups import CyclicGroup, FiniteTableGroup, IntegerGroup
 from splitqm.quasimorphisms import (
@@ -40,6 +39,7 @@ from splitqm.words import (
     word_sampler,
 )
 
+import reference
 from sampled_pairs import (
     check_joins_as_multiply_does,
     check_marked_sampler_meets_as_the_checked_path,
@@ -153,59 +153,6 @@ def all_split_qms(draw):
     return SplitQM(s, draw(finite_qms(s.A)), draw(finite_qms(s.B)))
 
 
-# -- Fraction-valued reference scans, the oracles for the integer kernel ----
-
-
-def fraction_pairs(q, scale=1):
-    if q.group.is_finite:
-        return [(x, y) for x in q.group.elements() for y in q.group.elements()]
-    window = q.defect_window(scale)
-    return [(x, y) for x in range(-window, window + 1) for y in range(-window, window + 1)]
-
-
-def fraction_defect_witness(q, scale=1):
-    best = (Fraction(0), q.group.identity, q.group.identity)
-    for x, y in fraction_pairs(q, scale):
-        value = abs(q(x) + q(y) - q(q.group.mul(x, y)))
-        if value > best[0]:
-            best = (value, x, y)
-    return best
-
-
-def triangle_rows(q, scale=1):
-    """Every row x of the window with y from x on, over numerators that keep
-    the slope term: the rows of the certified scan before it kept one pair
-    per coboundary orbit."""
-    group = q.group
-    radius = q.defect_window(scale)
-    num = list(map(q._numerator, group.window(2 * radius)))
-    if isinstance(group, IntegerGroup):
-        for x in group.window(radius):
-            at = x + 2 * radius
-            yield x, num[at], num[at:3 * radius + 1], num[at + x:at + radius + 1]
-    elif isinstance(group, CyclicGroup):
-        doubled = num * 2
-        for x in group.window(radius):
-            yield x, num[x], num[x:], doubled[2 * x:x + group.n]
-    else:
-        for x in group.window(radius):
-            yield x, num[x], num[x:], list(map(num.__getitem__, group.table[x][x:]))
-
-
-def triangle_defect_witness(q, scale=1):
-    """The first strict maximum over ``triangle_rows``, each row reduced as
-    ``FactorQM.defect_witness`` reduces its own."""
-    best, best_x, best_y = 0, q.group.identity, q.group.identity
-    for x, nx, ys, xys in triangle_rows(q, scale):
-        row = list(map(operator.sub, ys, xys))
-        high, low = max(row), min(row)
-        value = max(nx + high, -nx - low)
-        if value > best:
-            index = min(row.index(d) for d in (value - nx, -value - nx) if d in (high, low))
-            best, best_x, best_y = value, x, x + index
-    return Fraction(best, q.denominator), best_x, best_y
-
-
 def integer_orbit(x, y):
     """The 12 pairs of Z with the |coboundary| of (x, y): the permutations of
     (x, y, -(x+y)) and their negations."""
@@ -221,54 +168,6 @@ def scanned_pairs(q, scale=1):
     return pairs
 
 
-def fraction_factor_value(q, x):
-    """slope*x + finite part + residue + sign term, in Fractions."""
-    value = q.finite_part.get(x, Fraction(0))
-    if q.group.is_finite:
-        return value
-    value += q.slope * x + q.sign_coeff * ((x > 0) - (x < 0))
-    if q.period is not None:
-        value += q.residues[x % q.period]
-    return value
-
-
-def fraction_eval_split(f, g):
-    """The split value as a Fraction sum over the letters."""
-    return sum((fraction_factor_value(f.factor_map(side), x) for side, x in g.letters), Fraction(0))
-
-
-def junction_walk_value(f, g, h):
-    """delta f(g, h) read off the junction of two normal forms: cancelling
-    letter pairs contribute q(x) + q(x^-1) = 0, and the first merge that
-    leaves a letter contributes its factor coboundary."""
-    s = f.splitting
-    left, right = list(g.letters), list(h.letters)
-    while left and right and left[-1][0] == right[0][0]:
-        (side, x), (_, y) = left.pop(), right.pop(0)
-        if not s.factor(side).is_identity(s.factor(side).mul(x, y)):
-            return f.factor_map(side).coboundary(x, y)
-    return Fraction(0)
-
-
-def fraction_junction_maximum(q):
-    """The first strict maximum of |coboundary| over junction pairs (letters
-    and product not the identity), flipped to a positive coboundary."""
-    group = q.group
-    best_pair, best_value = None, Fraction(0)
-    for x, y in fraction_pairs(q):
-        if group.is_identity(x) or group.is_identity(y) or group.is_identity(group.mul(x, y)):
-            continue
-        value = abs(q.coboundary(x, y))
-        if value > best_value:
-            best_pair, best_value = (x, y), value
-    if best_pair is None:
-        return None
-    x1, x2 = best_pair
-    if q.coboundary(x1, x2) < 0:
-        x1, x2 = group.inv(x2), group.inv(x1)
-    return x1, x2
-
-
 def test_alternation_is_validated():
     with pytest.raises(ValueError):
         FactorQM(ZXZ.A, finite_part={1: Fraction(1)})
@@ -279,6 +178,10 @@ def test_alternation_is_validated():
     with pytest.raises(ValueError):
         FactorQM(C5XC6.A, finite_part={1: Fraction(1, 2)})
     FactorQM(C5XC6.A, finite_part={1: Fraction(1, 2), 4: Fraction(-1, 2)})
+    # period=True once passed as period 1, and period=2.0 raised TypeError.
+    for period, residues in ((True, (0,)), (2.0, (0, 0)), (0, (0,)), ("1", (0,))):
+        with pytest.raises(ValueError, match="period must be an int >= 1"):
+            FactorQM(ZXZ.A, period=period, residues=residues)
 
 
 def test_values_combine_all_terms():
@@ -298,10 +201,8 @@ def test_values_combine_all_terms():
 @given(integer_qms())
 def test_factor_values_match_the_term_oracle(q):
     for x in range(-2 * q.defect_window(), 2 * q.defect_window() + 1):
-        assert q(x) == fraction_factor_value(q, x)
-        assert q.coboundary(x, 1) == (
-            fraction_factor_value(q, x) + fraction_factor_value(q, 1) - fraction_factor_value(q, x + 1)
-        )
+        assert q(x) == reference.factor_value(q, x)
+        assert q.coboundary(x, 1) == reference.coboundary(q, x, 1)
 
 
 @given(integer_qms())
@@ -342,7 +243,8 @@ def test_defect_witness_attains_the_defect(q):
 )
 def test_defect_witness_matches_the_fraction_scan(case):
     q, scale = case
-    assert q.defect_witness(scale) == fraction_defect_witness(q, scale)
+    assert q.defect_witness(scale) == reference.first_max(q, q.defect_window(scale))
+    assert q.defect(scale) == reference.defect(q)
 
 
 @settings(deadline=None, max_examples=60)
@@ -355,11 +257,13 @@ def test_defect_witness_matches_the_fraction_scan(case):
         )
     )
 )
+# Q8's one involution, -1 (element 2), has a row, which holds the first maximal pair here.
+@example((FactorQM(Q8, finite_part={1: 1, 4: -1, 3: 2, 6: -2}), 1))
 def test_row_scan_matches_the_pair_loop(case):
-    # The scan keeps one pair per coboundary orbit; the oracles scan every
-    # row of the y >= x triangle and every pair.
+    # The scan keeps one pair per coboundary orbit; the reference sizes every pair.
     q, scale = case
-    assert q.defect_witness(scale) == triangle_defect_witness(q, scale) == fraction_defect_witness(q, scale)
+    assert q.defect_witness(scale) == reference.first_max(q, q.defect_window(scale))
+    assert q.defect() == reference.defect(q)
 
 
 @pytest.mark.parametrize(
@@ -382,10 +286,11 @@ def test_row_scan_matches_the_pair_loop(case):
         (FactorQM(ZXZ.A, slope=-1, sign_coeff=1), (1, -6, -6), "with its product off the window"),
     ],
 )
-def test_pinned_integer_witnesses_match_the_triangle_rows(q, expected, shape):
+def test_pinned_integer_witnesses_match_the_reference(q, expected, shape):
     value, x, y = expected
     radius = q.defect_window()
-    orbits = {frozenset(integer_orbit(a, b)) for a, b in fraction_pairs(q) if abs(q.coboundary(a, b)) == value}
+    window = range(-radius, radius + 1)
+    orbits = {frozenset(integer_orbit(a, b)) for a in window for b in window if abs(q.coboundary(a, b)) == value}
     shapes = {
         "at the row's last y": x < y == (-x) // 2,
         "in row -W": x == -radius < y,
@@ -393,7 +298,7 @@ def test_pinned_integer_witnesses_match_the_triangle_rows(q, expected, shape):
         "with its product off the window": x + y < -radius,
     }
     assert shapes[shape]
-    assert q.defect_witness() == triangle_defect_witness(q) == fraction_defect_witness(q) == expected
+    assert q.defect_witness() == reference.first_max(q) == expected
 
 
 @pytest.mark.parametrize(
@@ -455,12 +360,13 @@ def test_finite_rows_skip_every_x_after_its_inverse(q):
 def test_defect_witness_is_the_first_of_several_maximal_pairs(q, expected):
     value, x, y = expected
     group = q.group
-    maximal = [(a, b) for a, b in fraction_pairs(q) if abs(q.coboundary(a, b)) == value]
+    window = list(group.elements()) if group.is_finite else range(-q.defect_window(), q.defect_window() + 1)
+    maximal = [(a, b) for a in window for b in window if reference.coboundary_size(q, a, b) == value]
     # The equal pair that puts y first, as in the docstring of defect_witness.
     mirror = (y, group.inv(group.mul(x, y))) if group.is_finite else (y, x)
     assert len(maximal) > 2 and mirror in maximal
     assert ((y, x) in maximal) == (group is not Q8)
-    assert q.defect_witness() == fraction_defect_witness(q) == expected
+    assert q.defect_witness() == reference.first_max(q) == expected
 
 
 @pytest.mark.parametrize("group", [ZXZ.A, CyclicGroup(2), CyclicGroup(40), dihedral(4), Q8])
@@ -497,8 +403,14 @@ def test_gromov_norm_witness_pair_matches_the_junction_scan(f):
     if report.witness is None:
         assert report.value == 0
         return
+    # The first maximal pair, flipped to a positive coboundary: pairs with an
+    # identity letter or product have coboundary 0, so none is the first.
     side = report.witness.side
-    assert report.witness.pair == fraction_junction_maximum(f.factor_map(side))
+    q = f.factor_map(side)
+    _, x, y = reference.first_max(q)
+    if reference.coboundary(q, x, y) < 0:
+        x, y = q.group.inv(y), q.group.inv(x)
+    assert report.witness.pair == (x, y)
     assert maximize_doubling_witness(f, side) == report.witness
     assert report.witness_attains
 
@@ -509,10 +421,8 @@ def test_sampled_defect_matches_fraction_evaluation(f, seed):
     s = f.splitting
     words = [random_word(s, 4, 4, seed + k) for k in range(60)]
     extras = junction_pairs(f)
-    expected = Fraction(0)
-    for g, h in list(zip(words[::2], words[1::2])) + extras:
-        gh = multiply(s, g, h)
-        expected = max(expected, abs(fraction_eval_split(f, g) + fraction_eval_split(f, h) - fraction_eval_split(f, gh)))
+    pairs = list(zip(words[::2], words[1::2])) + extras
+    expected = max(reference.whole_word_size(f, g, h) for g, h in pairs)
     assert sampled_defect(f, iter(words).__next__, 30, extra_pairs=extras) == expected
     assert expected == split_defect(f)
 
@@ -610,8 +520,8 @@ def test_coboundary_is_the_junction_value(f, seed, cut):
     g = random_word(s, 6, 4, seed)
     # h starts by undoing a tail of g, so the junction cancels before it merges.
     h = multiply(s, invert(s, Word(g.letters[cut:])), random_word(s, 4, 4, seed + 1))
-    assert coboundary(f, g, h) == junction_walk_value(f, g, h)
-    assert coboundary(f, g, h) == f(g) + f(h) - f(multiply(s, g, h))
+    gh = reference.normal_form(s, g + h)
+    assert coboundary(f, g, h) == reference.value(f, g) + reference.value(f, h) - reference.value(f, gh)
 
 
 def test_eval_split_adds_coprime_denominators_exactly():
@@ -623,7 +533,7 @@ def test_eval_split_adds_coprime_denominators_exactly():
     assert f.denominator == 6
     for text in ["a", "b", "a b", "a b^-3 a b^2", "a^-1 b^-1 a^-1", "a^2 b a"]:
         g = parse_word(ZXZ, text)
-        assert eval_split(f, g) == fraction_eval_split(f, g)
+        assert eval_split(f, g) == reference.value(f, g)
     assert eval_split(f, parse_word(ZXZ, "a b a b")) == Fraction(5, 3)
 
 
@@ -752,7 +662,7 @@ def test_weight_tables_fill_in_alternation_and_reject_conflicts():
 @given(all_split_qms(), st.integers(0, 2**32 - 1))
 def test_warm_letter_memo_matches_fraction_evaluation(f, seed):
     words = [random_word(f.splitting, 6, 4, seed + offset) for offset in range(30)]
-    expected = [fraction_eval_split(f, g) for g in words]
+    expected = [reference.value(f, g) for g in words]
     for _ in range(2):
         assert [eval_split(f, g) for g in words] == expected
 
