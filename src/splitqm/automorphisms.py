@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .groups import IntegerGroup
-from .quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval, split_defect
+from .quasimorphisms import FactorQM, SplitQM, _homogenized_numerator, eval_split, split_defect
 from .words import (
     A,
     B,
@@ -177,8 +177,9 @@ class FixedPointReport:
 
 
 def _twist_gap(f: SplitQM, e: Endo, g: Word) -> Fraction:
-    """Homogenized discrepancy of the twist at g."""
-    return homogenize_eval(f, apply(e, g)) - homogenize_eval(f, g)
+    """Homogenized discrepancy of the twist at the normal form g, on int
+    numerators (see ``quasimorphisms._homogenized_numerator``)."""
+    return Fraction(_homogenized_numerator(f, apply(e, g)) - _homogenized_numerator(f, g), f.denominator)
 
 
 def violation_witness(

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .groups import (CyclicGroup, FactorGroup, IntegerGroup, _fr, certified_window, designated_generator,
                      _require_int, set_alternating)
@@ -26,10 +26,11 @@ from .words import (
     Splitting,
     SplitMap,
     Word,
-    cyclically_reduce,
+    _cyclic_junction,
+    _join,
     memo_letter,
-    multiply,
     other_side,
+    reduce,
     validate_word,
     word_sampler,
 )
@@ -106,7 +107,7 @@ class FactorQM:
                 if self(-k) != -self(k):
                     raise ValueError(f"factor map is not alternating at {k}")
 
-    @property
+    @cached_property
     def support_radius(self) -> int:
         """Largest |k| (integer factor) carrying a finite-part value."""
         return max((abs(k) for k in self.finite_part), default=0)
@@ -173,15 +174,33 @@ class FactorQM:
         """The rows that can hold the scan's first maximal pair (see
         ``defect_witness``), x in window order: (x, n(x), the n(y) of the
         row's ys, the n(xy)), where n = L*q less its slope term, which
-        cancels in every coboundary.  On Z the rows are x in [-W, 0] with y
-        from x to floor(-x/2); on a finite factor they are the x with
-        x^-1 >= x, with y from x to the end.  The numerators are tabulated
-        once by list operations in C, with no element check: on Z, tiled
-        residues plus a sign block plus the finite entries over the products
-        and ys, [-2W, floor(W/2)]; on a finite factor, the finite part of
-        each element.  The x*y row is then a slice on Z, a rotation on Z/n
-        and the row of the table on a table group.  A generator under this
-        name, which the benchmark's tracer hooks to count a scan's pairs."""
+        cancels in every coboundary.
+
+        On a finite factor the rows are the x other than the identity with
+        x^-1 >= x, and y runs from x to the end.  On Z/n the row n/2 of an
+        even n goes too: (n/2, y) with y > n/2 has the earlier orbit member
+        (n - y, n/2), and (n/2, n/2) has coboundary 0.
+
+        On Z, y runs from x to floor(-x/2), and with M the support radius and
+        p the period (1 when there is none) the rows are [-W, -W + p - 1] and
+        [-2M, 0], clipped to the window: p + 2M + 1 rows at any scale, as
+        W = 2(M + p + 2) keeps the two ranges apart.  Every other row
+        x <= -(2M + 1) has its row x - p in the window, and each of its
+        pairs (x, y) has the coboundary of (x - p, y): as y <= -x/2, the
+        entries x, x - p, x + y and x - p + y are all negative and below -M,
+        so n(x) = n(x - p) and n(x + y) = n(x - p + y), from equal residues,
+        sign -1 and no finite part.  That y lies in row x - p's range, which
+        the scan reads earlier; so by induction every value of a skipped row
+        is attained first in a kept row, and the row can neither set the
+        first strict maximum nor move it.
+
+        The numerators are tabulated once by list operations in C, with no
+        element check: on Z, tiled residues plus a sign block plus the finite
+        entries over the products and ys, [-2W, floor(W/2)]; on a finite
+        factor, the finite part of each element.  The x*y row is then a
+        slice on Z, a rotation on Z/n and the row of the table on a table
+        group.  A generator under this name, which the benchmark's tracer
+        hooks to count a scan's pairs."""
         group = self.group
         radius = self.defect_window(scale)
         _, finite, residues, sign = self._scaled_terms
@@ -194,18 +213,21 @@ class FactorQM:
                 num = list(map(operator.add, num, (residues * (size // period + 2))[start:start + size]))
             for k, v in finite.items():  # |k| <= M < W/2
                 num[k - lo] += v
-            for x in range(-radius, 1):
+            near = max(-2 * self.support_radius, -radius)
+            rows = chain(range(-radius, min(-radius + self.period_or_one, near)), range(near, 1))
+            for x in rows:
                 at, end = x - lo, (-x) // 2 - lo + 1
                 yield x, num[at], num[at:end], num[at + x:end + x]
             return
         num = list(map(finite.get, group.window(radius), repeat(0)))
         if isinstance(group, CyclicGroup):
             doubled = num * 2
-            for x in range(group.n // 2 + 1):  # x^-1 = n - x >= x
+            for x in range(1, (group.n + 1) // 2):  # x^-1 = n - x > x
                 yield x, num[x], num[x:], doubled[2 * x:x + group.n]
         else:
+            identity = group.identity
             for x, inv_x in enumerate(group.inverse):
-                if inv_x >= x:
+                if inv_x >= x and x != identity:
                     yield x, num[x], num[x:], list(map(num.__getitem__, group.table[x][x:]))
 
     def coboundary(self, x: int, y: int) -> Fraction:
@@ -219,11 +241,15 @@ class FactorQM:
         n(y) - n(xy) give its largest |coboundary|, and only a row that
         strictly beats the best so far is searched for its first y.
 
-        ``_pairs`` visits only the pairs that come first among the
-        in-window members of their coboundary orbit, where the first
-        maximal pair lies.  By alternation, with z = (xy)^-1, the pairs
-        (x, y), (y, z), (z, x), (y^-1, x^-1), (x^-1, z^-1) and (z^-1, y^-1)
-        have one |coboundary|.  On a finite factor, whose window holds them
+        ``_pairs`` visits only pairs that come first among the in-window
+        members of their coboundary orbit, where the first maximal pair
+        lies, and of those only the rows that no earlier row dominates and
+        that are not the identity's, whose coboundaries are 0 (see
+        ``_pairs``).  On Z that leaves p + 2M + 1 rows of at most 3W/2 + 1
+        pairs each, so a scan grows as (p + M) * W, not W^2.
+
+        By alternation, with z = (xy)^-1, the pairs (x, y), (y, z), (z, x),
+        (y^-1, x^-1), (x^-1, z^-1) and (z^-1, y^-1) have one |coboundary|.  On a finite factor, whose window holds them
         all, the first has x <= y and x <= x^-1.  On Z, where z = -(x+y),
         every permutation of (x, y, z) and of its negation has it too, and
         the first member is (a, b), the two least entries of (x, y, z) or
@@ -361,17 +387,35 @@ def sampled_defect(
     return f.size_value(best_s, best_t) if best_s else Fraction(0)
 
 
-def homogenize_eval(f: SplitQM, g: Word) -> Fraction:
-    """The homogenization: slope terms on single-factor elements, plain
-    evaluation on a cyclically reduced conjugate otherwise."""
+def _homogenized_numerator(f: SplitQM, g: Sequence[Letter]) -> int:
+    """L*f~(g) as an int, with L = ``f.denominator`` and f~ the
+    homogenization, for a normal form g, read where its cyclic ends meet
+    and with no core word built.  If the ends of g lie on different sides,
+    g is cyclically reduced and this is L*f(g).  Otherwise
+    ``words._cyclic_junction`` gives the first end pair (g[-1-t], g[t]) that
+    does not cancel and its product w, and the pairs outside it, which
+    cancel, add nothing to f(g) by alternation; so the core
+    g[t+1 : -1-t] w has L*f(g) less ``merge(g[-1-t], g[t], w)``.  If every
+    pair cancels, g is a conjugate of its middle letter, and this is that
+    letter's slope term (0 on a finite factor)."""
     if not g:
-        return Fraction(0)
-    core, _ = cyclically_reduce(f.splitting, g)
-    if len(core) == 1:
-        side, x = core[0]
+        return 0
+    if g[0][0] != g[-1][0]:
+        return f.numerator(g)
+    t, w = _cyclic_junction(f.splitting, g)
+    if w is None:
+        side, x = g[t]
         q = f.factor_map(side)
-        return q.slope * q.group.check(x)
-    return eval_split(f, core)
+        return q._scaled_terms[0] * (f.denominator // q.denominator) * x
+    return f.numerator(g) - f.merge(g[-1 - t], g[t], w)[0]
+
+
+def homogenize_eval(f: SplitQM, g: Word) -> Fraction:
+    """The homogenization, lim f(g^n)/n: ``g`` is reduced once, then read
+    where its cyclic ends meet (see ``_homogenized_numerator``).  That is
+    the slope term on a conjugate of a single-factor element and f of a
+    cyclically reduced conjugate otherwise."""
+    return Fraction(_homogenized_numerator(f, reduce(f.splitting, g)), f.denominator)
 
 
 # -- doubling witnesses -------------------------------------------------
@@ -436,9 +480,9 @@ def doubling_witness(
     if other.is_identity(other.check(aux_other)):
         raise ValueError("opposite-side auxiliary must be non-trivial")
     g, h = _doubling_words(s, side, x1, x2, aux_same, aux_other)
-    gh = multiply(s, g, h)
-    gap = homogenize_eval(f, g) + homogenize_eval(f, h) - homogenize_eval(f, gh)
-    return DoublingWitness(g=g, h=h, gap=gap, side=side, pair=(x1, x2))
+    gap = _homogenized_numerator(f, g) + _homogenized_numerator(f, h)
+    gap -= _homogenized_numerator(f, _join(s, g, h))
+    return DoublingWitness(g=g, h=h, gap=Fraction(gap, f.denominator), side=side, pair=(x1, x2))
 
 
 def _aux_same_side(factor: FactorGroup) -> Optional[int]:
@@ -460,7 +504,8 @@ def _witness_on_pair(f: SplitQM, side: str, x1: int, x2: int) -> DoublingWitness
         # map to vanish; a positive gap is impossible here.
         raise RuntimeError("positive factor defect on a factor of exponent two")
     aux_other = designated_generator(f.splitting.factor(other_side(side)))
-    if q.coboundary(x1, x2) < 0:
+    num = q.numerator
+    if num(x1) + num(x2) < num(q.group.mul(x1, x2)):
         # Flip to the inverse pair so the reported gap is positive.
         x1, x2 = q.group.inv(x2), q.group.inv(x1)
     return doubling_witness(f, x1, x2, aux_same, aux_other, side)

@@ -257,12 +257,17 @@ class SplitMap:
 
 
 def validate_word(s: Splitting, g: Word) -> Word:
-    """Check the normal-form invariants; return ``g`` unchanged.  A tuple
-    that ``_is_normal`` accepts comes back as itself with no loop."""
+    """Check the normal-form invariants, each letter a (side, element)
+    tuple; return ``g`` unchanged, or raise ValueError naming the broken
+    rule.  A tuple that ``_is_normal`` accepts comes back as itself with no
+    loop."""
     if isinstance(g, tuple) and _is_normal(s, g):
         return g
     prev = None
-    for side, x in g:
+    for letter in g:
+        if type(letter) is not tuple or len(letter) != 2:
+            raise ValueError("letter is not a (side, element) tuple")
+        side, x = letter
         factor = s.factor(side)
         factor.check(x)
         if factor.is_identity(x):
@@ -355,35 +360,44 @@ def conjugate(s: Splitting, h: Word, g: Word) -> Word:
     return Word(out)
 
 
+def _cyclic_junction(s: Splitting, g: tuple[Letter, ...]) -> tuple[int, Optional[Letter]]:
+    """Where the cyclic ends of a normal form g meet, for g whose first and
+    last letters share a side (so len(g) is odd).
+
+    Read inwards, the end pairs (g[-1-t], g[t]) cancel until the first one
+    whose product w = g[-1-t] * g[t], last letter first, is not the
+    identity; that gives (t, w).  If every pair cancels, g is a conjugate of
+    its middle letter g[t] and this gives (t, None) with t = len(g) // 2.
+    The only strip rule: ``cyclically_reduce`` builds its split from it, and
+    ``quasimorphisms`` reads homogenized values from it."""
+    n = len(g)
+    for t in range(n // 2):
+        side, x = g[n - 1 - t]
+        factor = s.factor(side)
+        w = factor.mul(x, g[t][1])
+        if not factor.is_identity(w):
+            return t, (side, w)
+    return n // 2, None
+
+
 def cyclically_reduce(s: Splitting, g: Word) -> tuple[Word, Word]:
     """Split ``g`` as conjugator * core * conjugator^-1.
 
     The core either lies in a single factor (at most one letter) or its
     normal form starts and ends in different factors.  ``g`` is reduced
-    first, so every spelling of an element gives the same split.  The first
-    strip joins the first letter onto the rest; later ones move the first
-    letter onto the last, which it merges with or cancels, tracked by two
-    indices and the current last letter, so the whole strip takes linear time.
+    first, so every spelling of an element gives the same split.  When the
+    ends share a side, ``_cyclic_junction`` finds where they meet: the t
+    cancelled end pairs and the merged letter w give the core
+    g[t+1 : -1-t] w with conjugator g[:t+1], and a conjugate of the middle
+    letter g[t] has conjugator g[:t].
     """
     core = reduce(s, g)
     if len(core) < 2 or core[0][0] != core[-1][0]:
         return core, IDENTITY
-    stripped = [core[0]]
-    core = _join(s, core[1:], core[:1])
-    lo, hi = 0, len(core)
-    last = core[-1] if core else None
-    while hi - lo >= 2 and core[lo][0] == last[0]:
-        first = core[lo]
-        stripped.append(first)
-        lo += 1
-        factor = s.factor(first[0])
-        x = factor.mul(last[1], first[1])
-        if factor.is_identity(x):
-            hi -= 1
-            last = core[hi - 1]
-        else:
-            last = (first[0], x)
-    return Word(core[lo : hi - 1] + (last,) if hi > lo else ()), Word(stripped)
+    t, w = _cyclic_junction(s, core)
+    if w is None:
+        return Word(core[t : t + 1]), Word(core[:t])
+    return Word(core[t + 1 : len(core) - 1 - t] + (w,)), Word(core[: t + 1])
 
 
 _GEN_TOKEN = re.compile(r"^([ab])(?:\^(-?\d+))?$")

@@ -82,6 +82,27 @@ def factor_value(q, x):
     return value
 
 
+def homogenized(f, g):
+    """lim f(g^n)/n of a split quasimorphism, read exactly from two powers.
+
+    Write g = h c h^-1 with c cyclically reduced.  If c has two letters or
+    more, f(g^n) = f(g) + (n - 1) f(c).  If c is one letter x, f(g^n) is
+    q(x^n) by alternation: on a finite factor it has period dividing the
+    order of x, and on Z, once |n x| passes the support radius M, it is
+    n times the slope term plus a term of period dividing the period.  So
+    with N = M + 1 and P a multiple of every such period, the limit is
+    (f(g^(N+P)) - f(g^N)) / P."""
+    start, period = 1, 1
+    for q in f.factor_maps:
+        if q.group.is_finite:
+            period = math.lcm(period, q.group.size)
+        else:
+            start = max(start, 1 + max(map(abs, q.finite_part), default=0))
+            period = math.lcm(period, q.period or 1)
+    s = f.splitting
+    return (value(f, power(s, g, start + period)) - value(f, power(s, g, start))) / period
+
+
 def combine(m, *terms):
     """The linear combination of (coefficient, vector) terms."""
     if not isinstance(m, RegularRep):

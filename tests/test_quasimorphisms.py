@@ -31,8 +31,10 @@ from splitqm.words import (
     Splitting,
     Word,
     conjugate,
+    cyclically_reduce,
     invert,
     multiply,
+    other_side,
     parse_word,
     power,
     random_word,
@@ -259,6 +261,9 @@ def test_defect_witness_matches_the_fraction_scan(case):
 )
 # Q8's one involution, -1 (element 2), has a row, which holds the first maximal pair here.
 @example((FactorQM(Q8, finite_part={1: 1, 4: -1, 3: 2, 6: -2}), 1))
+# With M = 0 and p = 7 the first maximal pair is (-16, -13), in the third of
+# the first p rows of Z's window [-18, 18].
+@example((FactorQM(ZXZ.A, period=7, residues=(0, -2, 0, 0, 0, 0, 2), sign_coeff=1), 1))
 def test_row_scan_matches_the_pair_loop(case):
     # The scan keeps one pair per coboundary orbit; the reference sizes every pair.
     q, scale = case
@@ -282,6 +287,11 @@ def test_row_scan_matches_the_pair_loop(case):
             "at the row's last y",
         ),
         (FactorQM(ZXZ.A, slope=-2, period=3, residues=(0, -1, 1), sign_coeff=1), (4, -10, 2), "in row -W"),
+        (
+            FactorQM(ZXZ.A, period=7, residues=(0, -2, 0, 0, 0, 0, 2), sign_coeff=1),
+            (5, -16, -13),
+            "in a later row of the first p",
+        ),
         (FactorQM(ZXZ.A, finite_part={3: -1, -3: 1, 4: 1, -4: -1}, sign_coeff=-1), (3, -6, 3), "tied with another orbit"),
         (FactorQM(ZXZ.A, slope=-1, sign_coeff=1), (1, -6, -6), "with its product off the window"),
     ],
@@ -294,6 +304,7 @@ def test_pinned_integer_witnesses_match_the_reference(q, expected, shape):
     shapes = {
         "at the row's last y": x < y == (-x) // 2,
         "in row -W": x == -radius < y,
+        "in a later row of the first p": -radius < x < -radius + q.period_or_one,
         "tied with another orbit": len(orbits) > 1,
         "with its product off the window": x + y < -radius,
     }
@@ -301,47 +312,64 @@ def test_pinned_integer_witnesses_match_the_reference(q, expected, shape):
     assert q.defect_witness() == reference.first_max(q) == expected
 
 
+@pytest.mark.parametrize("scale", [1, 2, 3])
 @pytest.mark.parametrize(
-    "q, scale",
+    "q",
     [
-        (FactorQM(ZXZ.A), 1),
-        (FactorQM(ZXZ.A), 2),
-        (FactorQM(ZXZ.A), 3),
-        (
-            FactorQM(
-                ZXZ.A,
-                slope=Fraction(-1, 2),
-                finite_part={3: 1, -3: -1},
-                period=5,
-                residues=(0, 1, -2, 2, -1),
-                sign_coeff=Fraction(1, 3),
-            ),
-            1,
+        FactorQM(ZXZ.A),
+        FactorQM(
+            ZXZ.A,
+            slope=Fraction(-1, 2),
+            finite_part={3: 1, -3: -1},
+            period=5,
+            residues=(0, 1, -2, 2, -1),
+            sign_coeff=Fraction(1, 3),
         ),
-        (FactorQM(ZXZ.A, period=4, residues=(0, 1, 0, -1)), 3),
+        FactorQM(ZXZ.A, period=4, residues=(0, 1, 0, -1)),
     ],
+    ids=["zero", "all-terms", "period-4"],
 )
 def test_integer_rows_hold_one_ordered_member_of_every_orbit(q, scale):
-    radius = q.defect_window(scale)
-    pairs = scanned_pairs(q, scale)
-    assert all(x <= y <= -(x + y) for x, y in pairs)
-    visited = set(pairs)
-    assert len(visited) == len(pairs)
-    window = range(-radius, radius + 1)
-    assert all(integer_orbit(x, y) & visited for x in window for y in window)
+    radius, period = q.defect_window(scale), q.period_or_one
+    rows = [x for x, *_ in q._pairs(scale)]
+    assert rows == [*range(-radius, -radius + period), *range(-2 * q.support_radius, 1)]
     # The numerators are L*q less the slope term, which cancels in every coboundary.
     slope = int(q.slope * q.denominator)
+
+    def n(v):
+        return q.numerator(v) - slope * v
+
     for x, nx, ys, xys in q._pairs(scale):
-        assert nx == q.numerator(x) - slope * x
+        assert nx == n(x)
         for y, ny, nxy in zip(itertools.count(x), ys, xys):
-            assert (ny, nxy) == (q.numerator(y) - slope * y, q.numerator(x + y) - slope * (x + y))
+            assert (ny, nxy) == (n(y), n(x + y))
+    pairs = scanned_pairs(q, scale)
+    visited = set(pairs)
+    assert len(visited) == len(pairs)
+    # Every pair of a skipped row has the numerators of the same y in row
+    # x - p, and so of its twin in the kept row of x's residue mod p.
+    covered = set(visited)
+    for x in sorted(set(range(-radius, 1)) - set(rows)):
+        twin = -radius + (x + radius) % period
+        for y in range(x, (-x) // 2 + 1):
+            assert (n(x), n(y), n(x + y)) == (n(x - period), n(y), n(x - period + y))
+            assert (twin, y) in visited
+            covered.add((x, y))
+    assert all(x <= y <= -(x + y) for x, y in covered)
+    window = range(-radius, radius + 1)
+    assert all(integer_orbit(x, y) & covered for x in window for y in window)
 
 
 @given(st.sampled_from([CyclicGroup(n) for n in (2, 3, 7, 8, 40)] + DIHEDRAL + [Q8, S3]).flatmap(finite_qms))
 def test_finite_rows_skip_every_x_after_its_inverse(q):
+    # The identity's row goes (its coboundaries are 0), and on Z/n so does
+    # the row n/2: (n/2, y) has the earlier orbit member (n - y, n/2).
     group = q.group
     rows = list(q._pairs())
-    assert [x for x, *_ in rows] == [x for x in group.elements() if group.inv(x) >= x]
+    kept = [x for x in group.elements() if not group.is_identity(x) and group.inv(x) >= x]
+    if isinstance(group, CyclicGroup):
+        kept = [x for x in kept if 2 * x != group.n]
+    assert [x for x, *_ in rows] == kept
     for x, nx, ys, xys in rows:
         assert nx == q.numerator(x)
         assert ys == [q.numerator(y) for y in range(x, group.size)]
@@ -593,6 +621,57 @@ def test_homogenization_reads_the_element_not_its_spelling():
     assert homogenize_eval(f, raw) == homogenize_eval(f, parse_word(ZXZ, "b")) == 0
     raw = Word(((A, 1), (B, 2), (A, 0), (B, -2), (A, 1), (B, 1), (A, -1)))
     assert homogenize_eval(f, raw) == homogenize_eval(f, parse_word(ZXZ, "a b")) != 0
+
+
+# Non-abelian factors, where the merge at the cyclic ends must keep its order.
+NON_ABELIAN = [
+    Splitting(DIHEDRAL[1], Q8), Splitting(Q8, IntegerGroup()), Splitting(DIHEDRAL[0], DIHEDRAL[2]), ZXZ
+]
+
+
+def _normal_letters(draw, s, length):
+    side, letters = draw(st.sampled_from([A, B])), []
+    for _ in range(length):
+        factor = s.factor(side)
+        if factor.is_finite:
+            x = draw(st.sampled_from([x for x in factor.elements() if not factor.is_identity(x)]))
+        else:
+            x = draw(st.integers(-4, 4).filter(bool))
+        letters.append((side, x))
+        side = other_side(side)
+    return tuple(letters)
+
+
+@st.composite
+def conjugated_cores(draw):
+    """A split quasimorphism and a raw spelling of h c h^-1, with normal
+    forms h of 1 to 6 letters and c of 1 to 4, so that the cyclic ends
+    cancel, merge or meet in a conjugate of one letter; the spelling may
+    hold an identity letter or a letter and its inverse."""
+    s = draw(st.sampled_from(NON_ABELIAN))
+    f = SplitQM(
+        s, *(draw(finite_qms(g) if g.is_finite else integer_qms(g)) for g in (s.A, s.B))
+    )
+    h = _normal_letters(draw, s, draw(st.integers(1, 6)))
+    raw = list(h + _normal_letters(draw, s, draw(st.integers(1, 4))) + reference.inverse(s, h))
+    for inserted in draw(st.lists(st.sampled_from(["identity", "inverse pair"]), max_size=2)):
+        i, side = draw(st.integers(0, len(raw))), draw(st.sampled_from([A, B]))
+        factor = s.factor(side)
+        if inserted == "identity":
+            raw.insert(i, (side, factor.identity))
+        else:
+            x = draw(st.sampled_from(list(factor.elements())) if factor.is_finite else st.integers(-3, 3))
+            raw[i:i] = [(side, x), (side, factor.inv(x))]
+    return f, tuple(raw)
+
+
+@settings(deadline=None, max_examples=200)
+@given(conjugated_cores())
+def test_homogenization_and_cyclic_reduction_match_the_reference(case):
+    f, raw = case
+    s = f.splitting
+    assert cyclically_reduce(s, Word(raw)) == reference.cyclic_split(s, raw)
+    assert homogenize_eval(f, Word(raw)) == reference.homogenized(f, raw)
 
 
 def test_doubling_witness_doubles_the_factor_gap():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from splitqm.groups import CyclicGroup, IntegerGroup
 from splitqm.quasicocycles import FactorCocycleMap, RegularRep, power_ladder_cocycle
-from splitqm.quasimorphisms import FactorQM, rademacher
+from splitqm.quasimorphisms import FactorQM, SplitQM, rademacher
 from splitqm.words import A, B, Splitting
 
 import reference
@@ -49,3 +49,17 @@ def test_the_prime_ladder_witness_written_out():
     tail = ((B, -1), (A, -25), (B, -1), (A, -5), (B, -1))
     assert reference.coboundary(fA, -250, 125) == {((A, -250),) + tail: 1, ((A, -125),) + tail: 1}
     assert reference.coboundary_size(fA, -250, 125) == 2
+
+
+def test_homogenized_values_written_out():
+    # q_A(k) = k/2 + sgn(k), and q_B is 1 at b, -1 at b^-1 and 0 elsewhere.
+    f = SplitQM(
+        ZXZ, FactorQM(ZXZ.A, slope=Fraction(1, 2), sign_coeff=1), FactorQM(ZXZ.B, finite_part={1: 1, -1: -1})
+    )
+    # (a b a^-1)^n = a b^n a^-1 has f = q_B(n) = 0 for n >= 2; f(a^3n) = 3n/2 + 1.
+    assert reference.homogenized(f, ((A, 1), (B, 1), (A, -1))) == 0
+    assert reference.homogenized(f, ((A, 3),)) == Fraction(3, 2)
+    # (a b a)^n = a (b a^2)^(n-1) b a grows by f(b a^2) = 1 + 2 per power;
+    # a b is cyclically reduced, f(a b) = 3/2 + 1.
+    assert reference.homogenized(f, ((A, 1), (B, 1), (A, 1))) == 3
+    assert reference.homogenized(f, ((A, 1), (B, 1))) == Fraction(5, 2)

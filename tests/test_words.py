@@ -284,9 +284,6 @@ def test_normal_form_checks_agree_with_the_letter_loops(case, kind):
     got = outcome(validate_word, s, g)
     if reference.is_normal(s, letters):
         assert got[0] == "returns" and got[1] is g
-    elif got[0] == "returns":
-        # Only a list letter gets through (see test_validate_word_refuses_list_letters).
-        assert got[1] is g and reference.is_normal(s, [tuple(x) if type(x) is list else x for x in letters])
     else:
         assert got[:2] == ("raises", ValueError)
     if kind != "generator":
@@ -304,7 +301,7 @@ def test_each_bad_letter_in_a_normal_word_takes_the_loop(s):
             got = outcome(validate_word, s, word)
             if reference.is_normal(s, word):
                 assert got[0] == "returns" and got[1] is word
-            elif type(bad) is not list:  # see test_validate_word_refuses_list_letters
+            else:
                 assert got[:2] == ("raises", ValueError)
 
 
@@ -317,6 +314,8 @@ def test_each_bad_letter_in_a_normal_word_takes_the_loop(s):
         (C5XC6, ((B, -1),), "-1 is not an element of Z/6"),
         (ZXZ, ((A, True),), "True is not an element of Z"),
         (ZXZ, (("C", 1),), "unknown side 'C'"),
+        (ZXZ, ((A, 1), [B, 1]), "letter is not a (side, element) tuple"),
+        (ZXZ, ((A, 1), (B,)), "letter is not a (side, element) tuple"),
     ],
 )
 def test_validate_word_names_the_broken_rule(s, word, message):
@@ -325,13 +324,12 @@ def test_validate_word_names_the_broken_rule(s, word, message):
     assert str(info.value) == message
 
 
-# A FOUND line in CHANGES.md: a list letter passes validate_word, though a
-# normal form holds only (side, element) tuples.
-@pytest.mark.xfail(strict=True, reason="validate_word unpacks list letters as pairs")
+# A normal form holds only (side, element) tuples: a list letter, which
+# unpacks as a pair, is refused before the letter memo could raise TypeError.
 @pytest.mark.parametrize("word", [([A, 1], (B, 1)), ((A, 1), [B, 1]), Word(([A, 1], [B, 2]))])
 def test_validate_word_refuses_list_letters(word):
     assert not reference.is_normal(ZXZ, word)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"letter is not a \(side, element\) tuple"):
         validate_word(ZXZ, word)
 
 
