@@ -109,12 +109,15 @@ class OrderBoundReport:
 
 
 def order_bound_check(f: DefectVector) -> OrderBoundReport:
-    """Verify |f(g)| <= (1 - 2/ord(g)) * dn(f) for every non-identity g.
+    """Verify the sandwich sup|f| <= dn(f) <= 3 sup|f| and |f(g)| <= (1 -
+    2/ord(g)) * dn(f) for every non-identity g.
 
     Infinite-order elements use the factor 1.  A violation is impossible for
     a genuine alternating map and raises RuntimeError.
     """
-    dn = defect_norm(f)
+    dn, sup = defect_norm(f), sup_norm(f)
+    if not sup <= dn <= 3 * sup:
+        raise RuntimeError(f"norm sandwich fails: sup {sup}, defect {dn}")
     checked = 0
     worst = None
     tight_at = f.carrier.identity

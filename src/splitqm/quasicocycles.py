@@ -10,6 +10,7 @@ norm is a float, the p-th root of an exact integer sum.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from abc import ABC, abstractmethod
@@ -105,10 +106,14 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
 class ModuleAction(ABC):
     """A linear action of the free product on a coefficient space.
 
-    ``is_isometry``, fixed at construction, says whether every group element
-    keeps the norm that ``sum_size`` measures.  Pair sizes (``SplitMap.merge``,
-    ``FactorTableMap.defect_witness``) hold only then, and raise ValueError
-    on any other action; evaluation works on every action.
+    Each kind defines its space once, on int numerators over a denominator
+    kept beside them: ``add_scaled`` sums them and ``size`` measures them.
+    The vector arithmetic, ``norm`` and the pair sizes of the certified
+    scans are built from those two.  ``is_isometry``, fixed at construction,
+    says whether every group element keeps the norm that ``size`` measures.
+    Pair sizes (``SplitMap.merge``, ``FactorTableMap.defect_witness``) hold
+    only then, and raise ValueError on any other action; evaluation works on
+    every action.
     """
 
     splitting: Splitting
@@ -118,19 +123,11 @@ class ModuleAction(ABC):
     def zero(self) -> Vector: ...
 
     @abstractmethod
-    def add(self, u: Vector, v: Vector) -> Vector: ...
-
-    @abstractmethod
-    def scale(self, c: Fraction, v: Vector) -> Vector: ...
-
-    @abstractmethod
     def act(self, g: Word, v: Vector) -> Vector: ...
 
     @abstractmethod
-    def norm(self, v: Vector) -> Union[Fraction, float]: ...
-
-    @abstractmethod
-    def is_zero(self, v: Vector) -> bool: ...
+    def is_zero(self, v: Union[Vector, Numerators]) -> bool:
+        """Whether v, a vector or its numerators, is zero."""
 
     @abstractmethod
     def vector(self, data) -> Vector:
@@ -142,7 +139,7 @@ class ModuleAction(ABC):
 
     @abstractmethod
     def numerators(self, v: Vector, den: int) -> Numerators:
-        """den * v as ints; den must be a multiple of ``denominator(v)``."""
+        """den * v as ints, always new; den must be a multiple of ``denominator(v)``."""
 
     @abstractmethod
     def from_numerators(self, nums: Numerators, den: int) -> Vector:
@@ -151,32 +148,57 @@ class ModuleAction(ABC):
     @abstractmethod
     def translate(self, side: str, x: int, nums: Numerators) -> tuple[Numerators, int]:
         """The letter (side, x) applied to int numerators over some den:
-        (numerators of the image, d) with the image over den * d."""
+        (new numerators of the image, d) with the image over den * d."""
 
     @abstractmethod
-    def sum_size(
-        self, u: Optional[Numerators], side: str, x: int, v: Optional[Numerators],
-        w: Optional[Numerators], den: int,
-    ) -> Size:
-        """The norm of u + (side, x).v - w, all three over den and None for
-        zero, as a pair size for ``size_value``: no Fraction is built."""
+    def add_scaled(self, total: Numerators, c: int, nums: Numerators) -> Numerators:
+        """total + c * nums, both over one denominator; a sparse total is
+        changed in place and returned."""
 
     @abstractmethod
+    def size(self, nums: Numerators, den: int) -> Size:
+        """The norm of nums / den as (s, t), for ``size_value``: no Fraction is built."""
+
     def size_value(self, s: int, t: int) -> Union[Fraction, float]:
-        """The norm that ``sum_size`` measured as (s, t)."""
+        """The norm that ``size`` measured as (s, t)."""
+        return Fraction(s, t)
+
+    @cached_property
+    def zero_numerators(self) -> Numerators:
+        """The numerators of the zero vector, built once and shared: never
+        change them."""
+        return self.numerators(self.zero(), 1)
+
+    def _sum_numerators(self, u: Vector, c: int, v: Vector) -> tuple[Numerators, int]:
+        """u + c * v as new numerators over the lcm of both denominators."""
+        den = math.lcm(self.denominator(u), self.denominator(v))
+        return self.add_scaled(self.numerators(u, den), c, self.numerators(v, den)), den
+
+    def add(self, u: Vector, v: Vector) -> Vector:
+        return self.from_numerators(*self._sum_numerators(u, 1, v))
+
+    def sub(self, u: Vector, v: Vector) -> Vector:
+        return self.from_numerators(*self._sum_numerators(u, -1, v))
+
+    def equal(self, u: Vector, v: Vector) -> bool:
+        return self.is_zero(self._sum_numerators(u, -1, v)[0])
+
+    def scale(self, c: Fraction, v: Vector) -> Vector:
+        c, den = _fr(c), self.denominator(v)
+        total = self.add_scaled(self.numerators(self.zero(), 1), c.numerator, self.numerators(v, den))
+        return self.from_numerators(total, den * c.denominator)
 
     def neg(self, v: Vector) -> Vector:
         return self.scale(Fraction(-1), v)
 
-    def sub(self, u: Vector, v: Vector) -> Vector:
-        return self.add(u, self.neg(v))
-
-    def equal(self, u: Vector, v: Vector) -> bool:
-        return self.is_zero(self.sub(u, v))
+    def norm(self, v: Vector) -> Union[Fraction, float]:
+        den = self.denominator(v)
+        return self.size_value(*self.size(self.numerators(v, den), den))
 
 
 class FiniteDimRep(ModuleAction):
-    """A rational matrix representation, one generator matrix per factor.
+    """A rational matrix representation, one generator matrix per factor,
+    under the sup norm.
 
     Integer factors may use any invertible matrix; a cyclic factor of order n
     requires its matrix to have order dividing n.  Table-group factors are
@@ -209,20 +231,13 @@ class FiniteDimRep(ModuleAction):
         self._letters: dict[tuple[str, int], tuple[IntMatrix, int]] = {}
 
     def zero(self) -> DenseVector:
-        return tuple(Fraction(0) for _ in range(self.dim))
+        return (Fraction(0),) * self.dim
 
     def vector(self, coords: Sequence) -> DenseVector:
         v = tuple(_fr(x) for x in coords)
         if len(v) != self.dim:
             raise ValueError("coordinate count does not match the dimension")
         return v
-
-    def add(self, u: DenseVector, v: DenseVector) -> DenseVector:
-        return tuple(a + b for a, b in zip(u, v))
-
-    def scale(self, c: Fraction, v: DenseVector) -> DenseVector:
-        c = _fr(c)
-        return tuple(c * a for a in v)
 
     def _letter(self, side: str, k: int) -> tuple[IntMatrix, int]:
         """The matrix of the letter (side, k) scaled to integers by the
@@ -262,21 +277,13 @@ class FiniteDimRep(ModuleAction):
             den *= d
         return self.from_numerators(nums, den)
 
-    def sum_size(self, u, side, x, v, w, den) -> Size:
-        """The sup norm, as ``norm``.  Only an isometric action is sized, and
-        its signed-permutation letter matrices are integral: d = 1."""
-        zero = (0,) * self.dim
-        t = zero if v is None else self.translate(side, x, v)[0]
-        return max((abs(a + b - c) for a, b, c in zip(u or zero, t, w or zero)), default=0), den
+    def add_scaled(self, total: tuple[int, ...], c: int, nums: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(operator.add, total, map(c.__mul__, nums)))
 
-    def size_value(self, s: int, t: int) -> Fraction:
-        return Fraction(s, t)
+    def size(self, nums: tuple[int, ...], den: int) -> Size:
+        return max(map(abs, nums), default=0), den
 
-    def norm(self, v: DenseVector) -> Fraction:
-        """The sup norm, the one the certified scans measure."""
-        return max((abs(x) for x in v), default=Fraction(0))
-
-    def is_zero(self, v: DenseVector) -> bool:
+    def is_zero(self, v: Union[DenseVector, tuple[int, ...]]) -> bool:
         return not any(v)
 
 
@@ -311,31 +318,13 @@ class RegularRep(ModuleAction):
             out[g] = out.get(g, 0) + _fr(value)
         return {g: value for g, value in out.items() if value}
 
-    def add(self, u: SparseVector, v: SparseVector) -> SparseVector:
-        out = dict(u)
-        _add_into(out, v, 1)
-        return out
-
-    def scale(self, c: Fraction, v: SparseVector) -> SparseVector:
-        c = _fr(c)
-        if not c:
-            return {}
-        return {g: c * value for g, value in v.items()}
-
     def act(self, g: Word, v: SparseVector) -> SparseVector:
         """Reduce g once, checking its letters, and join it onto each key."""
         s = self.splitting
         g = reduce(s, g)
         return {Word(_join(s, g, h)): value for h, value in v.items()}
 
-    def norm(self, v: SparseVector) -> Union[Fraction, float]:
-        if self.p == 1:
-            return sum((abs(x) for x in v.values()), Fraction(0))
-        if self.p == math.inf:
-            return max((abs(x) for x in v.values()), default=Fraction(0))
-        return float(sum(abs(x) ** self.p for x in v.values())) ** (1.0 / self.p)
-
-    def is_zero(self, v: SparseVector) -> bool:
+    def is_zero(self, v: Union[SparseVector, dict[tuple, int]]) -> bool:
         return not v
 
     def denominator(self, v: SparseVector) -> int:
@@ -353,40 +342,35 @@ class RegularRep(ModuleAction):
         letter acts trivially; joined on, it would leave an identity letter
         in front of a key that does not start on its side."""
         if self.splitting.factor(side).is_identity(x):
-            return nums, 1
+            return dict(nums), 1
         s, letter = self.splitting, ((side, x),)
         return {_join(s, letter, g): n for g, n in nums.items()}, 1
 
-    def sum_size(self, u, side, x, v, w, den) -> Size:
+    def add_scaled(self, total: dict[tuple, int], c: int, nums: dict[tuple, int]) -> dict[tuple, int]:
+        """Keys that cancel are dropped: no entry is zero."""
+        for g, n in nums.items():
+            n = total.get(g, 0) + c * n
+            if n:
+                total[g] = n
+            else:
+                total.pop(g, None)
+        return total
+
+    def size(self, nums: dict[tuple, int], den: int) -> Size:
         """Over den, l1 sums the absolute numerators and p = inf takes their
         maximum; any other p sums their p-th powers, over den**p."""
-        total = dict(u) if u else {}
-        if v:
-            _add_into(total, self.translate(side, x, v)[0], 1)
-        if w:
-            _add_into(total, w, -1)
-        p, nums = self.p, total.values()
+        p, values = self.p, nums.values()
         if p == 1:
-            return sum(map(abs, nums)), den
+            return sum(map(abs, values)), den
         if p == math.inf:
-            return max(map(abs, nums), default=0), den
-        return sum(abs(n) ** p for n in nums), den**p
+            return max(map(abs, values), default=0), den
+        return sum(abs(n) ** p for n in values), den**p
 
     def size_value(self, s: int, t: int) -> Union[Fraction, float]:
         p = self.p
         if p == 1 or p == math.inf:
             return Fraction(s, t)
         return float(Fraction(s, t)) ** (1.0 / p)
-
-
-def _add_into(total: dict, terms: dict, sign: int) -> None:
-    """total += sign * terms on sparse vectors or numerators, dropping the keys that cancel."""
-    for g, n in terms.items():
-        n = total.get(g, 0) + sign * n
-        if n:
-            total[g] = n
-        else:
-            total.pop(g, None)
 
 
 class FactorTableMap(ABC):
@@ -541,8 +525,8 @@ class FactorCocycleMap(FactorTableMap):
         super().__init__(side, action.splitting.factor(side), values)
 
     def __call__(self, x: int) -> Vector:
-        v = super().__call__(x)  # a sparse value is copied, so changing it leaves the table as it is
-        return dict(v) if type(v) is dict else v
+        # A sparse value is copied, so changing it leaves the table as it is.
+        return copy.copy(super().__call__(x))
 
     def trivial(self) -> Vector:
         return self.action.zero()
@@ -571,22 +555,30 @@ class FactorCocycleMap(FactorTableMap):
         return self.action.is_isometry
 
     def pair_sizer(self) -> Callable[[int, int, int], Size]:
-        """x.f(y) alone is not translated: it has the size of f(y)."""
+        """The size of f(x) + x.f(y) - f(xy) on the scaled table; x.f(y)
+        alone is not translated, as it has the size of f(y)."""
         if not self.is_isometry:
             raise ValueError("coboundary sizes are certified only on an isometric action")
+        m, side = self.action, self.side
         nums, den = self._scaled_table
-        get, side, sum_size = nums.get, self.side, self.action.sum_size
+        get, translate, add_scaled, size = nums.get, m.translate, m.add_scaled, m.size
+        zero = m.zero_numerators
 
-        def size(x: int, y: int, xy: int) -> Size:
-            u, w = get(x), get(xy)
+        def pair_size(x: int, y: int, xy: int) -> Size:
+            u, v, w = get(x), get(y, zero), get(xy)
             if u is None and w is None:
-                return sum_size(get(y), side, x, None, None, den)
-            return sum_size(u, side, x, get(y), w, den)
-        return size
+                return size(v, den)
+            total, d = translate(side, x, v)
+            if u is not None:
+                total = add_scaled(total, d, u)
+            if w is not None:
+                total = add_scaled(total, -d, w)
+            return size(total, den * d)
+        return pair_size
 
     def value_sizes(self) -> dict[int, Size]:
         nums, den = self._scaled_table
-        return {x: self.action.sum_size(u, self.side, x, None, None, den) for x, u in nums.items()}
+        return {x: self.action.size(u, den) for x, u in nums.items()}
 
     def size_value(self, s: int, t: int) -> Union[Fraction, float]:
         return self.action.size_value(s, t)
@@ -634,24 +626,22 @@ def _numerator_total(
     by the cocycle recursion f(x.h) = f(x) + x.f(h) from the right: (total,
     k) with the sum total / (den * k).  A letter matrix with denominator d
     multiplies k by d and the values are scaled by k.  A zero sum is not
-    translated and resets k to 1.  ``value`` checks each letter; a sparse
-    value is added into the translated dict, which is new unless the letter
-    is an identity, whose value is zero, so no value is changed."""
-    sparse = isinstance(m, RegularRep)
-    nonzero, translate = (bool if sparse else any), m.translate
-    total, k = None, 1
+    translated and resets k to 1: zero numerators compare equal.  ``value``
+    checks each letter; values are added into the new numerators that
+    ``translate`` gives, so no value is changed, but the total returned may
+    be a value itself."""
+    translate, add_scaled = m.translate, m.add_scaled
+    total = zero = m.zero_numerators
+    k = 1
     for letter in reversed(letters):
         head = value(letter)
-        if total is None or not nonzero(total):
+        if total == zero:
             total, k = head, 1
             continue
         total, d = translate(letter[0], letter[1], total)
-        if sparse:
-            _add_into(total, head, 1)
-        else:
-            k *= d
-            total = tuple(k * a + b for a, b in zip(head, total))
-    return (m.numerators(m.zero(), 1) if total is None else total), k
+        k *= d
+        total = add_scaled(total, k, head)
+    return total, k
 
 
 def _numerator_sum(
@@ -710,13 +700,12 @@ def _is_prime(p: int) -> bool:
 
 def _is_multiple(f: SplitQC, g: Word, n: int, nums: Numerators, den: int) -> bool:
     """Whether f(g) = n * nums / den, with f(g) = total / (D * k) from
-    ``_numerator_total``: total * den and n * nums * D * k are compared as
-    ints, so no Fraction is built."""
-    total, k = _numerator_total(f.action, g, f.letter)
-    c = n * f.denominator * k
-    if type(total) is dict:  # neither side keeps a zero entry
-        return total.keys() == (nums.keys() if c else set()) and all(a * den == c * nums[h] for h, a in total.items())
-    return all(a * den == c * b for a, b in zip(total, nums))
+    ``_numerator_total``: total * den - n * nums * D * k is tested for zero
+    on ints, so no Fraction is built."""
+    m = f.action
+    total, k = _numerator_total(m, g, f.letter)
+    diff = m.add_scaled(m.numerators(m.zero(), 1), den, total)
+    return m.is_zero(m.add_scaled(diff, -n * f.denominator * k, nums))
 
 
 def _growth_cocycle(

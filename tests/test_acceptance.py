@@ -5,6 +5,8 @@ Each criterion prints its own PASS/FAIL line (also available through
 stated tolerance.
 """
 
+import re
+
 import pytest
 
 from splitqm import selftest
@@ -12,6 +14,23 @@ from splitqm.quasimorphisms import FactorQM
 from splitqm.selftest import CRITERIA, DEFAULT_SEED, CriterionFailed, format_result, run_all, run_criterion
 
 _IDS = [f"{number:02d}-{name}" for number, name, _ in CRITERIA]
+
+# Each criterion's detail at the default seed, criterion 1's without its time.
+DETAILS = {
+    1: "20 configs x 10000 pairs, max defect 10",
+    2: "anchor = 2 and 500 words match the oracle",
+    3: "4139 words x 9 powers x 6 conjugators",
+    4: "3816 window pairs doubled; 10 maximized witnesses; 10000 sampled pairs bounded",
+    5: "13121 words, 342232 exhaustive occurring-subword checks",
+    6: "10 configs x (1000 random + 9 boundary) words, residual 0",
+    7: "n in {3,4,5}: 3 exhaustive layers invariant, 9 violation witnesses grow; |n|<=2 forces 0",
+    8: "10500 conjugation pairs bounded",
+    9: "ladder p=2 q=3 and staircase exact to depth 6 in dim-3 and regular (p=1,2); inner split on 500 words",
+    10: "1639 vectors bounded+sandwiched; embeddings isometric on both chains",
+    11: "defect equalities hold; 1018 witness searches succeeded",
+    12: "junction-power values exact; triviality correct on 81 tables",
+    13: "literal convention rejected: ladder evaluation at depth 2 is not 2 times the seed vector",
+}
 
 
 def test_the_registry_is_complete():
@@ -25,6 +44,8 @@ def test_criterion(number, capsys):
         print(format_result(result))
     assert result.number == number
     assert result.passed, result.detail
+    detail = re.sub(r", [0-9.]+s$", "", result.detail) if number == 1 else result.detail
+    assert detail == DETAILS[number]
 
 
 def _fails(rng):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from splitqm import defect_space
 from splitqm.defect_space import (
     DefectVector,
     GroupHom,
@@ -66,10 +67,18 @@ def test_norm_sandwich_and_order_bound(n, data):
     report = order_bound_check(f)
     assert report.checked == n - 1
     assert report.worst_slack >= 0
-    assert sup_norm(f) <= report.defect <= 3 * sup_norm(f) or f.is_zero
+    assert sup_norm(f) <= report.defect <= 3 * sup_norm(f)
     order = carrier.order(report.tight_at)
     bound = Fraction(order - 2, order) * report.defect
     assert bound - abs(f(report.tight_at)) == report.worst_slack
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 2), 4])
+def test_order_bound_check_refuses_a_broken_sandwich(monkeypatch, factor):
+    f = _vec(C6, {1: 1, 5: -1})
+    monkeypatch.setattr(defect_space, "defect_norm", lambda g: factor * sup_norm(g))
+    with pytest.raises(RuntimeError, match="norm sandwich fails"):
+        order_bound_check(f)
 
 
 def test_order_bound_on_an_infinite_carrier():

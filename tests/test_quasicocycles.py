@@ -169,8 +169,10 @@ def test_regular_one_letter_translation_on_numerators_matches_act(seed):
     v = rep.vector({random_word(s, 4, 3, seed + i): Fraction(i - 2, i + 1) for i in range(4)})
     den = rep.denominator(v)
     for side, x in ((A, 0), (A, 2), (A, -1), (B, 0), (B, 1), (B, 2)):
-        nums, d = rep.translate(side, x, rep.numerators(v, den))
+        before = rep.numerators(v, den)
+        nums, d = rep.translate(side, x, before)
         assert d == 1
+        assert nums is not before  # an identity letter too: sums are added into the image in place
         assert nums == rep.numerators(rep.act(reduce(s, ((side, x),)), v), den)
 
 
@@ -180,10 +182,40 @@ def test_regular_rep_norms_and_vectors():
     rep_inf = RegularRep(ZXZ, math.inf)
     v = {IDENTITY: Fraction(3), parse_word(ZXZ, "a"): Fraction(-4)}
     assert rep1.norm(v) == 7
-    assert rep2.norm(v) == pytest.approx(5.0)
+    assert rep2.norm(v) == 5.0
     assert rep_inf.norm(v) == 4
     assert rep1.vector({IDENTITY: Fraction(0)}) == {}
     assert rep1.indicator(IDENTITY, 0) == {}
+
+
+_SPARSE = {IDENTITY: Fraction(3), parse_word(ZXZ, "a"): Fraction(-4)}
+
+
+@pytest.mark.parametrize(
+    "rep, v, zero_norm",
+    [
+        (RegularRep(ZXZ, 1), _SPARSE, Fraction(0)),
+        (RegularRep(ZXZ, 2), _SPARSE, 0.0),
+        (RegularRep(ZXZ, 3), _SPARSE, 0.0),
+        (RegularRep(ZXZ, math.inf), _SPARSE, Fraction(0)),
+        (_permutation_rep(), (Fraction(1), Fraction(-2), Fraction(0)), Fraction(0)),
+    ],
+    ids=["regular-l1", "regular-l2", "regular-l3", "regular-linf", "permutation"],
+)
+def test_zero_vector_norm_and_trivial_sums(rep, v, zero_norm):
+    norm = rep.norm(rep.zero())
+    assert norm == zero_norm and type(norm) is type(zero_norm)
+    assert rep.scale(0, v) == rep.zero() == ({} if isinstance(rep, RegularRep) else (Fraction(0),) * 3)
+    total = rep.add(v, rep.zero())
+    assert total == v and total is not v
+
+
+@pytest.mark.parametrize("p, defect", [(2, 1.7320508075688772), (3, 1.4422495703074083)])
+def test_staircase_defect_on_lp(p, defect):
+    # f(a) = 1_e, f(a^2) = 1_(b^-1 a^-1), f(a^3) = 1_(b^-1 a^-2 b^-1 a^-1), and their forced inverses.
+    rep = RegularRep(ZXZ, p)
+    _, f = staircase_cocycle(rep, rep.indicator(IDENTITY), 3)
+    assert split_qc_defect(f) == defect
 
 
 @pytest.mark.parametrize("p", [0, -1, 1.5, 2.0, True, "inf"])
