@@ -102,6 +102,20 @@ def _expect(value, kind, path: str, what: str):
     return value
 
 
+def _known(obj: dict, path: str, fields: str) -> dict:
+    """``obj`` when each of its fields is named in ``fields``; otherwise a
+    ConfigError at the first unknown field's path ("$" is the top level)."""
+    for key in obj:
+        if key not in fields.split():
+            raise ConfigError(key if path == "$" else f"{path}.{key}", "unknown field")
+    return obj
+
+
+def _object(value, path: str, what: str, fields: str) -> dict:
+    """The JSON object ``value`` (``what``), each of its fields named in ``fields``."""
+    return _known(_expect(value, dict, path, what), path, fields)
+
+
 Reader = Callable[[object, str], object]  # (JSON value, its path) -> the value read
 
 
@@ -158,10 +172,13 @@ def _factor_group(obj, path: str) -> FactorGroup:
     kind = obj.get("type")
     with _at(path):
         if kind == "integer":
+            _known(obj, path, "type")
             return IntegerGroup()
         if kind == "cyclic":
+            _known(obj, path, "type n")
             return CyclicGroup(_expect(obj.get("n"), int, f"{path}.n", "an integer"))
         if kind == "table":
+            _known(obj, path, "type mul identity")
             table = _matrix(obj.get("mul"), f"{path}.mul", _index)
             identity = _index(obj.get("identity", 0), f"{path}.identity")
             return FiniteTableGroup.from_mul(len(table), lambda x, y: table[x][y], identity=identity)
@@ -169,11 +186,7 @@ def _factor_group(obj, path: str) -> FactorGroup:
 
 
 def _factor_qm(obj, group: FactorGroup, path: str) -> FactorQM:
-    obj = _expect(obj, dict, path, "a factor map object")
-    known = {"slope", "support", "period", "residues", "sign"}
-    for key in obj:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}", "unknown factor map field")
+    obj = _object(obj, path, "a factor map object", "slope support period residues sign")
     support = {}
     for at, x, value in _pairs(obj.get("support", []), f"{path}.support", "element", _element(group), _rational):
         # Alternation fills in the value at the inverse; explicit entries
@@ -196,7 +209,7 @@ def _factor_qm(obj, group: FactorGroup, path: str) -> FactorQM:
 
 
 def _build_splitting(obj) -> Splitting:
-    desc = _expect(obj, dict, "splitting", "an object with A and B")
+    desc = _object(obj, "splitting", "an object with A and B", "A B")
     for side in (A, B):
         if side not in desc:
             raise ConfigError(f"splitting.{side}", "missing factor descriptor")
@@ -238,20 +251,22 @@ def load_config(path: str) -> Config:
     schema = raw.get("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"expected schema version {SCHEMA_VERSION}, got {schema!r}")
+    _known(raw, "$", "schema splitting maps sampler action qrep defect_space")
     config = Config(raw=raw)
     if "splitting" in raw:
         config.splitting = _build_splitting(raw["splitting"])
     for name, obj in _expect(raw.get("maps", {}), dict, "maps", "an object of named maps").items():
         if config.splitting is None:
             raise ConfigError("maps", "maps need a splitting")
-        obj = _expect(obj, dict, f"maps.{name}", "an object with sides A and B")
+        obj = _object(obj, f"maps.{name}", "an object with sides A and B", "A B")
         config.maps[name] = SplitQM(
             config.splitting,
             _factor_qm(obj.get(A, {}), config.splitting.A, f"maps.{name}.A"),
             _factor_qm(obj.get(B, {}), config.splitting.B, f"maps.{name}.B"),
         )
-    sampler_obj = _expect(raw.get("sampler", {}), dict, "sampler", "an object")
-    for key, least in (("seed", None), ("samples", 0), ("length_bound", 1), ("exponent_bound", 1)):
+    smallest = {"seed": None, "samples": 0, "length_bound": 1, "exponent_bound": 1}  # each field's least value
+    sampler_obj = _object(raw.get("sampler", {}), "sampler", "an object", " ".join(smallest))
+    for key, least in smallest.items():
         if key in sampler_obj:
             value = _expect(sampler_obj[key], int, f"sampler.{key}", "an integer")
             if least is not None and value < least:
@@ -275,11 +290,13 @@ def _build_action(obj, splitting: Optional[Splitting]) -> tuple[ModuleAction, ob
     kind = obj.get("kind")
     with _at("action"):
         if kind == "finite_dim":
+            _known(obj, "action", "kind mat_a mat_b vector")
             mat_a = _matrix(obj.get("mat_a"), "action.mat_a", _rational)
             m = FiniteDimRep(splitting, mat_a, _matrix(obj.get("mat_b"), "action.mat_b", _rational))
             coords = obj.get("vector", [1] + [0] * (len(mat_a) - 1))
             return m, m.vector(_items(coords, "action.vector", "a list of coordinates", _rational))
         if kind == "regular":
+            _known(obj, "action", "kind p vector")
             p = obj.get("p", 1)
             if p != "inf":
                 _expect(p, int, "action.p", 'an integer or "inf"')
@@ -299,8 +316,10 @@ def _metric_target(obj, path: str) -> MetricGroup:
     kind = obj.get("kind")
     with _at(path):
         if kind == "circle":
+            _known(obj, path, "kind")
             return Circle()
         if kind == "finite_metric":
+            _known(obj, path, "kind group lengths")
             group = _factor_group(obj.get("group"), f"{path}.group")
             lengths = _items(obj.get("lengths"), f"{path}.lengths", "a length table", _rational)
             return FiniteMetric.from_length_function(group, lengths)
@@ -319,8 +338,11 @@ def _build_qrep(obj, splitting: Optional[Splitting]) -> QRepSetup:
     target = _metric_target(obj.get("target"), "qrep.target")
     if splitting is None:
         raise ConfigError("qrep", "the qrep section needs a splitting")
-    mu_obj = _expect(obj.get("mu", {}), dict, "qrep.mu", "an object with sides A and B")
+    mu_obj = _object(obj.get("mu", {}), "qrep.mu", "an object with sides A and B", "A B")
     circle = isinstance(target, Circle)
+    # A circle's eps is given in turns, so an "eps" beside it is unknown.
+    eps_key, eps_default = ("eps_turns", "1/4") if circle else ("eps", 1)
+    _known(obj, "qrep", f"target mu {eps_key} max_norm")
     value = (lambda v, at: target.turn(_rational(v, at))) if circle else _element(target.group)
     maps = []
     for side in (A, B):
@@ -328,7 +350,6 @@ def _build_qrep(obj, splitting: Optional[Splitting]) -> QRepSetup:
         pairs = _pairs(mu_obj.get(side, []), f"qrep.mu.{side}", "element", _element(group), value)
         with _at(f"qrep.mu.{side}"):
             maps.append(FactorQRMap(side, target, group, {x: y for _, x, y in pairs}))
-    eps_key, eps_default = ("eps_turns", "1/4") if circle else ("eps", 1)
     eps = _rational(obj.get(eps_key, eps_default), f"qrep.{eps_key}")
     max_norm = _rational(obj["max_norm"], "qrep.max_norm") if "max_norm" in obj else None
     return QRepSetup(SplitQRep(splitting, target, *maps), eps, max_norm)
@@ -341,7 +362,7 @@ class DefectSpaceSetup:
 
 
 def _build_defect_space(obj) -> DefectSpaceSetup:
-    obj = _expect(obj, dict, "defect_space", "a defect_space section")
+    obj = _object(obj, "defect_space", "a defect_space section", "carrier choices")
     carrier = _factor_group(obj.get("carrier", {"type": "cyclic", "n": 6}), "defect_space.carrier")
     if not carrier.is_finite:
         raise ConfigError("defect_space.carrier", "vector enumeration needs a finite carrier")
@@ -604,7 +625,7 @@ def cmd_rademacher(args) -> int:
 def cmd_selftest(args) -> int:
     config = load_config(args.config) if args.config else Config()
     only = None
-    if args.only:
+    if args.only is not None:
         try:
             only = {int(part) for part in args.only.split(",")}
         except ValueError:

@@ -201,21 +201,13 @@ class FactorQRMap(FactorTableMap):
     def equal(self, u, v) -> bool:
         return self.target.equal(u, v)
 
-    def coboundary_size(self, x: int, y: int) -> Fraction:
-        """d(mu(xy), mu(x)mu(y))."""
-        target = self.target
-        return target.dist(self(self.group.mul(x, y)), target.mul(self(x), self(y)))
-
     def pair_sizer(self) -> Callable[[int, int, int], tuple[int, int]]:
-        """``coboundary_size`` read straight from the table, unchecked."""
+        """d(mu(xy), mu(x)mu(y)) read straight from the table, unchecked."""
         target, get, e = self.target, self.table.get, self.target.identity
         return lambda x, y, xy: target.dist(get(xy, e), target.mul(get(x, e), get(y, e))).as_integer_ratio()
 
     def value_sizes(self) -> dict[int, tuple[int, int]]:
         return {x: self.target.norm(v).as_integer_ratio() for x, v in self.table.items()}
-
-    def size_value(self, s: int, t: int) -> Fraction:
-        return Fraction(s, t)
 
     def sup_norm(self) -> Fraction:
         e = self.target.identity

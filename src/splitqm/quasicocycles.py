@@ -26,7 +26,6 @@ from .words import A, B, Letter, Splitting, SplitMap, Word, _join, invert, memo_
 __all__ = [
     "Matrix",
     "mat_mul",
-    "mat_vec",
     "mat_pow",
     "mat_inv",
     "ModuleAction",
@@ -75,10 +74,6 @@ def mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
     return tuple(
         tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in m1
     )
-
-
-def mat_vec(m: Matrix, v: DenseVector) -> DenseVector:
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
 def mat_inv(m: Matrix) -> Matrix:
@@ -384,11 +379,12 @@ class FactorTableMap(ABC):
     Subclasses supply the target: ``trivial()`` (the zero vector or the
     identity), ``forced_inverse(inv_x, v)`` (the value at inv_x when its
     inverse maps to v), ``equal`` where ``==`` does not do, and for the scan
-    ``pair_sizer()``, ``value_sizes()`` and ``size_value``, which give the
-    size of a pair (how far it is from the cocycle or homomorphism identity)
-    exactly as (s, t), ordered by s / t.  ``is_isometry`` says whether the
-    target is a bi-invariant metric or an isometric action: pair sizes and
-    the defect hold only then, so ``pair_sizer`` refuses any other target.
+    ``pair_sizer()`` and ``value_sizes()``, which give the size of a pair
+    (how far it is from the cocycle or homomorphism identity) exactly as
+    (s, t), ordered by s / t, and ``size_value`` where that size is not
+    s / t.  ``is_isometry`` says whether the target is a bi-invariant metric
+    or an isometric action: pair sizes and the defect hold only then, so
+    ``pair_sizer`` refuses any other target.
     """
 
     is_isometry: bool
@@ -399,7 +395,7 @@ class FactorTableMap(ABC):
         table = {}
         for x, v in values.items():
             group.check(x)
-            if self._is_trivial(v):
+            if self.equal(v, self.trivial()):
                 continue
             if group.is_identity(x):
                 raise ValueError("the map must be trivial at the identity")
@@ -433,11 +429,8 @@ class FactorTableMap(ABC):
         """The size of each table value alone, as (s, t): the size of a pair
         whose only table entry is that value."""
 
-    @abstractmethod
-    def size_value(self, s: int, t: int) -> Union[Fraction, float]: ...
-
-    def _is_trivial(self, v) -> bool:
-        return self.equal(v, self.trivial())
+    def size_value(self, s: int, t: int) -> Union[Fraction, float]:
+        return Fraction(s, t)
 
     def __call__(self, x: int):
         self.group.check(x)
@@ -530,9 +523,6 @@ class FactorCocycleMap(FactorTableMap):
 
     def trivial(self) -> Vector:
         return self.action.zero()
-
-    def _is_trivial(self, v: Vector) -> bool:
-        return self.action.is_zero(v)
 
     def forced_inverse(self, inv_x: int, value: Vector) -> Vector:
         """The letter inv_x translates the numerators of the value; the

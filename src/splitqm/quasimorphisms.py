@@ -45,8 +45,10 @@ __all__ = [
     "sampled_defect",
     "junction_pairs",
     "homogenize_eval",
+    "DoublingWitness",
     "doubling_witness",
     "maximize_doubling_witness",
+    "GromovNormReport",
     "gromov_norm",
     "is_trivial",
     "rademacher",
@@ -365,11 +367,12 @@ def sampled_defect(
     before any draw) and ``extra_pairs``, known maximizing factor pairs as
     one-letter words (see ``junction_pairs``), where (s, t) is the pair's
     coboundary read where it meets, compared exactly and returned as
-    ``f.size_value``; never exceeds the exact defect.  All words must be
-    normal forms.  The pairs of a ``word_sampler`` of ``f.splitting`` are drawn
-    as letter lists (``sample.draw``) and go through ``SplitMap.meet``, all
-    others through ``SplitMap.junction``, which checks every letter: one
-    outside the factors raises ValueError, as a map that is not ``is_isometry`` does before any draw."""
+    ``f.size_value``; never exceeds the exact defect.  The pairs of a
+    ``word_sampler`` of ``f.splitting`` are drawn as normal-form letter lists
+    (``sample.draw``) and go through ``SplitMap.meet``, all others through
+    ``SplitMap.junction``, which reduces each word first, so a raw spelling
+    is sized as its normal form; a letter outside the factors raises
+    ValueError, as a map that is not ``is_isometry`` does before any draw."""
     _require_int(count, 0, "count")
     if not f.is_isometry:
         raise ValueError("sampled sizes are certified only on an isometric action")

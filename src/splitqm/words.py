@@ -30,6 +30,8 @@ __all__ = [
     "power",
     "conjugate",
     "cyclically_reduce",
+    "validate_word",
+    "WordSyntaxError",
     "parse_word",
     "format_word",
     "random_word",
@@ -212,11 +214,11 @@ class SplitMap:
             value = memo_letter(self.splitting, memo, letter, self.letter_value)
         return value
 
-    def junction(self, g: Word, h: Word) -> tuple[int, int]:
-        """``meet`` after a check of every letter of g and h (see ``letter``)."""
-        for letter in g + h:
-            self.letter(letter)
-        return self.meet(g, h)
+    def junction(self, g: Sequence[Letter], h: Sequence[Letter]) -> tuple[int, int]:
+        """``meet`` of the normal forms of g and h, raw spellings too, as
+        ``multiply`` reduces first; ``reduce`` checks every letter."""
+        s = self.splitting
+        return self.meet(reduce(s, g), reduce(s, h))
 
     def meet(self, g: Sequence[Letter], h: Sequence[Letter]) -> tuple[int, int]:
         """The coboundary of normal forms g and h (``Word``s or letter lists)

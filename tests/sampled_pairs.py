@@ -61,7 +61,7 @@ def check_marked_sampler_meets_as_the_checked_path(f, seed, count, bounds=(4, 4)
     """A ``word_sampler`` of f's splitting is marked with it, so
     ``sampled_defect`` sizes its pairs by ``SplitMap.meet`` alone, on a cold
     letter memo when f is fresh.  The same draws through an unmarked lambda
-    take ``SplitMap.junction``, which checks every letter first.  Both give
+    take ``SplitMap.junction``, which reduces both words first.  Both give
     the largest whole-word size of those pairs."""
     marked = word_sampler(f.splitting, *bounds, random.Random(seed))
     assert marked.splitting is f.splitting

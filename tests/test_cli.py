@@ -189,6 +189,15 @@ def test_selftest_rejects_unknown_criterion_numbers(only, capsys):
     assert "config error: --only: no criterion numbered" in err
 
 
+@pytest.mark.parametrize("only", ["", "x", "2,"])
+def test_selftest_rejects_an_only_list_that_is_not_numbers(only, capsys):
+    # An empty list is no list of criteria: it runs none, not all 13.
+    assert cli.main(["selftest", "--only", only]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: --only: expected a comma-separated list of criterion numbers\n"
+
+
 @pytest.mark.parametrize("command", ["defect", "decompose", "tau-check"])
 def test_negative_sample_counts_are_rejected(config_path, capsys, command):
     extra = ["3"] if command == "tau-check" else []
@@ -517,6 +526,52 @@ TABLE_CONFIG = {
 }
 
 
+def _shipped(name):
+    return json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _set(*keys):
+    """A mutation that sets the field at ``keys[:-1]`` to ``keys[-1]``."""
+    def mutate(config):
+        node = config
+        for key in keys[:-2]:
+            node = node[key]
+        node[keys[-2]] = keys[-1]
+    return mutate
+
+
+UNKNOWN_FIELDS = [
+    (BASE_CONFIG, _set("comment", "x"), "comment"),
+    (BASE_CONFIG, _set("splitting", "C", {"type": "integer"}), "splitting.C"),
+    (BASE_CONFIG, _set("splitting", "A", "n", 3), "splitting.A.n"),
+    (_shipped("finite_qrep"), _set("splitting", "B", "size", 3), "splitting.B.size"),
+    (TABLE_CONFIG, _set("splitting", "A", "order", 6), "splitting.A.order"),
+    (BASE_CONFIG, _set("maps", "sign", "C", {}), "maps.sign.C"),
+    (BASE_CONFIG, _set("maps", "sign", "A", "slop", "1"), "maps.sign.A.slop"),
+    (BASE_CONFIG, _set("sampler", "sample", 1000), "sampler.sample"),
+    (FINITE_DIM_CONFIG, _set("action", "p", 2), "action.p"),
+    (_shipped("showcase"), _set("action", "mat_a", [[1]]), "action.mat_a"),
+    (_shipped("finite_qrep"), _set("qrep", "epsilon", "1/8"), "qrep.epsilon"),
+    (_shipped("finite_qrep"), _set("qrep", "eps_turns", "1/8"), "qrep.eps_turns"),
+    (CIRCLE_QREP_CONFIG, _set("qrep", "eps", "1/8"), "qrep.eps"),
+    (_shipped("finite_qrep"), _set("qrep", "target", "metric", []), "qrep.target.metric"),
+    (CIRCLE_QREP_CONFIG, _set("qrep", "target", "radius", 1), "qrep.target.radius"),
+    (_shipped("finite_qrep"), _set("qrep", "target", "group", "m", 6), "qrep.target.group.m"),
+    (_shipped("finite_qrep"), _set("qrep", "mu", "C", []), "qrep.mu.C"),
+    (_shipped("showcase"), _set("defect_space", "carriers", []), "defect_space.carriers"),
+    (_shipped("showcase"), _set("defect_space", "carrier", "N", 6), "defect_space.carrier.N"),
+]
+
+
+@pytest.mark.parametrize("base, mutate, path", UNKNOWN_FIELDS, ids=[path for _, _, path in UNKNOWN_FIELDS])
+def test_every_config_object_refuses_unknown_fields(tmp_path, base, mutate, path):
+    payload = json.loads(json.dumps(base))
+    mutate(payload)
+    with pytest.raises(cli.ConfigError) as info:
+        cli.load_config(_write(tmp_path, payload))
+    assert str(info.value) == f"{path}: unknown field"
+
+
 def _fields(node, path=()):
     """The path of every field below ``node``, a JSON object or list."""
     keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
@@ -527,9 +582,8 @@ def _fields(node, path=()):
 
 @pytest.mark.parametrize("name", ["showcase", "finite_qrep", "finite_dim", "table"])
 def test_any_malformed_field_is_a_config_error(tmp_path, name):
-    root = Path(__file__).resolve().parents[1]
     configs = {"finite_dim": FINITE_DIM_CONFIG, "table": TABLE_CONFIG}
-    base = configs.get(name) or json.loads((root / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+    base = configs.get(name) or _shipped(name)
     crashes = []
     for path in _fields(base):
         for value in FUZZ_VALUES:

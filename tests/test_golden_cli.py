@@ -3,7 +3,8 @@
 Each case runs ``python -m splitqm.cli`` in a subprocess from the repository
 root and compares its exit code and stdout with ``tests/golden/<case>.txt``,
 whose first line is ``exit <code>`` and whose remaining lines are stdout
-byte for byte.  Regenerate the files with
+byte for byte, but for the time that selftest's criterion 1 prints at the
+end of its line, which is cut off.  Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_cli.py --regen
 
@@ -14,6 +15,7 @@ script on PATH, and any mismatch prints a diff and exits 1.
 
 import difflib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +43,14 @@ def _cases() -> dict[str, list[str]]:
     cases["defect-space"] = ["defect-space"]
     cases["rademacher"] = ["rademacher"]
     cases["selftest-sign-2-12-13"] = ["selftest", "--config", "configs/sign.json", "--only", "2,12,13"]
+    # These criteria share their rng between the sampler and later draws, so
+    # this pins sampled_defect's pair path (letter lists from sample.draw,
+    # read by SplitMap.meet) and the rng stream position after it.  Criterion
+    # 3 checks homogenization, read where each word's cyclic ends meet, on
+    # powers and conjugates; criterion 4 runs gromov_norm's window scans
+    # against scans twice as wide; criterion 9 builds and evaluates cocycles
+    # on a unipotent action, which the defect rule refuses.
+    cases["selftest-sign-1-3-4-9-11"] = ["selftest", "--config", "configs/sign.json", "--only", "1,3,4,9,11"]
     # A 9-letter conjugate h g h^-1 with h = a^2 b, and a raw spelling of it.
     homogenize = ["homogenize", "--config", SHOWCASE, "weights"]
     cases["homogenize-weights-conjugate"] = [*homogenize, "a^2 b a b^2 a^3 b^2 a^-3 b^-1 a^-2"]
@@ -60,7 +70,8 @@ def _run(argv: list[str], entry_point: bool = False) -> str:
         command, env = [sys.executable, "-m", "splitqm.cli"], dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([*command, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    return f"exit {proc.returncode}\n{proc.stdout}"
+    stdout = re.sub(r"^(\[ 1\] .*), [0-9.]+s$", r"\1", proc.stdout, flags=re.MULTILINE)
+    return f"exit {proc.returncode}\n{stdout}"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

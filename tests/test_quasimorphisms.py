@@ -43,6 +43,7 @@ from splitqm.words import (
 
 import reference
 from sampled_pairs import (
+    cancelling_pairs,
     check_joins_as_multiply_does,
     check_marked_sampler_meets_as_the_checked_path,
     check_meet_reads_what_the_walk_gives,
@@ -519,6 +520,28 @@ def test_a_sampler_of_another_splitting_takes_the_checked_path():
     f = SplitQM(s, FactorQM(s.A, sign_coeff=1), FactorQM(s.B, finite_part={1: 1, 5: -1}))
     with pytest.raises(ValueError, match="is not an element of"):
         sampled_defect(f, word_sampler(ZXZ, 4, 4, 1), 200)
+
+
+def _raw_spelling(g):
+    """A spelling of the Z * Z word g that is no normal form: each letter a^x
+    written a^(x+1) a^-1 and followed by an identity letter."""
+    return Word(letter for side, x in g for letter in ((side, x + 1), (side, -1), (side, 0)))
+
+
+def test_sampled_defect_sizes_raw_spellings_as_their_normal_forms():
+    # q(+-1) = +-1 on A: a^2 with a^2 has coboundary 0, but read as if the raw
+    # a a were a normal form, the last a would merge with the first one.
+    f = SplitQM(ZXZ, FactorQM(ZXZ.A, finite_part={1: 1, -1: -1}), FactorQM(ZXZ.B))
+    a2 = Word(((A, 1), (A, 1)))
+    assert sampled_defect(f, lambda: a2, 1) == 0
+    assert sampled_defect(f, lambda: IDENTITY, 0, extra_pairs=[(a2, a2)]) == 0
+    for seed in range(5):
+        f = SplitQM(ZXZ, FactorQM(ZXZ.A, finite_part={1: 1, -1: -1, 2: 3, -2: -3}), FactorQM(ZXZ.B, sign_coeff=1))
+        for g, h in cancelling_pairs(ZXZ, seed, 20):
+            size = reference.whole_word_size(f, g, h)
+            raw = iter((_raw_spelling(g), _raw_spelling(h))).__next__
+            assert sampled_defect(f, raw, 1) == size
+            assert sampled_defect(f, raw, 0, extra_pairs=[(_raw_spelling(g), _raw_spelling(h))]) == size
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, [1], 7], ids=["True", "1.0", "list", "out-of-range"])
