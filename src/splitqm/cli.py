@@ -55,7 +55,7 @@ from .quasicocycles import (
     staircase_cocycle,
     staircase_word,
 )
-from .defect_space import DefectVector, alternating_vectors, order_bound_check
+from .defect_space import alternating_vectors, order_bound_check
 from .qrep import (
     Circle,
     FactorQRMap,
@@ -543,9 +543,9 @@ def cmd_defect_space(args) -> int:
         report = order_bound_check(f)
         checked += 1
         max_defect = max(max_defect, report.defect)
-        if f.values and (worst_slack is None or report.worst_slack < worst_slack):
+        if f.finite_part and (worst_slack is None or report.worst_slack < worst_slack):
             worst_slack = report.worst_slack
-            table = ", ".join(f"{x} -> {v}" for x, v in sorted(f.values.items()))
+            table = ", ".join(f"{x} -> {v}" for x, v in sorted(f.finite_part.items()))
             tight_at = f"element {report.tight_at} of vector {{{table}}}"
     rows = [
         ("carrier size", str(setup.carrier.size)),
@@ -606,8 +606,7 @@ def cmd_qrep(args) -> int:
 def cmd_rademacher(args) -> int:
     f = rademacher()
     report = gromov_norm(f)
-    vector = DefectVector(CyclicGroup(3), {1: Fraction(1), 2: Fraction(-1)})
-    bound_report = order_bound_check(vector)
+    bound_report = order_bound_check(f.fB)
     rows = [
         ("splitting", "Z/2 * Z/3"),
         ("factor values A", "all zero (alternation on an exponent-2 factor)"),

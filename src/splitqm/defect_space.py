@@ -1,13 +1,15 @@
 """Exact defect calculus for bounded alternating rational maps.
 
-A defect vector is a bounded alternating map on a single carrier group
-(finite, or the integers with finite support) with the defect norm
+The space D(A) is the bounded alternating maps on one factor group A,
+finite or the integers with finite support, with the defect norm
 
     dn(f) = sup |f(x) + f(y) - f(xy)|.
 
-The module computes the norm exactly, checks the element-order bound and the
-sup-norm sandwich, and builds the three norm-preserving embeddings attached
-to subgroups, quotients, and short exact sequences of finite carriers.
+Its elements are ``FactorQM``s with no slope, period or sign term; their
+arithmetic and the exact norm, ``f.defect()``, live on ``FactorQM``.  This
+module checks the sup-norm sandwich and the element-order bound, and builds
+the three norm-preserving embeddings attached to subgroups, quotients and
+short exact sequences of finite groups.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .groups import INFINITE, FactorGroup, _fr, check_homomorphism, inverse_pairs
+from .groups import INFINITE, FactorGroup, _fr, check_homomorphism, inverse_pairs, set_alternating
 from .quasimorphisms import FactorQM
 
 __all__ = [
-    "DefectVector",
-    "defect_norm",
-    "defect_witness",
     "sup_norm",
     "OrderBoundReport",
     "order_bound_check",
@@ -37,67 +36,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DefectVector:
-    """A bounded alternating map with rational values and finite support."""
+def sup_norm(f: FactorQM) -> Fraction:
+    """The largest |f(x)|, for a map that is its finite part alone.
 
-    carrier: FactorGroup
-    values: Mapping[int, Fraction]
-
-    def __post_init__(self) -> None:
-        # Reuse the factor-quasimorphism validation and window oracle; a
-        # defect vector is exactly a factor map with no unbounded parts.
-        qm = FactorQM(group=self.carrier, finite_part=dict(self.values))
-        object.__setattr__(self, "values", dict(qm.finite_part))
-        object.__setattr__(self, "_qm", qm)
-
-    @property
-    def qm(self) -> FactorQM:
-        return self._qm  # type: ignore[attr-defined]
-
-    def __call__(self, x: int) -> Fraction:
-        return self.qm(x)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def domain_elements(self) -> Iterator[int]:
-        """Carrier elements (finite) or the certified support window."""
-        yield from self.carrier.window(self.qm.defect_window())
-
-    def __add__(self, other: "DefectVector") -> "DefectVector":
-        if self.carrier != other.carrier:
-            raise ValueError("defect vectors live on different carriers")
-        keys = set(self.values) | set(other.values)
-        return DefectVector(self.carrier, {x: self(x) + other(x) for x in keys})
-
-    def __neg__(self) -> "DefectVector":
-        return DefectVector(self.carrier, {x: -v for x, v in self.values.items()})
-
-    def __sub__(self, other: "DefectVector") -> "DefectVector":
-        return self + (-other)
-
-    def scale(self, c) -> "DefectVector":
-        c = _fr(c)
-        return DefectVector(self.carrier, {x: c * v for x, v in self.values.items()})
-
-
-def defect_norm(f: DefectVector) -> Fraction:
-    """Exact supremum of |f(x)+f(y)-f(xy)| over all carrier pairs."""
-    return f.qm.defect()
-
-
-def defect_witness(f: DefectVector) -> tuple[Fraction, int, int]:
-    return f.qm.defect_witness()
-
-
-def sup_norm(f: DefectVector) -> Fraction:
-    return max((abs(v) for v in f.values.values()), default=Fraction(0))
+    ValueError for a map with a slope, a period or a sign term, whose
+    largest finite-part value is not its sup."""
+    if f.slope or f.sign_coeff or f.period is not None:
+        raise ValueError("sup_norm needs a finitely supported map: no slope, period or sign term")
+    return max(map(abs, f.finite_part.values()), default=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -108,23 +54,24 @@ class OrderBoundReport:
     tight_at: int
 
 
-def order_bound_check(f: DefectVector) -> OrderBoundReport:
+def order_bound_check(f: FactorQM) -> OrderBoundReport:
     """Verify the sandwich sup|f| <= dn(f) <= 3 sup|f| and |f(g)| <= (1 -
     2/ord(g)) * dn(f) for every non-identity g.
 
     Infinite-order elements use the factor 1.  A violation is impossible for
     a genuine alternating map and raises RuntimeError.
     """
-    dn, sup = defect_norm(f), sup_norm(f)
+    sup, dn = sup_norm(f), f.defect()
     if not sup <= dn <= 3 * sup:
         raise RuntimeError(f"norm sandwich fails: sup {sup}, defect {dn}")
     checked = 0
     worst = None
-    tight_at = f.carrier.identity
-    for g in f.domain_elements():
-        if f.carrier.is_identity(g):
+    group = f.group
+    tight_at = group.identity
+    for g in group.window(f.defect_window()):
+        if group.is_identity(g):
             continue
-        order = f.carrier.order(g)
+        order = group.order(g)
         bound = dn if order == INFINITE else Fraction(order - 2, order) * dn
         slack = bound - abs(f(g))
         if slack < 0:
@@ -175,27 +122,27 @@ class GroupHom:
         return len(self.image) == self.codomain.size
 
 
-def embed_subgroup(f: DefectVector, i: GroupHom) -> DefectVector:
+def embed_subgroup(f: FactorQM, i: GroupHom) -> FactorQM:
     """Extension by zero along an injective homomorphism; exactly isometric."""
-    if i.domain != f.carrier:
+    if i.domain != f.group:
         raise ValueError("the vector must live on the domain of the embedding")
     if not i.is_injective:
         raise ValueError("subgroup embedding requires an injective homomorphism")
-    out = DefectVector(i.codomain, {i(x): v for x, v in f.values.items()})
-    if defect_norm(out) != defect_norm(f):
+    out = FactorQM(i.codomain, finite_part={i(x): v for x, v in f.finite_part.items()})
+    if out.defect() != f.defect():
         raise RuntimeError("extension by zero changed the defect norm")
     return out
 
 
-def pullback_quotient(f: DefectVector, pi: GroupHom) -> DefectVector:
+def pullback_quotient(f: FactorQM, pi: GroupHom) -> FactorQM:
     """Composition with a surjection; exactly isometric."""
-    if pi.codomain != f.carrier:
+    if pi.codomain != f.group:
         raise ValueError("the vector must live on the codomain of the surjection")
     if not pi.is_surjective:
         raise ValueError("quotient pullback requires a surjective homomorphism")
     values = {g: f(pi(g)) for g in pi.domain.elements()}
-    out = DefectVector(pi.domain, values)
-    if defect_norm(out) != defect_norm(f):
+    out = FactorQM(pi.domain, finite_part=values)
+    if out.defect() != f.defect():
         raise RuntimeError("quotient pullback changed the defect norm")
     return out
 
@@ -223,8 +170,8 @@ class ShortExactSequence:
 
 
 def ses_embed(
-    f_sub: DefectVector, f_quot: DefectVector, ses: ShortExactSequence
-) -> DefectVector:
+    f_sub: FactorQM, f_quot: FactorQM, ses: ShortExactSequence
+) -> FactorQM:
     """The combined embedding: extension by zero plus pullback.
 
     On the image of the subgroup the pullback term vanishes (those elements
@@ -232,20 +179,19 @@ def ses_embed(
     there and of the pulled-back ``f_quot`` elsewhere.  The defect norm of
     the result is exactly the max of the two input norms.
     """
-    if f_sub.carrier != ses.i.domain:
+    if f_sub.group != ses.i.domain:
         raise ValueError("the first vector must live on the subgroup")
-    if f_quot.carrier != ses.pi.codomain:
+    if f_quot.group != ses.pi.codomain:
         raise ValueError("the second vector must live on the quotient")
     out = embed_subgroup(f_sub, ses.i) + pullback_quotient(f_quot, ses.pi)
-    expected = max(defect_norm(f_sub), defect_norm(f_quot))
-    if defect_norm(out) != expected:
+    if out.defect() != max(f_sub.defect(), f_quot.defect()):
         raise RuntimeError("combined embedding is not isometric for the max norm")
     return out
 
 
 def alternating_vectors(
     carrier: FactorGroup, choices: Sequence[Fraction]
-) -> Iterator[DefectVector]:
+) -> Iterator[FactorQM]:
     """All alternating maps on a finite carrier with free values in ``choices``.
 
     Elements pair off with their inverses; one representative per pair picks
@@ -258,9 +204,7 @@ def alternating_vectors(
     choices = tuple(_fr(c) for c in choices)
     representatives = inverse_pairs(carrier)[1]
     for assignment in itertools.product(choices, repeat=len(representatives)):
-        values = {}
+        values: dict[int, Fraction] = {}
         for x, v in zip(representatives, assignment):
-            if v:
-                values[x] = v
-                values[carrier.inv(x)] = -v
-        yield DefectVector(carrier, values)
+            set_alternating(values, carrier, x, v)
+        yield FactorQM(carrier, finite_part=values)

@@ -135,6 +135,42 @@ class FactorQM:
         window = self.alternation_window
         return self.slope == 0 and all(self(k) == 0 for k in range(1, window + 1))
 
+    # -- arithmetic ------------------------------------------------------
+
+    def _plus(self, other: "FactorQM", c) -> "FactorQM":
+        """self + c*other, term by term: slopes, finite parts and sign terms
+        add, and residue tables add over the lcm of the periods.  Zero
+        finite-part values and an all-zero residue table are dropped, so
+        f - f is ``FactorQM(f.group)``.  ValueError when the groups differ."""
+        if self.group != other.group:
+            raise ValueError("factor maps live on different groups")
+        c = _fr(c)
+        finite = dict(self.finite_part)
+        for x, v in other.finite_part.items():
+            finite[x] = finite.get(x, 0) + c * v
+        period, residues = None, ()
+        if self.residues or other.residues:
+            mine, theirs = self.residues or (0,), other.residues or (0,)
+            period = math.lcm(len(mine), len(theirs))
+            residues = tuple(mine[k % len(mine)] + c * theirs[k % len(theirs)] for k in range(period))
+            if not any(residues):
+                period, residues = None, ()
+        return FactorQM(self.group, self.slope + c * other.slope, finite, period, residues,
+                        self.sign_coeff + c * other.sign_coeff)
+
+    def __add__(self, other: "FactorQM") -> "FactorQM":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "FactorQM") -> "FactorQM":
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "FactorQM":
+        return self.scale(-1)
+
+    def scale(self, c) -> "FactorQM":
+        """c*self for a rational c; ``scale(0)`` is ``FactorQM(self.group)``."""
+        return FactorQM(self.group)._plus(self, c)
+
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, x: int) -> Fraction:

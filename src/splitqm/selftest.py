@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, Iterator, Optional
 
-from .groups import CyclicGroup, IntegerGroup, inverse_pairs
+from .groups import CyclicGroup, IntegerGroup, inverse_pairs, set_alternating
 from .words import (
     A,
     B,
@@ -67,11 +67,9 @@ from .quasicocycles import (
     staircase_word,
 )
 from .defect_space import (
-    DefectVector,
     GroupHom,
     ShortExactSequence,
     alternating_vectors,
-    defect_norm,
     embed_subgroup,
     order_bound_check,
     pullback_quotient,
@@ -494,7 +492,7 @@ def criterion_10(rng: random.Random) -> str:
         for f in alternating_vectors(CyclicGroup(n), choices):
             order_bound_check(f)
             vectors_checked += 1
-    if [v.values for v in alternating_vectors(CyclicGroup(2), choices)] != [{}]:
+    if [v.finite_part for v in alternating_vectors(CyclicGroup(2), choices)] != [{}]:
         raise CriterionFailed("Z/2 admits a non-zero vector")
     chains = [
         (CyclicGroup(3), CyclicGroup(6), CyclicGroup(2), 2),
@@ -505,29 +503,26 @@ def criterion_10(rng: random.Random) -> str:
         pi = GroupHom(mid, quot, {x: x % quot.n for x in mid.elements()})
         ses = ShortExactSequence(i, pi)
         for f in alternating_vectors(sub, choices):
-            if defect_norm(embed_subgroup(f, i)) != defect_norm(f):
+            if embed_subgroup(f, i).defect() != f.defect():
                 raise CriterionFailed("subgroup embedding not isometric")
         for f in alternating_vectors(quot, choices):
-            if defect_norm(pullback_quotient(f, pi)) != defect_norm(f):
+            if pullback_quotient(f, pi).defect() != f.defect():
                 raise CriterionFailed("quotient pullback not isometric")
         for _ in range(100):
             f_sub = _random_defect_vector(sub, rng)
             f_quot = _random_defect_vector(quot, rng)
             j = ses_embed(f_sub, f_quot, ses)
-            if defect_norm(j) != max(defect_norm(f_sub), defect_norm(f_quot)):
+            if j.defect() != max(f_sub.defect(), f_quot.defect()):
                 raise CriterionFailed("combined embedding not isometric")
     return f"{vectors_checked} vectors bounded+sandwiched; embeddings isometric on both chains"
 
 
-def _random_defect_vector(group: CyclicGroup, rng: random.Random) -> DefectVector:
+def _random_defect_vector(group: CyclicGroup, rng: random.Random) -> FactorQM:
     values: dict[int, Fraction] = {}
     for x in range(1, group.n // 2 + (group.n % 2)):
         if rng.random() < 0.8:
-            value = F(rng.randint(-6, 6), rng.choice((1, 2, 4)))
-            if value:
-                values[x] = value
-                values[group.n - x] = -value
-    return DefectVector(group, values)
+            set_alternating(values, group, x, F(rng.randint(-6, 6), rng.choice((1, 2, 4))))
+    return FactorQM(group, finite_part=values)
 
 
 # -- criterion 11: quasi-representations ------------------------------------

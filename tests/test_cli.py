@@ -152,7 +152,7 @@ def test_defect_space_report(capsys):
 def test_qrep_report(capsys):
     assert cli.main(["qrep"]) == 0
     out = capsys.readouterr().out
-    assert "small-subgroup check" in out or "delta" in out
+    assert "no eps-small subgroups: yes (certified)" in out
 
 
 def test_rademacher_report(capsys):

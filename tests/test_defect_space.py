@@ -1,25 +1,26 @@
-"""Defect vectors on a factor: norms, order bounds, isometric embeddings."""
+"""Bounded factor maps: arithmetic, norms, order bounds, isometric embeddings."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from splitqm import defect_space
 from splitqm.defect_space import (
-    DefectVector,
     GroupHom,
     ShortExactSequence,
     alternating_vectors,
-    defect_norm,
-    defect_witness,
     embed_subgroup,
     order_bound_check,
     pullback_quotient,
     ses_embed,
     sup_norm,
 )
-from splitqm.groups import CyclicGroup, IntegerGroup
+from splitqm.groups import CyclicGroup, FiniteTableGroup, IntegerGroup, inverse_pairs, set_alternating
+from splitqm.quasimorphisms import FactorQM
+
+import reference
 
 C2 = CyclicGroup(2)
 C3 = CyclicGroup(3)
@@ -31,32 +32,107 @@ CHOICES = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(
 
 
 def _vec(carrier, values):
-    return DefectVector(carrier, {x: Fraction(v) for x, v in values.items()})
+    return FactorQM(carrier, finite_part={x: Fraction(v) for x, v in values.items()})
+
+
+# S3 as a table on the permutations of 0, 1, 2, in lexicographic order.
+_PERMS = list(itertools.permutations(range(3)))
+S3 = FiniteTableGroup.from_mul(6, lambda x, y: _PERMS.index(tuple(_PERMS[x][i] for i in _PERMS[y])))
+Z = IntegerGroup()
+
+
+def _value(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+
+
+def _random_map(group, rng):
+    """A random alternating map on ``group``; on Z with a random slope, finite
+    part, sign term and a residue table of period 3, 4 or none."""
+    finite = {}
+    if group.is_finite:
+        for x in inverse_pairs(group)[1]:
+            if rng.random() < 0.7:
+                set_alternating(finite, group, x, _value(rng))
+        return FactorQM(group, finite_part=finite)
+    for k in rng.sample(range(1, 6), rng.randint(0, 3)):
+        set_alternating(finite, group, k, _value(rng))
+    period = rng.choice((None, 3, 4))
+    residues = ()
+    if period is not None:
+        table = [Fraction(0)] * period
+        for j in range(1, (period + 1) // 2):
+            table[j] = _value(rng)
+            table[period - j] = -table[j]
+        residues = tuple(table)
+    return FactorQM(group, _value(rng), finite, period, residues, _value(rng))
 
 
 def test_vector_arithmetic_and_normalization():
     f = _vec(C6, {1: 1, 5: -1})
     g = _vec(C6, {1: -1, 5: 1, 2: Fraction(1, 2), 4: Fraction(-1, 2)})
-    assert (f + g).values == {2: Fraction(1, 2), 4: Fraction(-1, 2)}
-    assert (f - f).is_zero
-    assert (-f).values == {1: -1, 5: 1}
-    assert f.scale(Fraction(1, 2)).values == {1: Fraction(1, 2), 5: Fraction(-1, 2)}
-    assert f.scale(0).is_zero
-    assert f.support == (1, 5)
+    assert (f + g).finite_part == {2: Fraction(1, 2), 4: Fraction(-1, 2)}
+    assert f - f == FactorQM(C6)
+    assert (-f).finite_part == {1: -1, 5: 1}
+    assert f.scale(Fraction(1, 2)).finite_part == {1: Fraction(1, 2), 5: Fraction(-1, 2)}
+    assert f.scale(0) == FactorQM(C6)
     with pytest.raises(ValueError):
-        DefectVector(C6, {1: Fraction(1)})
+        _vec(C6, {1: 1})
     with pytest.raises(ValueError):
         f + _vec(C3, {1: 1, 2: -1})
+    with pytest.raises(ValueError):
+        FactorQM(Z, slope=1) - FactorQM(C6)
+
+    # Residue tables of periods 4 and 3 add over period 12, and cancel to none.
+    four = FactorQM(Z, period=4, residues=(0, 1, 0, -1), sign_coeff=-1)
+    three = FactorQM(Z, period=3, residues=(0, Fraction(1, 2), Fraction(-1, 2)))
+    total = four + three
+    assert (total.period, total.sign_coeff) == (12, -1)
+    # Equality is of terms, not of functions: the difference keeps period 12.
+    assert (total - three).period == 12
+    assert all((total - three)(k) == four(k) for k in range(-30, 31))
+    assert total - four - three == FactorQM(Z)
+
+    rng = random.Random(36)
+    checked = 0
+    for group in (Z, C6, CyclicGroup(7), S3):
+        for _ in range(40):
+            f, g, c = _random_map(group, rng), _random_map(group, rng), _value(rng)
+            combined = f + g.scale(c)
+            assert f - f == FactorQM(group)
+            xs = list(group.elements()) if group.is_finite else range(-25, 26)
+            for x in xs:
+                assert combined(x) == reference.factor_value(f, x) + c * reference.factor_value(g, x)
+                assert (f - g)(x) == reference.factor_value(f, x) - reference.factor_value(g, x)
+                checked += 1
+            assert f.scale(c).defect() == abs(c) * f.defect()
+            assert (f + g).defect() <= f.defect() + g.defect()
+    assert checked == 40 * (51 + 6 + 7 + 6)
 
 
 def test_norms_and_witness():
     f = _vec(C6, {1: 1, 5: -1})
     assert sup_norm(f) == 1
-    assert defect_norm(f) == 2
-    value, x, y = defect_witness(f)
-    assert abs(f(x) + f(y) - f(f.carrier.mul(x, y))) == value == 2
+    assert f.defect() == 2
+    value, x, y = f.defect_witness()
+    assert abs(f(x) + f(y) - f(f.group.mul(x, y))) == value == 2
     assert sup_norm(_vec(C6, {})) == 0
-    assert defect_norm(_vec(C6, {})) == 0
+    assert _vec(C6, {}).defect() == 0
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        FactorQM(Z, slope=1),
+        FactorQM(Z, sign_coeff=1),
+        FactorQM(Z, period=3, residues=(0, 1, -1)),
+        FactorQM(Z, finite_part={1: 5, -1: -5}, sign_coeff=Fraction(1, 2)),
+    ],
+)
+def test_sup_norm_refuses_a_map_with_unbounded_or_periodic_terms(f):
+    # The largest finite-part value is not the sup of such a map.
+    for check in (sup_norm, order_bound_check):
+        with pytest.raises(ValueError, match="no slope, period or sign term"):
+            check(f)
 
 
 @given(st.integers(3, 8), st.data())
@@ -76,7 +152,7 @@ def test_norm_sandwich_and_order_bound(n, data):
 @pytest.mark.parametrize("factor", [Fraction(1, 2), 4])
 def test_order_bound_check_refuses_a_broken_sandwich(monkeypatch, factor):
     f = _vec(C6, {1: 1, 5: -1})
-    monkeypatch.setattr(defect_space, "defect_norm", lambda g: factor * sup_norm(g))
+    monkeypatch.setattr(FactorQM, "defect", lambda g, scale=1: factor * sup_norm(g))
     with pytest.raises(RuntimeError, match="norm sandwich fails"):
         order_bound_check(f)
 
@@ -85,7 +161,7 @@ def test_order_bound_on_an_infinite_carrier():
     f = _vec(IntegerGroup(), {1: 1, -1: -1})
     report = order_bound_check(f)
     assert report.defect == 2
-    window = f.qm.defect_window()
+    window = f.defect_window()
     assert report.checked == 2 * window
     assert report.worst_slack >= 0
 
@@ -97,7 +173,7 @@ def test_order_bound_on_an_infinite_carrier():
 def test_alternating_vector_counts(carrier, count):
     vectors = list(alternating_vectors(carrier, (Fraction(-1), Fraction(0), Fraction(1))))
     assert len(vectors) == count
-    seen = {tuple(sorted(f.values.items())) for f in vectors}
+    seen = {tuple(sorted(f.finite_part.items())) for f in vectors}
     assert len(seen) == count
     for f in vectors:
         for x in carrier.elements():
@@ -138,13 +214,13 @@ def test_group_hom_validation_and_properties():
 def test_embeddings_are_isometric():
     f = _vec(C3, {1: 1, 2: -1})
     embedded = embed_subgroup(f, _times(2, C3, C6))
-    assert embedded.values == {2: 1, 4: -1}
-    assert defect_norm(embedded) == defect_norm(f)
+    assert embedded.finite_part == {2: 1, 4: -1}
+    assert embedded.defect() == f.defect()
 
     quot = _vec(C3, {1: Fraction(1, 2), 2: Fraction(-1, 2)})
     pulled = pullback_quotient(quot, _mod(C6, C3))
-    assert pulled.values == {1: Fraction(1, 2), 2: Fraction(-1, 2), 4: Fraction(1, 2), 5: Fraction(-1, 2)}
-    assert defect_norm(pulled) == defect_norm(quot)
+    assert pulled.finite_part == {1: Fraction(1, 2), 2: Fraction(-1, 2), 4: Fraction(1, 2), 5: Fraction(-1, 2)}
+    assert pulled.defect() == quot.defect()
 
     with pytest.raises(ValueError):
         embed_subgroup(f, _mod(C6, C3))
@@ -173,13 +249,13 @@ def test_ses_embedding_takes_the_right_values(data):
             assert combined(g) == f_sub(g // 4)
         else:
             assert combined(g) == f_quot(image)
-    assert defect_norm(combined) == max(defect_norm(f_sub), defect_norm(f_quot))
+    assert combined.defect() == max(f_sub.defect(), f_quot.defect())
 
 
 def test_ses_embed_checks_the_carriers():
     ses = ShortExactSequence(_times(2, C3, C6), _mod(C6, C2))
     f_sub = _vec(C3, {1: 1, 2: -1})
     f_quot = _vec(C2, {})
-    assert ses_embed(f_sub, f_quot, ses).values == {2: 1, 4: -1}
+    assert ses_embed(f_sub, f_quot, ses).finite_part == {2: 1, 4: -1}
     with pytest.raises(ValueError):
         ses_embed(f_quot, f_sub, ses)
