@@ -244,7 +244,7 @@ def check_fixed_point(f: SplitQM, n: int, samples: Iterable[Word]) -> FixedPoint
     if forces_zero and not f.fA.is_zero:
         raise RuntimeError("an alternating map with period <= 2 must vanish")
     if condition and failures:
-        raise RuntimeError("twist invariance failed although the exact condition holds")
+        raise RuntimeError(f"twist invariance fails at n={n}, {failures[0]}, although the exact condition holds")
     witness = None if condition else violation_witness(f, n)
     if not condition and witness is None:
         raise RuntimeError("certified scan found no witness although the condition fails")

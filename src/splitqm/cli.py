@@ -25,6 +25,7 @@ from .words import (
     A,
     B,
     Splitting,
+    SplitMap,
     Word,
     WordSyntaxError,
     format_word,
@@ -61,15 +62,11 @@ from .qrep import (
     FactorQRMap,
     FiniteMetric,
     MetricGroup,
-    SplitHom,
     SplitQRep,
     check_no_small_subgroups,
-    enumerate_factor_homs,
-    enumerate_factor_qr_maps,
-    nontriviality_witness,
-    qrep_defect,
+    enumerate_split_qr_maps,
     qrep_delta,
-    qrep_sampled_defect,
+    witnesses_against_homs,
 )
 from .selftest import CRITERIA, DEFAULT_SEED, child_rng, format_result, run_all
 
@@ -340,9 +337,10 @@ def _build_qrep(obj, splitting: Optional[Splitting]) -> QRepSetup:
         raise ConfigError("qrep", "the qrep section needs a splitting")
     mu_obj = _object(obj.get("mu", {}), "qrep.mu", "an object with sides A and B", "A B")
     circle = isinstance(target, Circle)
-    # A circle's eps is given in turns, so an "eps" beside it is unknown.
-    eps_key, eps_default = ("eps_turns", "1/4") if circle else ("eps", 1)
-    _known(obj, "qrep", f"target mu {eps_key} max_norm")
+    # A circle's eps is given in turns, so an "eps" beside it is unknown;
+    # its maps are not enumerated, so neither is "max_norm".
+    eps_key, eps_default, norm_key = ("eps_turns", "1/4", "") if circle else ("eps", 1, "max_norm")
+    _known(obj, "qrep", f"target mu {eps_key} {norm_key}")
     value = (lambda v, at: target.turn(_rational(v, at))) if circle else _element(target.group)
     maps = []
     for side in (A, B):
@@ -403,7 +401,7 @@ def _sampling(args, config: Config, s: Splitting, label: str) -> tuple[Callable[
     return word_sampler(s, config.sampler.length_bound, config.sampler.exponent_bound, rng), count
 
 
-def _sampled_check(args, config: Config, f: SplitQM, label: str, most: Optional[int] = None):
+def _sampled_check(args, config: Config, f: SplitMap, label: str, most: Optional[int] = None):
     """(pair count, sampled defect, split defect) of f: the sampled pairs are
     drawn on the child seed of ``label``, at most ``most`` of them, and
     include the junction pairs."""
@@ -563,11 +561,9 @@ def cmd_defect_space(args) -> int:
 def cmd_qrep(args) -> int:
     config = load_config(args.config) if args.config else Config()
     setup = config.qrep or _build_qrep(DEFAULT_QREP, _build_splitting(DEFAULT_QREP_SPLITTING))
-    mu, s, target = setup.mu, setup.mu.splitting, setup.mu.target
-    sampler, count = _sampling(args, config, s, "qrep")
+    mu, target = setup.mu, setup.mu.target
+    count, sampled, exact = _sampled_check(args, config, mu, "qrep")
     small = check_no_small_subgroups(target, setup.eps)
-    exact = qrep_defect(mu)
-    sampled = qrep_sampled_defect(mu, sampler, count)
     rows = [
         ("target", type(target).__name__),
         ("eps", str(setup.eps)),
@@ -578,20 +574,12 @@ def cmd_qrep(args) -> int:
     ]
     failures = 0
     if isinstance(target, FiniteMetric):
-        homs = [
-            SplitHom(s, target, hA, hB)
-            for hA in enumerate_factor_homs(A, s.A, target)
-            for hB in enumerate_factor_homs(B, s.B, target)
-        ]
-        failures = sum(not nontriviality_witness(mu, rho, setup.eps).succeeded for rho in homs)
-        rows.append(("homomorphisms checked", str(len(homs))))
-        rows.append(("witness searches succeeded", f"{len(homs) - failures}/{len(homs)}"))
+        reports = witnesses_against_homs(mu, setup.eps)
+        failures = sum(not report.succeeded for report in reports)
+        rows.append(("homomorphisms checked", str(len(reports))))
+        rows.append(("witness searches succeeded", f"{len(reports) - failures}/{len(reports)}"))
         if setup.max_norm is not None:
-            admissible = sum(
-                1
-                for mu_a in enumerate_factor_qr_maps(A, s.A, target, setup.max_norm)
-                for mu_b in enumerate_factor_qr_maps(B, s.B, target, setup.max_norm)
-            )
+            admissible = sum(1 for _ in enumerate_split_qr_maps(mu.splitting, target, setup.max_norm))
             rows.append((f"admissible maps within {setup.max_norm}", str(admissible)))
     _emit(args, rows)
     if not small.passed:

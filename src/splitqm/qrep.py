@@ -37,8 +37,10 @@ __all__ = [
     "SplitHom",
     "enumerate_factor_homs",
     "enumerate_factor_qr_maps",
+    "enumerate_split_qr_maps",
     "WitnessReport",
     "nontriviality_witness",
+    "witnesses_against_homs",
     "SmallSubgroupReport",
     "check_no_small_subgroups",
 ]
@@ -316,6 +318,8 @@ def enumerate_factor_homs(side: str, group: FactorGroup, target: FiniteMetric) -
     """All homomorphisms from a cyclic factor into a finite metric target."""
     if not isinstance(group, CyclicGroup):
         raise ValueError("homomorphism enumeration needs a cyclic factor")
+    if not isinstance(target, FiniteMetric):
+        raise ValueError("homomorphism enumeration needs a finite metric target")
     for r in target.elements():
         if target.power(r, group.n) == target.identity:
             yield FactorHom(side, group, target, generator_image=r)
@@ -336,6 +340,14 @@ def enumerate_factor_qr_maps(
     spaces = [involution_choices] * len(involutions) + [ball] * len(representatives)
     for assignment in itertools.product(*spaces):
         yield FactorQRMap(side, target, group, dict(zip(involutions + representatives, assignment)))
+
+
+def enumerate_split_qr_maps(s: Splitting, target: FiniteMetric, max_norm) -> Iterator[SplitQRep]:
+    """A ``SplitQRep`` on s for each pair of factor maps from
+    ``enumerate_factor_qr_maps``, A's map outer."""
+    on_a, on_b = (enumerate_factor_qr_maps(side, s.factor(side), target, max_norm) for side in (A, B))
+    for mu_a, mu_b in itertools.product(on_a, on_b):
+        yield SplitQRep(s, target, mu_a, mu_b)
 
 
 @dataclass(frozen=True)
@@ -389,10 +401,13 @@ def nontriviality_witness(
     """Search for a word where mu and the homomorphism rho differ by at
     least delta (the larger factor sup-norm).
 
-    Requires 2*delta <= eps; the target should be free of eps-small
-    subgroups (see check_no_small_subgroups).  Exhaustion of the search
-    space is reported, not raised, to distinguish it from refutation.
+    Requires 2*delta <= eps and rho on mu's splitting into mu's target;
+    the target should be free of eps-small subgroups (see
+    check_no_small_subgroups).  Exhaustion of the search space is
+    reported, not raised, to distinguish it from refutation.
     """
+    if rho.splitting != mu.splitting or rho.target is not mu.target:
+        raise ValueError("rho must be a homomorphism on mu's splitting into mu's target")
     delta = qrep_delta(mu)
     if 2 * delta > _fr(eps):
         raise ValueError("the witness argument needs 2*delta <= eps")
@@ -409,6 +424,15 @@ def nontriviality_witness(
         if d >= delta:
             return WitnessReport(g, d, delta, exhausted=False, checked=checked)
     return WitnessReport(best_word, best, delta, exhausted=True, checked=checked)
+
+
+def witnesses_against_homs(mu: SplitQRep, eps, depth: int = 32) -> list[WitnessReport]:
+    """One ``nontriviality_witness`` report per rho in Hom(A * B, G) =
+    Hom(A, G) x Hom(B, G), on mu's splitting and finite target G, A's
+    homomorphism outer: the one per-rho witness path."""
+    s, target = mu.splitting, mu.target
+    homs = itertools.product(*(enumerate_factor_homs(side, s.factor(side), target) for side in (A, B)))
+    return [nontriviality_witness(mu, SplitHom(s, target, h_a, h_b), eps, depth) for h_a, h_b in homs]
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,12 @@ class FactorQM:
             raise ValueError("residue table length must equal the period")
         self._validate_alternating()
 
+    def __hash__(self) -> int:
+        """Over the fields, the finite part as a frozenset of its items, so
+        that equal maps hash equal."""
+        return hash((self.group, self.slope, frozenset(self.finite_part.items()), self.period, self.residues,
+                     self.sign_coeff))
+
     # -- validation ------------------------------------------------------
 
     def _validate_alternating(self) -> None:

@@ -48,13 +48,7 @@ from .quasimorphisms import (
     weight_qm,
 )
 from . import counting
-from .automorphisms import (
-    apply,
-    check_fixed_point,
-    inner_distance_check,
-    twist,
-    violation_witness,
-)
+from .automorphisms import check_fixed_point, inner_distance_check, violation_witness
 from .quasicocycles import (
     FiniteDimRep,
     GrowthCheckError,
@@ -83,11 +77,11 @@ from .qrep import (
     SplitHom,
     SplitQRep,
     check_no_small_subgroups,
-    enumerate_factor_homs,
-    enumerate_factor_qr_maps,
+    enumerate_split_qr_maps,
     nontriviality_witness,
     qrep_defect,
     qrep_sampled_defect,
+    witnesses_against_homs,
 )
 
 __all__ = [
@@ -136,20 +130,26 @@ def _z5xz6() -> Splitting:
     return Splitting(CyclicGroup(5), CyclicGroup(6))
 
 
+def _antisymmetric_residues(p: int, values: list[Fraction]) -> tuple[Fraction, ...]:
+    table = [F(0)] * p
+    for j, value in enumerate(values, start=1):
+        table[j], table[p - j] = value, -value
+    return tuple(table)
+
+
 def _random_integer_qm(group: IntegerGroup, rng: random.Random) -> FactorQM:
     finite: dict[int, Fraction] = {}
     for _ in range(rng.randint(0, 3)):
         k = rng.randint(1, 4)
         value = rng.choice(_VALUES)
+        # A repeated k overwrites its earlier pair, where set_alternating
+        # would refuse the clash.
         finite[k], finite[-k] = value, -value
     period, residues = None, ()
     if rng.random() < 0.5:
-        p = rng.choice((3, 4, 5))
-        table = [F(0)] * p
-        for j in range(1, (p - 1) // 2 + 1):
-            value = rng.choice(_VALUES + (F(0),))
-            table[j], table[p - j] = value, -value
-        period, residues = p, tuple(table)
+        period = rng.choice((3, 4, 5))
+        draws = [rng.choice(_VALUES + (F(0),)) for _ in range((period - 1) // 2)]
+        residues = _antisymmetric_residues(period, draws)
     sign = rng.choice(_VALUES) if rng.random() < 0.5 else F(0)
     return FactorQM(group, finite_part=finite, period=period, residues=residues, sign_coeff=sign)
 
@@ -158,8 +158,7 @@ def _random_finite_qm(group: CyclicGroup, rng: random.Random) -> FactorQM:
     values: dict[int, Fraction] = {}
     for x in inverse_pairs(group)[1]:
         if rng.random() < 0.75:
-            value = rng.choice(_VALUES)
-            values[x], values[group.inv(x)] = value, -value
+            set_alternating(values, group, x, rng.choice(_VALUES))
     return FactorQM(group, finite_part=values)
 
 
@@ -364,13 +363,6 @@ def criterion_6(rng: random.Random) -> str:
 # -- criterion 7: twist fixed points ----------------------------------------
 
 
-def _antisymmetric_residues(p: int, values: list[Fraction]) -> tuple[Fraction, ...]:
-    table = [F(0)] * p
-    for j, value in enumerate(values, start=1):
-        table[j], table[p - j] = value, -value
-    return tuple(table)
-
-
 def criterion_7(rng: random.Random) -> str:
     s = _zxz()
     letter_words = [
@@ -383,19 +375,9 @@ def criterion_7(rng: random.Random) -> str:
             FactorQM(s.A, period=n, residues=residues),
             FactorQM(s.B),
         )
-        tau = twist(s, n)
-        for g in letter_words:
-            if eval_split(good, apply(tau, g)) != eval_split(good, g):
-                raise CriterionFailed(f"invariance fails at n={n}, {g}")
-        for g in enumerate_words(s, 3, 2 * n):
-            if eval_split(good, apply(tau, g)) != eval_split(good, g):
-                raise CriterionFailed(f"invariance fails at n={n}, {g}")
         sampler = word_sampler(s, 6, 2 * n + 2, rng)
-        for _ in range(10_000 // 3):
-            g = sampler()
-            if eval_split(good, apply(tau, g)) != eval_split(good, g):
-                raise CriterionFailed(f"invariance fails at n={n}, {g}")
-        report = check_fixed_point(good, n, (letter_words[k] for k in range(0, 1457, 9)))
+        samples = (sampler() for _ in range(10_000 // 3))
+        report = check_fixed_point(good, n, itertools.chain(letter_words, enumerate_words(s, 3, 2 * n), samples))
         if not (report.condition_holds and report.invariant):
             raise CriterionFailed(f"fixed-point report wrong at n={n}")
         bad_configs = [
@@ -536,30 +518,19 @@ def criterion_11(rng: random.Random) -> str:
     small = check_no_small_subgroups(target, 1)
     if not small.passed:
         raise CriterionFailed("target has 1-small subgroups")
-    mus = [
-        SplitQRep(s, target, mu_a, mu_b)
-        for mu_a in enumerate_factor_qr_maps(A, s.A, target, F(1, 2))
-        for mu_b in enumerate_factor_qr_maps(B, s.B, target, F(1, 2))
-    ]
-    rhos = [
-        SplitHom(s, target, h_a, h_b)
-        for h_a in enumerate_factor_homs(A, s.A, target)
-        for h_b in enumerate_factor_homs(B, s.B, target)
-    ]
-    if len(rhos) != 6:
-        raise CriterionFailed(f"expected 6 homomorphisms, got {len(rhos)}")
     witness_count = 0
-    for mu in mus:
+    for mu in enumerate_split_qr_maps(s, target, F(1, 2)):
         sampler = word_sampler(s, 4, 4, rng)
         exact = qrep_defect(mu)
         sampled = qrep_sampled_defect(mu, sampler, 1000)
         if sampled != exact:
             raise CriterionFailed(f"finite sampled {sampled} != {exact}")
-        for rho in rhos:
-            report = nontriviality_witness(mu, rho, eps=1)
-            if not report.succeeded:
-                raise CriterionFailed("finite witness search exhausted")
-            witness_count += 1
+        reports = witnesses_against_homs(mu, eps=1)
+        if len(reports) != 6:
+            raise CriterionFailed(f"expected 6 homomorphisms, got {len(reports)}")
+        if not all(report.succeeded for report in reports):
+            raise CriterionFailed("finite witness search exhausted")
+        witness_count += len(reports)
     circle = Circle()
     s_int = _zxz()
     mu = SplitQRep(

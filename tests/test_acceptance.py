@@ -9,9 +9,11 @@ import re
 
 import pytest
 
-from splitqm import selftest
+from splitqm import automorphisms, selftest
+from splitqm.groups import IntegerGroup
 from splitqm.quasimorphisms import FactorQM
 from splitqm.selftest import CRITERIA, DEFAULT_SEED, CriterionFailed, format_result, run_all, run_criterion
+from splitqm.words import Splitting, parse_word
 
 _IDS = [f"{number:02d}-{name}" for number, name, _ in CRITERIA]
 
@@ -87,6 +89,18 @@ def test_run_all_is_lazy(monkeypatch):
     assert ran == []
     assert next(results).name == "first"
     assert ran == [1]
+
+
+def test_twist_criterion_names_the_word_that_breaks_invariance(monkeypatch):
+    # An apply that sends b to a: criterion 7 fails on its first layer, at
+    # n = 3, naming the word.
+    s = Splitting(IntegerGroup(), IntegerGroup())
+    a, b = parse_word(s, "a"), parse_word(s, "b")
+    right = automorphisms.apply
+    monkeypatch.setattr(automorphisms, "apply", lambda e, g: a if g == b else right(e, g))
+    result = run_criterion(7, DEFAULT_SEED)
+    assert not result.passed
+    assert f"twist invariance fails at n=3, {b}," in result.detail
 
 
 def test_doubling_witness_criterion_compares_the_norm_with_a_wider_scan(monkeypatch):

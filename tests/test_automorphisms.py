@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitqm import automorphisms
 from splitqm.automorphisms import (
     Endo,
     apply,
@@ -163,6 +164,18 @@ def test_fixed_point_holds_for_periodic_first_factor(n):
     assert report.witness is None
     assert report.commutator_gap == 0
     assert not report.forces_zero
+
+
+def test_fixed_point_names_the_first_word_that_breaks_invariance(monkeypatch):
+    # An apply that sends b to a breaks invariance where the exact condition
+    # holds; the error names n and the first word it broke.
+    f = SplitQM(ZXZ, _period_qm(ZXZ.A, 3, [1]), FactorQM(ZXZ.B))
+    a, b = parse_word(ZXZ, "a"), parse_word(ZXZ, "b")
+    right = automorphisms.apply
+    monkeypatch.setattr(automorphisms, "apply", lambda e, g: a if g == b else right(e, g))
+    with pytest.raises(RuntimeError) as info:
+        check_fixed_point(f, 3, [a, b, parse_word(ZXZ, "b^2")])
+    assert str(info.value) == f"twist invariance fails at n=3, {b}, although the exact condition holds"
 
 
 @pytest.mark.parametrize(

@@ -554,6 +554,7 @@ UNKNOWN_FIELDS = [
     (_shipped("finite_qrep"), _set("qrep", "epsilon", "1/8"), "qrep.epsilon"),
     (_shipped("finite_qrep"), _set("qrep", "eps_turns", "1/8"), "qrep.eps_turns"),
     (CIRCLE_QREP_CONFIG, _set("qrep", "eps", "1/8"), "qrep.eps"),
+    (CIRCLE_QREP_CONFIG, _set("qrep", "max_norm", "1/2"), "qrep.max_norm"),
     (_shipped("finite_qrep"), _set("qrep", "target", "metric", []), "qrep.target.metric"),
     (CIRCLE_QREP_CONFIG, _set("qrep", "target", "radius", 1), "qrep.target.radius"),
     (_shipped("finite_qrep"), _set("qrep", "target", "group", "m", 6), "qrep.target.group.m"),

@@ -18,7 +18,8 @@ from splitqm.defect_space import (
     sup_norm,
 )
 from splitqm.groups import CyclicGroup, FiniteTableGroup, IntegerGroup, inverse_pairs, set_alternating
-from splitqm.quasimorphisms import FactorQM
+from splitqm.quasimorphisms import FactorQM, SplitQM
+from splitqm.words import Splitting
 
 import reference
 
@@ -107,6 +108,19 @@ def test_vector_arithmetic_and_normalization():
             assert f.scale(c).defect() == abs(c) * f.defect()
             assert (f + g).defect() <= f.defect() + g.defect()
     assert checked == 40 * (51 + 6 + 7 + 6)
+
+
+def test_equal_maps_hash_equal():
+    f = _vec(C6, {1: 1, 5: -1})
+    assert len({f - f, FactorQM(C6)}) == 1
+    assert hash(f + f) == hash(f.scale(2)) and f + f == f.scale(2)
+    periodic = FactorQM(Z, slope=1, finite_part={2: 1, -2: -1}, period=3, residues=(0, 1, -1), sign_coeff=1)
+    assert hash(periodic) == hash(periodic - FactorQM(Z) + FactorQM(Z))
+    assert hash(_vec(S3, {})) == hash(FactorQM(S3))
+    s = Splitting(C6, C3)
+    split, twin = (SplitQM(s, _vec(C6, {1: 1, 5: -1}), _vec(C3, {1: 2, 2: -2})) for _ in range(2))
+    assert split == twin and hash(split) == hash(twin)
+    assert {split: "map"}[twin] == "map"
 
 
 def test_norms_and_witness():

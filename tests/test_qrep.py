@@ -18,11 +18,13 @@ from splitqm.qrep import (
     check_no_small_subgroups,
     enumerate_factor_homs,
     enumerate_factor_qr_maps,
+    enumerate_split_qr_maps,
     eval_qrep,
     nontriviality_witness,
     qrep_defect,
     qrep_delta,
     qrep_sampled_defect,
+    witnesses_against_homs,
 )
 from splitqm.quasicocycles import FactorCocycleMap, RegularRep, eval_split_qc, staircase_cocycle
 from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, homogenize_eval, junction_pairs, sampled_defect
@@ -499,6 +501,69 @@ def test_nontriviality_witness_preconditions():
     assert report.succeeded
     assert report.word == IDENTITY
     assert report.checked == 0
+
+
+def test_nontriviality_witness_refuses_a_homomorphism_on_another_splitting_or_target():
+    mu, target = _qrep_fixture()
+    twin = _hex_metric()  # equal distances, another object
+    s6 = Splitting(C2, C6)
+    on_c6 = SplitHom(
+        s6, twin, FactorHom(A, C2, twin, generator_image=0), FactorHom(B, C6, twin, generator_image=0)
+    )
+    on_twin = SplitHom(
+        mu.splitting, twin, FactorHom(A, C2, twin, generator_image=0), FactorHom(B, C3, twin, generator_image=0)
+    )
+    circle = Circle()
+    zxz = Splitting(IntegerGroup(), IntegerGroup())
+    on_circle = SplitHom(
+        zxz,
+        circle,
+        FactorHom(A, zxz.A, circle, generator_image=Fraction(1, 4)),
+        FactorHom(B, zxz.B, circle, generator_image=Fraction(1, 4)),
+    )
+    for rho in (on_c6, on_twin, on_circle):
+        with pytest.raises(ValueError, match="mu's splitting into mu's target"):
+            nontriviality_witness(mu, rho, eps=1)
+
+
+def _qrep_targets():
+    """The hexagon of configs/finite_qrep.json within its max_norm 1/2, and
+    S3 under both metrics within 1, on C2 * C3."""
+    yield _hex_metric(), Fraction(1, 2)
+    for target in S3_METRICS.values():
+        yield target, 1
+
+
+def test_split_qr_maps_are_the_product_of_the_factor_enumerations():
+    s = Splitting(C2, C3)
+    for target, max_norm in _qrep_targets():
+        mus = list(enumerate_split_qr_maps(s, target, max_norm))
+        on_a = list(enumerate_factor_qr_maps(A, C2, target, max_norm))
+        on_b = list(enumerate_factor_qr_maps(B, C3, target, max_norm))
+        assert [(mu.muA.table, mu.muB.table) for mu in mus] == [(a.table, b.table) for a in on_a for b in on_b]
+        assert all(mu.splitting == s and mu.target is target for mu in mus)
+    assert len(list(enumerate_split_qr_maps(s, _hex_metric(), Fraction(1, 2)))) == 3
+    with pytest.raises(ValueError):
+        list(enumerate_split_qr_maps(Splitting(IntegerGroup(), C3), _hex_metric(), 1))
+
+
+def test_witnesses_against_homs_is_one_witness_search_per_homomorphism():
+    s = Splitting(C2, C3)
+    for target, max_norm in _qrep_targets():
+        homs = [
+            SplitHom(s, target, h_a, h_b)
+            for h_a in enumerate_factor_homs(A, C2, target)
+            for h_b in enumerate_factor_homs(B, C3, target)
+        ]
+        assert len(homs) == (6 if target.group == C6 else 12)
+        for mu in enumerate_split_qr_maps(s, target, max_norm):
+            eps = 2 * max_norm
+            expected = [nontriviality_witness(mu, rho, eps, depth=5) for rho in homs]
+            assert witnesses_against_homs(mu, eps, depth=5) == expected
+    circle = Circle()
+    mu = SplitQRep(s, circle, FactorQRMap(A, circle, C2, {}), FactorQRMap(B, circle, C3, {}))
+    with pytest.raises(ValueError, match="finite metric target"):
+        witnesses_against_homs(mu, Fraction(1, 4))
 
 
 def test_small_subgroups_in_finite_targets():
