@@ -53,7 +53,8 @@ __all__ = [
 class Endo:
     """An endomorphism of Z * Z given by the images of the two generators.
 
-    ``letter_memo`` maps each distinct letter applied to its image."""
+    ``letter_memo`` maps distinct letters applied to their images, at most
+    ``words.MEMO_CAP`` of them (see ``words.memo_letter``)."""
 
     splitting: Splitting
     image_a: Word
@@ -77,7 +78,8 @@ def apply(e: Endo, g: Word) -> Word:
     """Fold the images of the letters of g onto one normal form, joining
     each at the junction where it meets the result on the same side and
     appending it otherwise.  Each distinct letter is checked against its
-    factor and its image computed once, in the letter memo of ``e``.
+    factor and its image computed once, in the letter memo of ``e``, while
+    that memo has room.
     Raises ValueError on a letter outside the factors."""
     s, memo, out = e.splitting, e.letter_memo, []
     for letter in g:

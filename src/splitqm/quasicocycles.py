@@ -667,7 +667,9 @@ def inner_split_eval(m: ModuleAction, v: Vector, g: Word) -> Vector:
     values: dict[Letter, Vector] = {}
     for letter in g:
         if type(letter[1]) is not int or letter not in values:
-            memo_letter(m.splitting, values, letter, lambda side, x: inner_cocycle(m, v, Word(((side, x),))))
+            side, x = letter
+            m.splitting.factor(side).check(x)
+            values[letter] = inner_cocycle(m, v, Word(((side, x),)))
     den = math.lcm(*map(m.denominator, values.values()))
     nums = {letter: m.numerators(u, den) for letter, u in values.items()}
     return _numerator_sum(m, g, nums.__getitem__, den)

@@ -353,8 +353,14 @@ class SplitQM(SplitMap):
         return total
 
     def merge(self, u: Letter, v: Letter, w: Letter) -> tuple[int, int]:
-        """L*(q(x) + q(y) - q(xy)) over L, for u and v merging into w."""
-        return self.letter(u) + self.letter(v) - self.letter(w), self.denominator
+        """L*(q(x) + q(y) - q(xy)) over L, for u and v merging into w, letters
+        of normal forms: read straight from the letter memo, and through
+        ``SplitMap.letter`` when one is not there."""
+        memo = self.letter_memo
+        try:
+            return memo[u] + memo[v] - memo[w], self.denominator
+        except KeyError:
+            return self.letter(u) + self.letter(v) - self.letter(w), self.denominator
 
     def __call__(self, g: Word) -> Fraction:
         return eval_split(self, g)
@@ -414,19 +420,24 @@ def sampled_defect(
     (``sample.draw``) and go through ``SplitMap.meet``, all others through
     ``SplitMap.junction``, which reduces each word first, so a raw spelling
     is sized as its normal form; a letter outside the factors raises
-    ValueError, as a map that is not ``is_isometry`` does before any draw."""
+    ValueError, as a map that is not ``is_isometry`` does before any draw.
+    Every pair shares one junction memo that lives for this call: each
+    first letter pair that merges is sized once, for up to ``MEMO_CAP``
+    distinct pairs (see ``SplitMap.meet``).  The memo makes no draw: the
+    sampler is called exactly 2 * count times."""
     _require_int(count, 0, "count")
     if not f.is_isometry:
         raise ValueError("sampled sizes are certified only on an isometric action")
     marked = getattr(sampler, "splitting", None) == f.splitting
     draw, size = (sampler.draw, f.meet) if marked else (sampler, f.junction)
+    junctions: dict = {}
     best_s, best_t = 0, 1
     for _ in range(count):
-        value, t = size(draw(), draw())
+        value, t = size(draw(), draw(), junctions)
         if abs(value) * best_t > best_s * t:
             best_s, best_t = abs(value), t
     for g, h in extra_pairs:
-        value, t = f.junction(g, h)
+        value, t = f.junction(g, h, junctions)
         if abs(value) * best_t > best_s * t:
             best_s, best_t = abs(value), t
     return f.size_value(best_s, best_t) if best_s else Fraction(0)

@@ -15,7 +15,7 @@ import hashlib
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Collection, Iterator, Optional
 
@@ -102,10 +102,14 @@ _VALUES = tuple(F(k, 2) for k in (-4, -3, -2, -1, 1, 2, 3, 4))
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """One criterion's outcome; ``elapsed`` is its wall time in seconds,
+    which the printed line does not show and equality ignores."""
+
     number: int
     name: str
     passed: bool
     detail: str
+    elapsed: float = field(compare=False)
 
 
 class CriterionFailed(Exception):
@@ -623,9 +627,11 @@ def run_criterion(
     passed to criterion 9.
 
     A returned detail is a PASS, ``CriterionFailed`` a FAIL with its text,
-    and any other exception a FAIL naming it (a bug guard).
+    and any other exception a FAIL naming it (a bug guard).  The result's
+    ``elapsed`` times the criterion alone, from its rng onwards.
     """
     name, func = {n: (nm, fn) for n, nm, fn in CRITERIA}[number]
+    start = time.perf_counter()
     rng = child_rng(seed, name)
     try:
         detail = func(rng, convention=convention) if number == 9 else func(rng)
@@ -634,7 +640,7 @@ def run_criterion(
         passed, detail = False, str(exc)
     except Exception as exc:
         passed, detail = False, f"raised {exc!r}"
-    return CriterionResult(number, name, passed, detail)
+    return CriterionResult(number, name, passed, detail, time.perf_counter() - start)
 
 
 def run_all(

@@ -156,17 +156,26 @@ def reduce(s: Splitting, raw: Iterable[Letter]) -> Word:
     return Word(out)
 
 
+# The most entries a per-letter memo, or one ``sampled_defect`` call's
+# junction memo, holds; once full, a memo stores nothing more.  No shipped
+# config, selftest criterion or benchmark workload fills one.
+MEMO_CAP = 4096
+
+
 def memo_letter(
     s: Splitting, memo: dict[Letter, T], letter: Letter, compute: Callable[[str, int], T]
 ) -> T:
     """The miss path of every per-letter memo: check ``letter`` against its
-    factor (ValueError outside the factors), then store and return
-    ``compute(side, x)``.  Callers look a letter up only when its element
-    is an exact ``int``, and take this path otherwise: ``True`` and ``1.0``
-    hash like ``1``, and an unhashable element cannot be looked up."""
+    factor (ValueError outside the factors), then return ``compute(side, x)``,
+    stored while ``memo`` holds fewer than ``MEMO_CAP`` entries.  Callers look
+    a letter up only when its element is an exact ``int``, and take this path
+    otherwise: ``True`` and ``1.0`` hash like ``1``, and an unhashable element
+    cannot be looked up."""
     side, x = letter
     s.factor(side).check(x)
-    value = memo[letter] = compute(side, x)
+    value = compute(side, x)
+    if len(memo) < MEMO_CAP:
+        memo[letter] = value
     return value
 
 
@@ -178,7 +187,8 @@ class SplitMap:
 
     ``codomain`` names the attribute that the map and both factor maps must
     share, if any: the module action or the target group.  ``letter_memo``
-    maps each distinct letter evaluated to its ``letter_value``.
+    maps distinct letters evaluated to their ``letter_value``, at most
+    ``MEMO_CAP`` of them.
     ``is_isometry`` is false only for a quasicocycle on a non-isometric action.
     """
 
@@ -214,26 +224,52 @@ class SplitMap:
             value = memo_letter(self.splitting, memo, letter, self.letter_value)
         return value
 
-    def junction(self, g: Sequence[Letter], h: Sequence[Letter]) -> tuple[int, int]:
+    def junction(
+        self, g: Sequence[Letter], h: Sequence[Letter], junctions: Optional[dict] = None
+    ) -> tuple[int, int]:
         """``meet`` of the normal forms of g and h, raw spellings too, as
         ``multiply`` reduces first; ``reduce`` checks every letter."""
         s = self.splitting
-        return self.meet(reduce(s, g), reduce(s, h))
+        return self.meet(reduce(s, g), reduce(s, h), junctions)
 
-    def meet(self, g: Sequence[Letter], h: Sequence[Letter]) -> tuple[int, int]:
+    def meet(
+        self, g: Sequence[Letter], h: Sequence[Letter], junctions: Optional[dict] = None
+    ) -> tuple[int, int]:
         """The coboundary of normal forms g and h (``Word``s or letter lists)
         as (s, t), that is s / t, read where they meet; letters away from there
         are not read.  Letter pairs that cancel add nothing, as factor maps are
         alternating; the first merge, of u and v into w, gives ``merge(u, v,
         w)``, and none gives (0, 1).  Sides alternate: if the first pair shares
-        a side, all do."""
-        if g and h and g[-1][0] == h[0][0]:
-            for u, v in zip(reversed(g), h):
-                factor = self.splitting.factor(u[0])
-                x = factor.mul(u[1], v[1])
-                if not factor.is_identity(x):
-                    return self.merge(u, v, (u[0], x))
+        a side, all do.
+
+        ``junctions``, if given, maps a first pair (g[-1], h[0]) that merges
+        to its size: it is read before the walk and filled after it while it
+        holds fewer than ``MEMO_CAP`` entries.  A first pair that cancels is
+        walked inwards every time, as the deeper letters differ."""
+        if not g or not h or g[-1][0] != h[0][0]:
+            return 0, 1
+        first = g[-1], h[0]
+        if junctions is not None:
+            size = junctions.get(first)
+            if size is not None:
+                return size
+        ops = self.factor_ops
+        for depth, (u, v) in enumerate(zip(reversed(g), h)):
+            side = u[0]
+            mul, e = ops[side]
+            x = mul(u[1], v[1])
+            if x != e:
+                size = self.merge(u, v, (side, x))
+                if not depth and junctions is not None and len(junctions) < MEMO_CAP:
+                    junctions[first] = size
+                return size
         return 0, 1
+
+    @cached_property
+    def factor_ops(self) -> dict:
+        """Each side's factor product and identity element, read once per map."""
+        s = self.splitting
+        return {A: (s.A.mul, s.A.identity), B: (s.B.mul, s.B.identity)}
 
     @cached_property
     def pair_sizers(self) -> dict:

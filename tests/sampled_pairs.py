@@ -8,7 +8,7 @@ from unittest import mock
 
 from reference import whole_word_size
 from splitqm.quasimorphisms import junction_pairs, sampled_defect
-from splitqm.words import SplitMap, Word, invert, multiply, word_sampler
+from splitqm.words import MEMO_CAP, A, B, SplitMap, Word, invert, multiply, word_sampler
 
 
 def cancelling_pairs(s, seed, count):
@@ -73,3 +73,49 @@ def check_marked_sampler_meets_as_the_checked_path(f, seed, count, bounds=(4, 4)
     assert marked() == unmarked()
     words = word_sampler(f.splitting, *bounds, random.Random(seed))
     assert fast == max((whole_word_size(f, words(), words()) for _ in range(count)), default=0)
+
+
+def shared_junction_pairs(s, seed, count):
+    """``2 * count`` pairs of sampled normal forms that all share their last
+    letter u of g.  In the first ``count`` h starts with a letter v that u
+    merges with; in the rest h starts with u^-1, so the junction cancels
+    there and goes on to letters that differ from pair to pair."""
+    rng = random.Random(seed)
+    for side in (A, B):
+        factor = s.factor(side)
+        elements = [x for x in (factor.elements() if factor.is_finite else range(-4, 5)) if not factor.is_identity(x)]
+        merging = [(x, y) for x in elements for y in elements if not factor.is_identity(factor.mul(x, y))]
+        if merging:
+            break
+    x, y = rng.choice(merging)
+    sampler = word_sampler(s, 5, 4, rng)
+    pairs = []
+    for k in range(2 * count):
+        g, h = sampler(), sampler()
+        head = g[:-1] if g and g[-1][0] == side else g
+        tail = h[1:] if h and h[0][0] == side else h
+        first = (side, y if k < count else factor.inv(x))
+        pairs.append((Word(head + ((side, x),)), Word((first,) + tail)))
+    return pairs
+
+
+def check_shared_junctions_size_as_the_whole_words(f, seed):
+    """Pairs that share their first junction pair (``shared_junction_pairs``)
+    are sized as their whole words: each pair alone, all pairs through one
+    junction memo, and all in one ``sampled_defect`` call, whose memo they
+    share.  Also with ``MEMO_CAP`` at 1, where every memo is full after
+    its first entry."""
+    pairs = shared_junction_pairs(f.splitting, seed, 12)
+    rng = random.Random(seed)
+    rng.shuffle(pairs)  # merging and cancelling pairs take turns at the memo
+    slow = [whole_word_size(f, g, h) for g, h in pairs]
+    for cap in (MEMO_CAP, 1):
+        with mock.patch("splitqm.words.MEMO_CAP", cap):
+            assert [sampled_defect(f, iter(pair).__next__, 1) for pair in pairs] == slow
+            junctions = {}
+            for convert in (Word, list):
+                sizes = [f.meet(convert(g), convert(h), junctions) for g, h in pairs]
+                assert [abs(f.size_value(*size)) for size in sizes] == slow
+            assert 0 < len(junctions) <= cap
+            draws = iter([w for pair in pairs for w in pair]).__next__
+            assert sampled_defect(f, draws, len(pairs)) == max(slow)

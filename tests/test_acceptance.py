@@ -5,6 +5,7 @@ Each criterion prints its own PASS/FAIL line (also available through
 stated tolerance.
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -46,6 +47,7 @@ def test_criterion(number, capsys):
         print(format_result(result))
     assert result.number == number
     assert result.passed, result.detail
+    assert result.elapsed >= 0
     detail = re.sub(r", [0-9.]+s$", "", result.detail) if number == 1 else result.detail
     assert detail == DETAILS[number]
 
@@ -69,6 +71,21 @@ def test_runner_turns_outcomes_into_results(monkeypatch):
         "[ 2] FAIL fails: value 3 is not 2",
         "[ 3] FAIL breaks: raised KeyError('missing')",
     ]
+
+
+def test_every_result_of_run_all_carries_its_time(monkeypatch):
+    # Passing, failing and raising criteria are all timed; the printed line
+    # and equality leave the time out.
+    monkeypatch.setattr(
+        selftest,
+        "CRITERIA",
+        ((1, "passes", lambda rng: "holds"), (2, "fails", _fails), (3, "breaks", _breaks)),
+    )
+    results = list(run_all())
+    assert [r.number for r in results] == [1, 2, 3]
+    assert all(type(r.elapsed) is float and r.elapsed >= 0 for r in results)
+    assert format_result(results[0]) == "[ 1] PASS passes: holds"
+    assert results[0] == dataclasses.replace(results[0], elapsed=results[0].elapsed + 1)
 
 
 def test_runner_derives_the_rng_from_the_name(monkeypatch):

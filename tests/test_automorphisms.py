@@ -22,6 +22,7 @@ from splitqm.automorphisms import (
 from splitqm.groups import CyclicGroup, IntegerGroup
 from splitqm.quasimorphisms import FactorQM, SplitQM, eval_split, split_defect, weight_qm
 from splitqm.words import (
+    MEMO_CAP,
     A,
     B,
     Splitting,
@@ -85,6 +86,16 @@ def test_apply_matches_a_left_fold_of_multiply(seed_a, seed_b, raw):
     images = {A: e.image_a, B: e.image_b}
     for g in (Word(tuple(raw)), reduce(ZXZ, raw)):
         assert apply(e, g) == reference.normal_form(ZXZ, sum((reference.power(ZXZ, images[side], k) for side, k in g), ()))
+
+
+def test_the_letter_memo_stops_at_its_cap():
+    # The swap a <-> b sends each letter (side, k) to the letter (other, k).
+    swap = Endo(ZXZ, Word(((B, 1),)), Word(((A, 1),)))
+    letters = [(side, k) for k in range(1, MEMO_CAP // 2 + 100) for side in (A, B)]
+    expected = [Word(((B if side == A else A, k),)) for side, k in letters]
+    for _ in range(2):
+        assert [apply(swap, Word((letter,))) for letter in letters] == expected
+        assert len(swap.letter_memo) == MEMO_CAP
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -44,6 +44,7 @@ from sampled_pairs import (
     check_joins_as_multiply_does,
     check_marked_sampler_meets_as_the_checked_path,
     check_meet_reads_what_the_walk_gives,
+    check_shared_junctions_size_as_the_whole_words,
 )
 
 C2 = CyclicGroup(2)
@@ -210,6 +211,7 @@ def test_a_split_hom_sizes_every_pair_zero():
     assert sampled_defect(h, word_sampler(s, 4, 4, 1), 50) == 0
     for seed in (1, 2):
         check_meet_reads_what_the_walk_gives(h, seed)
+        check_shared_junctions_size_as_the_whole_words(h, seed)
 
 
 def test_a_split_hom_has_defect_zero_and_no_junction_pair():
@@ -354,6 +356,12 @@ def split_qreps(draw):
 @given(split_qreps(), st.integers(0, 2**32 - 1))
 def test_sampled_defect_joins_pairs_as_multiply_does(mu, seed):
     check_joins_as_multiply_does(mu, seed, qrep_sampled_defect)
+
+
+@settings(deadline=None, max_examples=30)
+@given(split_qreps(), st.integers(0, 2**32 - 1))
+def test_pairs_that_share_their_first_junction_pair_size_as_the_whole_words(mu, seed):
+    check_shared_junctions_size_as_the_whole_words(mu, seed)
 
 
 S3_MUL = [

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +43,7 @@ from sampled_pairs import (
     check_joins_as_multiply_does,
     check_marked_sampler_meets_as_the_checked_path,
     check_meet_reads_what_the_walk_gives,
+    check_shared_junctions_size_as_the_whole_words,
 )
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
@@ -587,6 +589,27 @@ def _dense_staircase():
 
 def _small_regular():
     return RegularRep(Splitting(CyclicGroup(2), CyclicGroup(3)), 1)
+
+
+@pytest.mark.parametrize("make", [_regular_staircase, _dense_staircase], ids=["regular", "dense"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_pairs_that_share_their_first_junction_pair_size_as_the_whole_words(make, seed):
+    check_shared_junctions_size_as_the_whole_words(make(), seed)
+
+
+def test_a_dense_actions_letter_memo_stops_at_its_cap():
+    # A permutes by a 3-cycle and B by a transposition, so the letter (side, k)
+    # acts as (side, k mod order), which the reference powers directly.  Each
+    # letter's matrix is a power taken in Fractions, so the cap is lowered to
+    # keep the test short.
+    rep, v, cap = _permutation_rep(), (1, 2, 3), 100
+    orders = {A: 3, B: 2}
+    letters = [(side, k) for k in range(1, cap // 2 + 100) for side in (A, B)]
+    expected = [reference.act(rep, ((side, k % orders[side]),), v) for side, k in letters]
+    with mock.patch("splitqm.words.MEMO_CAP", cap):
+        for _ in range(2):
+            assert [rep.act(Word((letter,)), v) for letter in letters] == expected
+            assert len(rep._letters) == cap
 
 
 TABLE_MAPS = {

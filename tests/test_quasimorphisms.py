@@ -1,6 +1,7 @@
 """Factor and split quasimorphisms: alternation, defects, witnesses."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from splitqm.quasimorphisms import (
     weight_qm,
 )
 from splitqm.words import (
+    MEMO_CAP,
     A,
     B,
     IDENTITY,
@@ -47,6 +49,7 @@ from sampled_pairs import (
     check_joins_as_multiply_does,
     check_marked_sampler_meets_as_the_checked_path,
     check_meet_reads_what_the_walk_gives,
+    check_shared_junctions_size_as_the_whole_words,
 )
 
 ZXZ = Splitting(IntegerGroup(), IntegerGroup())
@@ -511,6 +514,43 @@ def test_marked_sampler_pairs_meet_several_letters_deep_on_z2_z3(seed, count):
 @given(all_split_qms(), st.integers(0, 2**32 - 1))
 def test_meet_reads_what_the_walk_gives(f, seed):
     check_meet_reads_what_the_walk_gives(f, seed)
+
+
+@settings(deadline=None, max_examples=30)
+@given(split_qms(), st.integers(0, 2**32 - 1))
+def test_pairs_that_share_their_first_junction_pair_size_as_the_whole_words(f, seed):
+    check_shared_junctions_size_as_the_whole_words(f, seed)
+
+
+@pytest.mark.parametrize("s", [ZXZ, C5XC6], ids=["ZxZ", "Z5xZ6"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampled_defect_draws_two_words_a_pair_and_nothing_for_extra_pairs(s, seed):
+    f = SplitQM(s, FactorQM(s.A, finite_part={1: 1, s.A.inv(1): -1}), FactorQM(s.B, finite_part={2: 1, s.B.inv(2): -1}))
+    rng = random.Random(seed)
+    sampled_defect(f, word_sampler(s, 4, 4, rng), 300, extra_pairs=junction_pairs(f))
+    fresh_rng = random.Random(seed)
+    fresh = word_sampler(s, 4, 4, fresh_rng)
+    for _ in range(600):
+        fresh.draw()
+    assert rng.getstate() == fresh_rng.getstate()
+
+
+def test_the_letter_memo_stops_at_its_cap_and_values_stay_exact():
+    # More distinct letters than MEMO_CAP, then sampled pairs at exponent
+    # bound 10**6, whose letters a full memo no longer stores.
+    f = SplitQM(
+        ZXZ,
+        FactorQM(ZXZ.A, slope=Fraction(1, 3), finite_part={2: 1, -2: -1}, sign_coeff=Fraction(1, 2)),
+        FactorQM(ZXZ.B, period=3, residues=(0, Fraction(1, 2), Fraction(-1, 2))),
+    )
+    letters = [(side, k) for k in range(1, MEMO_CAP // 2 + 100) for side in (A, B)]
+    for _ in range(2):
+        assert [f(Word((letter,))) for letter in letters] == [reference.value(f, (letter,)) for letter in letters]
+        assert len(f.letter_memo) == MEMO_CAP
+    sampled = sampled_defect(f, word_sampler(ZXZ, 4, 10**6, 7), 500)
+    assert len(f.letter_memo) == MEMO_CAP
+    words = word_sampler(ZXZ, 4, 10**6, 7)
+    assert sampled == max(reference.whole_word_size(f, words(), words()) for _ in range(500))
 
 
 def test_a_sampler_of_another_splitting_takes_the_checked_path():
